@@ -97,7 +97,7 @@ class TwistElement:
         t2 = self.ext.tensor_power(2).ring
         p, q = self.partial_collapses()
         return bool(
-            zmod.batch_is_unit(np.stack([p, q]), t2.struct, t2.n).all()
+            zmod.batch_is_unit(np.stack([p, q]), t2.residue_fields).all()
         )
 
     @property
@@ -289,15 +289,26 @@ class CohomologyGroup:
         return members[0]
 
 
-def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:
-    """Boolean mask of the 2-cocycle condition over rows of units of S^⊗3."""
+def cosickle_form(ext: Extension) -> np.ndarray:
+    """Q of shape (r3, r3, r4) with u_1 u_3 - u_2 u_4 = sum_ab u_a u_b Q[a, b].
+
+    Row a of the transposed face-map matrices is the face of the basis
+    element e_a, so Q[a, b] is the S^⊗4 product of faces of e_a and e_b.
+    """
     t4 = ext.tensor_power(4).ring
     h = [ext.face_map(3, i).matrix.T for i in range(1, 5)]
-    f = [(units3 @ hi) % ext.n for hi in h]
-    c = t4.struct.astype(np.int64)
-    lhs = np.einsum("bi,bj,ijk->bk", f[0], f[2], c) % ext.n
-    rhs = np.einsum("bi,bj,ijk->bk", f[1], f[3], c) % ext.n
-    return (lhs == rhs).all(axis=1)
+    r3 = h[0].shape[0]
+
+    def pair_products(x, y):
+        return t4.mul_rows(np.repeat(x, r3, axis=0), np.tile(y, (r3, 1)))
+
+    q = (pair_products(h[0], h[2]) - pair_products(h[1], h[3])) % ext.n
+    return q.reshape(r3, r3, t4.rank)
+
+
+def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:
+    """Boolean mask of the 2-cocycle condition over rows of units of S^⊗3."""
+    return ~zmod.bilinear_mod(units3, units3, cosickle_form(ext), ext.n).any(axis=1)
 
 
 def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> CohomologyGroup:
@@ -367,22 +378,20 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     h3 = ext.face_map(2, 3).matrix.T
     mu_u = t3.mulmat(u_vec).T
     mu_v = t3.mulmat(v_vec).T
-    c = t3.struct.astype(np.int64)
     from .rings import coeff_block
 
     chunk = 1 << 9
     total = t2.size
     for start in range(0, total, chunk):
         block = coeff_block(t2, start, min(start + chunk, total))
-        mask = zmod.batch_is_unit(block, t2.struct, t2.n)
+        mask = zmod.batch_is_unit(block, t2.residue_fields)
         w = block[mask]
         if not len(w):
             continue
-        lhs = ((w @ h2) @ mu_u) % ext.n
-        w1 = (w @ h1) % ext.n
-        w3 = (w @ h3) % ext.n
-        prod = np.einsum("bi,bj,ijk->bk", w1, w3, c) % ext.n
-        rhs = (prod @ mu_v) % ext.n
+        lhs = zmod.matmul_mod(zmod.matmul_mod(w, h2, ext.n), mu_u, ext.n)
+        w1 = zmod.matmul_mod(w, h1, ext.n)
+        w3 = zmod.matmul_mod(w, h3, ext.n)
+        rhs = zmod.matmul_mod(t3.mul_rows(w1, w3), mu_v, ext.n)
         hits = (lhs == rhs).all(axis=1)
         if hits.any():
             return w[int(np.argmax(hits))]

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import zmod
-from .amitsur import TwistElement, _witness_search, delta1
+from .amitsur import TwistElement, _witness_search, cosickle_form, delta1
 from .coring import (
     NormalBasisCoring,
     _delta_tensor_id,
@@ -72,7 +72,7 @@ def counit_solution(ext: Extension, u) -> Optional[np.ndarray]:
 
 
 def _coassoc_difference_tensor(ext: Extension) -> np.ndarray:
-    """D with vec((Delta_u⊗id)Delta_u - (id⊗Delta_u)Delta_u) = sum u_i u_j D[:,i,j].
+    """D with vec((Delta_u⊗id)Delta_u - (id⊗Delta_u)Delta_u) = sum u_i u_j D[i,j,:].
 
     Both triple coproducts are bilinear in u, so the direct coassociativity
     test over a sweep reduces to one quadratic form per matrix entry.
@@ -87,11 +87,11 @@ def _coassoc_difference_tensor(ext: Extension) -> np.ndarray:
     m2 = [_id_tensor_delta(c) for c in basis_corings]
     k2 = ext.tensor_power(2).rank
     k4 = ext.tensor_power(4).rank
-    d = np.zeros((k4 * k2, k3, k3), dtype=np.int64)
+    d = np.zeros((k3, k3, k4 * k2), dtype=np.int64)
     for i in range(k3):
         for j in range(k3):
             diff = ((m1[i] @ deltas[j]) - (m2[i] @ deltas[j])) % ext.n
-            d[:, i, j] = diff.reshape(-1)
+            d[i, j] = diff.reshape(-1)
     return d
 
 
@@ -155,7 +155,6 @@ def classify_all(
     """
     t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)
-    t4 = ext.tensor_power(4)
     total = t3.ring.size
     if total > cap:
         raise RingTooLarge(f"{t3.ring.name} has {total} elements, cap is {cap}")
@@ -165,21 +164,23 @@ def classify_all(
     unit_mask = np.zeros(total, dtype=bool)
     cosickle = np.zeros(total, dtype=bool)
     coassoc = np.zeros(total, dtype=bool)
-    faces = [ext.face_map(3, i).matrix.T for i in range(1, 5)]
-    c4 = t4.ring.struct.astype(np.int64)
-    dtensor = _coassoc_difference_tensor(ext)
+    # Both quadratic forms run in one GEMM per chunk.  Only their zero sets
+    # matter, so each keeps a basis of its output columns.
+    k3 = t3.rank
+    cos_form = zmod.column_basis(cosickle_form(ext).reshape(k3 * k3, -1), ext.n)
+    coassoc_form = zmod.column_basis(_coassoc_difference_tensor(ext).reshape(k3 * k3, -1), ext.n)
+    split = cos_form.shape[1]
+    forms = np.hstack([cos_form, coassoc_form]).reshape(k3, k3, -1)
+    residue = t3.ring.residue_fields
     chunk = 1 << 12
 
     def sweep(start: int) -> None:
         # writes land in disjoint slices, so chunks may run concurrently
         block = elements[start : start + chunk]
-        unit_mask[start : start + chunk] = zmod.batch_is_unit(block, t3.ring.struct, ext.n)
-        f = [(block @ h) % ext.n for h in faces]
-        lhs = np.einsum("bi,bj,ijk->bk", f[0], f[2], c4) % ext.n
-        rhs = np.einsum("bi,bj,ijk->bk", f[1], f[3], c4) % ext.n
-        cosickle[start : start + chunk] = (lhs == rhs).all(axis=1)
-        quad = np.einsum("bi,bj,Oij->bO", block, block, dtensor) % ext.n
-        coassoc[start : start + chunk] = ~quad.any(axis=1)
+        unit_mask[start : start + chunk] = zmod.batch_is_unit(block, residue)
+        values = zmod.bilinear_mod(block, block, forms, ext.n)
+        cosickle[start : start + chunk] = ~values[:, :split].any(axis=1)
+        coassoc[start : start + chunk] = ~values[:, split:].any(axis=1)
 
     starts = list(range(0, total, chunk))
     if jobs > 1 and len(starts) > 1:
@@ -191,11 +192,10 @@ def classify_all(
         for start in starts:
             sweep(start)
     # almost invertible: both partial collapses are units
-    merged1 = (elements @ ext.merge_map(3, first=True).matrix.T) % ext.n
-    merged2 = (elements @ ext.merge_map(3, first=False).matrix.T) % ext.n
-    both_units = zmod.batch_is_unit(merged1, t2.ring.struct, ext.n) & zmod.batch_is_unit(
-        merged2, t2.ring.struct, ext.n
-    )
+    merged1 = zmod.matmul_mod(elements, ext.merge_map(3, first=True).matrix.T, ext.n)
+    merged2 = zmod.matmul_mod(elements, ext.merge_map(3, first=False).matrix.T, ext.n)
+    residue2 = t2.ring.residue_fields
+    both_units = zmod.batch_is_unit(merged1, residue2) & zmod.batch_is_unit(merged2, residue2)
     almost = cosickle & both_units
     cocycle = unit_mask & cosickle
     solvable = None

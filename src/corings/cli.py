@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, zmod
 from .algebras import (
     TwistedAlgebra,
     algebra_from_extension,
@@ -117,6 +117,8 @@ def _build_ring(defn, rings: dict, path: str) -> FiniteRing:
     if not isinstance(defn, dict):
         raise JobSpecError(path, "ring definition must be an object or a name")
     n = _expect(defn, "modulus", path, int)
+    if isinstance(n, bool) or not 2 <= n <= zmod.MAX_MODULUS:
+        raise JobSpecError(f"{path}.modulus", f"expected an integer from 2 to {zmod.MAX_MODULUS}, got {n!r}")
     kind = _expect(defn, "kind", path, str)
     if kind == "quotient":
         poly = _expect(defn, "poly", path, list)

@@ -12,6 +12,7 @@ ordering matters it is the lexicographic order on coefficient tuples.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -31,19 +32,16 @@ class InternalCheckError(AssertionError):
 
 
 def _struct_dtype(n: int):
-    if n <= 127:
-        return np.int8
-    if n <= 32767:
-        return np.int16
-    return np.int64
+    # moduli stop at zmod.MAX_MODULUS, so residues fit in 16 bits
+    return np.int8 if n <= 127 else np.int16
 
 
 class FiniteRing:
     """A finite commutative ring, free over Z/nZ with structure constants."""
 
     def __init__(self, modulus: int, structure, one, name: str = "", check: bool = True):
-        if modulus < 2:
-            raise ValueError("modulus must be at least 2")
+        if not 2 <= modulus <= zmod.MAX_MODULUS:
+            raise ValueError(f"modulus must be between 2 and {zmod.MAX_MODULUS}, got {modulus}")
         self.n = int(modulus)
         c = np.asarray(structure, dtype=np.int64) % self.n
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[1] != c.shape[2]:
@@ -72,21 +70,50 @@ class FiniteRing:
                 block = c[i][ny].astype(np.int64)  # (|ny|, rank)
                 out += xi * (y[ny] @ block)
             return out % self.n
-        return np.einsum("i,j,ijk->k", x.astype(np.int64), y.astype(np.int64), c) % self.n
+        return self.mul_rows(x[None, :], y[None, :])[0]
+
+    def mul_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Products of corresponding rows of two batches of reduced elements."""
+        return zmod.bilinear_mod(x, y, self._float_struct, self.n)
+
+    @cached_property
+    def _float_struct(self) -> np.ndarray:
+        return self.struct.astype(np.float64)
+
+    def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
+        """Each row of a batch raised to the power e >= 0."""
+        out = np.tile(self.one, (len(x), 1))
+        base = np.asarray(x, dtype=np.int64) % self.n
+        while e:
+            if e & 1:
+                out = self.mul_rows(out, base)
+            e >>= 1
+            if e:
+                base = self.mul_rows(base, base)
+        return out
 
     def mulmat(self, x: np.ndarray) -> np.ndarray:
         """Matrix of multiplication by x in the module basis."""
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=np.int64), self.struct) % self.n
 
     def pow_vec(self, x: np.ndarray, e: int) -> np.ndarray:
-        out = self.one.copy()
-        base = x % self.n
-        while e:
-            if e & 1:
-                out = self.mul_vec(out, base)
-            base = self.mul_vec(base, base)
-            e >>= 1
-        return out
+        return self.pow_rows(np.asarray(x)[None, :], e)[0]
+
+    @cached_property
+    def residue_fields(self) -> zmod.ResidueFields:
+        """Projections onto the residue fields, built on first use.
+
+        Feeds zmod.batch_is_unit.  Threads that race to build it compute the
+        same value.
+        """
+        blocks, fields, width = [], [], 0
+        for p in zmod.prime_factors(self.n):
+            for proj in _residue_projections(FiniteRing(p, self.struct, self.one, check=False)):
+                blocks.append(proj)
+                fields.append((p, width, width + proj.shape[1]))
+                width += proj.shape[1]
+        proj = np.hstack(blocks) if blocks else np.zeros((self.rank, 0), dtype=np.int64)
+        return zmod.ResidueFields(self.n, proj, tuple(fields))
 
     # -- elements ------------------------------------------------------------
 
@@ -144,6 +171,58 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.name})"
+
+
+def _values(a: FiniteRing, y: np.ndarray, t: int) -> np.ndarray:
+    """The values in F_p of an element y = y^p of a ring a over F_p.
+
+    y lies in the Berlekamp subalgebra F_p^t, so its values are the roots of
+    its minimal polynomial, which divides X^p - X and has degree at most
+    min(p, t).
+    """
+    p = a.n
+    powers = [a.one]
+    for _ in range(min(p, t)):
+        powers.append(a.mul_vec(powers[-1], y))
+    vanishing = zmod.howell(np.array(powers), p).k  # coefficient rows, degree ascending
+    # echelon form with the top degree first: its last row has the least degree
+    minpoly = zmod.howell(vanishing[:, ::-1], p).h[-1][::-1]
+    c = np.arange(p, dtype=np.int64)
+    value = np.zeros(p, dtype=np.int64)
+    for coef in minpoly[::-1]:
+        value = (value * c + coef) % p
+    return np.nonzero(value == 0)[0]
+
+
+def _residue_projections(a: FiniteRing) -> list[np.ndarray]:
+    """One matrix per residue field of a ring a over F_p (Berlekamp, Ronyai).
+
+    With F the Frobenius x -> x^p and p^k >= rank, F^k kills exactly the
+    radical J.  The Berlekamp subalgebra ker(F - I) is F_p^t, one factor per
+    residue field; its primitive idempotents e come from splitting by
+    1 - (y - c)^(p-1) over a basis y and the values c of y.  The matrix for
+    e holds independent columns of x -> (x e)^(p^k), which is zero exactly
+    when x e lies in J, i.e. when x lies in the maximal ideal of e.
+    """
+    p, r = a.n, a.rank
+    eye = np.eye(r, dtype=np.int64)
+    frob = a.pow_rows(eye, p)  # row j is e_j^p, so x^p = x @ frob
+    frob_k, q = frob, p
+    while q < r:
+        frob_k = zmod.matmul_mod(frob_k, frob, p)
+        q *= p
+    idems = a.one[None, :]
+    berlekamp = zmod.howell((frob - eye) % p, p).k
+    for y in berlekamp:
+        shifted = (y[None, :] - np.outer(_values(a, y, len(berlekamp)), a.one)) % p
+        deltas = (a.one[None, :] - a.pow_rows(shifted, p - 1)) % p
+        prods = a.mul_rows(np.repeat(idems, len(deltas), axis=0), np.tile(deltas, (len(idems), 1)))
+        idems = prods[prods.any(axis=1)]
+    out = []
+    for e in idems:
+        proj = zmod.matmul_mod(a.mul_rows(eye, np.broadcast_to(e, (r, r))), frob_k, p)
+        out.append(zmod.column_basis(proj, p))
+    return out
 
 
 class RingElement:
@@ -359,7 +438,7 @@ def coeff_block(ring: FiniteRing, start: int, stop: int) -> np.ndarray:
 
 def _unit_mask_for_block(ring: FiniteRing, start: int, stop: int) -> np.ndarray:
     block = coeff_block(ring, start, stop)
-    return zmod.batch_is_unit(block, ring.struct, ring.n)
+    return zmod.batch_is_unit(block, ring.residue_fields)
 
 
 def enumerate_units(

@@ -1,15 +1,36 @@
-"""Exact linear algebra over Z/nZ via the Howell normal form.
+"""Exact linear algebra over Z/nZ: the Howell normal form and exact BLAS kernels.
 
 Z/nZ is not a field for composite n, so plain Gaussian elimination does not
 give canonical forms, kernels or solvability tests.  The Howell form does:
 it is the unique row-echelon-like canonical form of the row span of a matrix
-over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  Everything here is built
-on one routine, :func:`howell`, which returns the form together with a
-transformation matrix and a spanning set of the left kernel.
+over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  The exact linear algebra
+here is built on one routine, :func:`howell`, which returns the form
+together with a transformation matrix and a spanning set of the left kernel.
 
 Conventions: matrices are numpy int64 arrays with entries reduced into
 [0, n).  Row convention for the core (`x @ A`); the `*_right` wrappers
 expose the column convention (`A @ x`) used by the rest of the package.
+
+Exactness.  Every result is exact; the package refuses a modulus it cannot
+handle exactly rather than answer from wrapped arithmetic.
+
+- Accepted moduli are 2 <= n <= MAX_MODULUS = 2^14.  The worst int64
+  contraction left in the package multiplies three reduced residues and sums
+  at most DEFAULT_RANK_CAP^2 = 600^2 terms; (2^14 - 1)^3 * 600^2 < 2^63, so
+  it cannot wrap.  FiniteRing checks the bound on construction.
+- :func:`matmul_mod` and :func:`bilinear_mod`, the sweep kernels, run on
+  float64 BLAS (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  A
+  contraction of length k over entries in [0, n) is done in one GEMM when
+  k (n-1)^2 < 2^53, and otherwise in blocks whose sums stay below 2^53,
+  reduced between blocks.  Every partial sum is then an integer below 2^53,
+  which float64 represents exactly, so no rounding ever happens and neither
+  the summation order nor the number of BLAS threads can change a result.
+- Units are decided through residue fields (Ronyai, JSC 1990): x in a finite
+  commutative Z/nZ-algebra S is a unit iff its image in every residue field
+  S/m is nonzero.  :class:`ResidueFields` holds, for each prime p | n and
+  each primitive idempotent e of S/pS, the linear map x -> (x e)^(p^k)
+  that vanishes exactly on the maximal ideal belonging to e, so the unit
+  test of a batch is one matrix product (:func:`batch_is_unit`).
 """
 
 from __future__ import annotations
@@ -19,6 +40,10 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+MAX_MODULUS = 1 << 14  # see "Exactness" above
+_FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
+_OUTER_BLOCK = 1 << 20  # entries of one batched outer product, about 8 MB
 
 
 def _as_mod_array(a, n: int) -> np.ndarray:
@@ -235,6 +260,15 @@ def span_size(hf: HowellForm, n: int) -> int:
     return size
 
 
+def column_basis(a, n: int) -> np.ndarray:
+    """Columns spanning the same Z/nZ-module as the columns of a.
+
+    x @ a == 0 exactly when x @ column_basis(a, n) == 0, usually with far
+    fewer columns.
+    """
+    return howell(np.asarray(a).T, n).h.T
+
+
 def same_row_span(a, b, n: int) -> bool:
     """Whether two matrices have the same row span (canonical forms equal)."""
     ha = howell(a, n).h
@@ -299,16 +333,93 @@ def batch_nonsingular(mats: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def batch_is_unit(coeffs: np.ndarray, struct: np.ndarray, n: int) -> np.ndarray:
+def _reduce(c: np.ndarray, n: int) -> np.ndarray:
+    """c mod n in place, for float64 integers of magnitude below 2^53.
+
+    The quotient c / n is rounded to nearest, and a remainder r in (0, n)
+    keeps it at least 1/n away from an integer, which is more than half an
+    ulp; so the floor is exact.  This is several times faster than fmod.
+    """
+    q = c / n
+    np.floor(q, out=q)
+    q *= n
+    c -= q
+    return c
+
+
+def _gemm_mod(a: np.ndarray, b: np.ndarray, n: int, term: int) -> np.ndarray:
+    """(a @ b) mod n for float64 integer arrays with every |a_ik b_kj| <= term.
+
+    The contraction is split into blocks of at most (2^53 - n) // term
+    terms, reduced between blocks, so every partial sum is an integer of
+    magnitude below 2^53.
+    """
+    step = (_FLOAT_EXACT - n) // term
+    if step < 1:
+        raise ValueError(f"modulus {n} is too large for exact float64 products")
+    out = _reduce(np.matmul(a[..., :step], b[:step]), n)
+    for s in range(step, a.shape[-1], step):
+        out += np.matmul(a[..., s : s + step], b[s : s + step])
+        _reduce(out, n)
+    return out.astype(np.int64)
+
+
+def matmul_mod(a, b, n: int) -> np.ndarray:
+    """Exact (a @ b) mod n on float64 BLAS, for integer entries in (-n, n).
+
+    Returns int64 entries in [0, n).  One GEMM when the contraction length k
+    has k (n-1)^2 < 2^53, blocks reduced in between otherwise.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return _gemm_mod(a, b, n, max(n - 1, 1) ** 2)
+
+
+def bilinear_mod(x, y, form, n: int) -> np.ndarray:
+    """Rows sum_ij x_i y_j form[i, j, :] mod n for batches of rows x and y.
+
+    x: (B, r1), y: (B, r2), form: (r1, r2, K), entries in [0, n), with
+    (n-1)^3 < 2^53.  Each row pair becomes its outer product x ⊗ y and the
+    batch one GEMM against the flattened form.  The outer products are not
+    reduced: their entries stay below (n-1)^2, each term below (n-1)^3, and
+    the GEMM blocks its contraction to match.  Rows are taken in blocks so
+    the outer products stay near _OUTER_BLOCK entries.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    form = np.asarray(form, dtype=np.float64)
+    flat = form.reshape(-1, form.shape[-1])
+    term = max(n - 1, 1) ** 3
+    rows = max(1, _OUTER_BLOCK // max(len(flat), 1))
+    blocks = []
+    for s in range(0, max(len(x), 1), rows):
+        outer = x[s : s + rows, :, None] * y[s : s + rows, None, :]
+        blocks.append(_gemm_mod(outer.reshape(-1, len(flat)), flat, n, term))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+class ResidueFields(NamedTuple):
+    """Linear maps onto the residue fields of a finite commutative Z/nZ-algebra.
+
+    proj: (rank, width) matrix; columns start:stop of a field over F_p are
+    independent columns of x -> (x e)^(p^k) for one primitive idempotent e
+    of S/pS, entries reduced mod p.  fields: one (p, start, stop) per field.
+    """
+
+    n: int
+    proj: np.ndarray
+    fields: tuple
+
+
+def batch_is_unit(coeffs: np.ndarray, residue: ResidueFields) -> np.ndarray:
     """Unit mask for a batch of ring elements given by coefficient rows.
 
-    Elements of a finite Z/nZ-algebra are units iff they are units modulo
-    every prime p | n (the kernel of reduction is nilpotent), which reduces
-    to nonsingularity of the multiplication matrix over F_p.
+    An element is a unit iff its image in every residue field is nonzero:
+    one exact matrix product against the ring's residue-field projections.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    mulmats = np.einsum("bi,ijk->bkj", coeffs, np.asarray(struct, dtype=np.int64)) % n
+    images = matmul_mod(coeffs, residue.proj, residue.n)
     mask = np.ones(coeffs.shape[0], dtype=bool)
-    for p in prime_factors(n):
-        mask &= batch_nonsingular(mulmats, p)
+    for p, start, stop in residue.fields:
+        mask &= (images[:, start:stop] % p).any(axis=1)
     return mask

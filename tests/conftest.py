@@ -44,3 +44,9 @@ def gr42_over_z4():
 def z2sq_over_f2(f2):
     top = make_quotient_ring(2, [0, 0, 1])  # F2[x]/(x^2), split via x -> 0
     return simple_extension(f2, top)
+
+
+@pytest.fixture(scope="session")
+def gf9_over_f3():
+    f9 = make_quotient_ring(3, [1, 0, 1])  # x^2 + 1 is irreducible mod 3
+    return simple_extension(zmod_ring(3), f9)

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import io
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +241,22 @@ def test_criterion_8_cli_determinism(tmp_path):
             assert codes[0] == codes[1] == codes[2] == 0, f"{name} exit code {codes}"
             assert outputs[0], f"{name} produced no output"
     ok(8, f"{len(ACCEPTANCE_JOBS)} CLI jobs byte-identical across runs and --jobs 1 vs 4")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,extension,command", ACCEPTANCE_JOBS, ids=[j[0] for j in ACCEPTANCE_JOBS])
+def test_golden_reports(tmp_path, name, extension, command):
+    """Each acceptance job reproduces its committed text and JSON reports
+    byte for byte; tests/golden/ was generated by the CLI from these jobs."""
+    from corings.cli import run
+
+    doc = {"rings": {"F2": F2, "F4": F4}, "extension": extension, "command": command}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    for fmt, suffix in (("text", "txt"), ("json", "json")):
+        buf = io.BytesIO()
+        assert run([str(path), "--format", fmt], stdout=buf) == 0
+        golden = (GOLDEN / f"{name}.{suffix}").read_bytes()
+        assert buf.getvalue() == golden, f"{name} ({fmt}) differs from its golden report"

@@ -200,6 +200,15 @@ def test_input_error_exit_code(tmp_path):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("modulus", [0, True, 2**31 - 1], ids=["zero", "bool", "above-bound"])
+def test_bad_modulus_is_input_error(tmp_path, capsys, modulus):
+    ring = {"modulus": modulus, "kind": "quotient", "poly": [0, 1]}
+    code, out = run_cli(tmp_path, job({"name": "h2"}, R=ring))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert "rings.R.modulus" in err and "Traceback" not in err
+
+
 def test_reports_are_deterministic(tmp_path):
     doc = job({"name": "h2"})
     outputs = set()

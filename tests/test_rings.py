@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corings import zmod
 from corings.rings import (
     RingTooLarge,
     enumerate_units,
@@ -125,3 +126,18 @@ def test_units_of_zmod_rings():
 
     assert [u.key() for u in enumerate_units(zmod_ring(4))] == [(1,), (3,)]
     assert [u.key() for u in enumerate_units(zmod_ring(6))] == [(1,), (5,)]
+
+
+def test_modulus_bound_refuses_instead_of_wrapping():
+    """At n = 2^31 - 1 int64 arithmetic wraps: (n-2)(n-5) - (n-3)(n-7)
+    comes out 0, not n - 11.  Such moduli are refused, and at the bound the
+    product is exact on both multiplication paths."""
+    with pytest.raises(ValueError, match="modulus"):
+        make_quotient_ring(2**31 - 1, [1, 0, 1])
+    n = zmod.MAX_MODULUS
+    ring = make_quotient_ring(n, [1, 0, 1])  # x^2 = -1
+    x = np.array([n - 2, n - 3])
+    y = np.array([n - 5, n - 7])
+    want = [n - 11, 29]
+    assert ring.mul_vec(x, y).tolist() == want
+    assert ring.mul_rows(x[None], y[None]).tolist() == [want]
