@@ -63,19 +63,10 @@ class FiniteAlgebra:
         if check:
             self.validate()
 
-    @property
-    def coord_rank(self) -> int:
-        """Z/nZ-rank of the underlying module."""
-        return self.dim * self.base.rank
-
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         c_r = self.base.struct.astype(np.int64)
         pair = np.einsum("ia,jb,abt->ijt", x.astype(np.int64), y.astype(np.int64), c_r) % self.n
         return np.einsum("ijp,ijkq,pqt->kt", pair, self.struct, c_r) % self.n
-
-    def scalar_mul(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        c_r = self.base.struct.astype(np.int64)
-        return np.einsum("a,ib,abt->it", r.astype(np.int64), x.astype(np.int64), c_r) % self.n
 
     def basis_coords(self, i: int) -> np.ndarray:
         out = np.zeros((self.dim, self.base.rank), dtype=np.int64)
@@ -135,16 +126,20 @@ def _rmat_compose(ext: Extension, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ija,jkb,abt->ikt", a.astype(np.int64), b.astype(np.int64), c_r) % ext.n
 
 
-def _rmat_scalar(ext: Extension, r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    c_r = ext.base.struct.astype(np.int64)
-    return np.einsum("s,ija,sat->ijt", r.astype(np.int64), a.astype(np.int64), c_r) % ext.n
-
-
 def identity_endo(ext: Extension) -> np.ndarray:
     d, kr = ext.degree, ext.base.rank
     out = np.zeros((d, d, kr), dtype=np.int64)
     for i in range(d):
         out[i, i] = ext.base.one
+    return out
+
+
+def _matrix_units(ext: Extension) -> np.ndarray:
+    """The R-matrices eps_ij (base.one at entry (i, j)), in row-major (i, j) order."""
+    d = ext.degree
+    out = np.zeros((d * d, d, d, ext.base.rank), dtype=np.int64)
+    rows, cols = np.divmod(np.arange(d * d), d)
+    out[np.arange(d * d), rows, cols] = ext.base.one
     return out
 
 
@@ -159,40 +154,25 @@ class TwistedAlgebra:
         self.ext = ext
         self.twist = tw
         self.side = side
-        self._slot_mats: Optional[list] = None
+        # one term per support coordinate: coefficient, base index, slot matrices
+        self._slot_mats = [
+            (coeff, pi, *(ext.rmulmat(ext.basis[k]) for k in slots))
+            for coeff, pi, slots in _twist_support(ext, tw.u.coeffs)
+        ]
         self._algebra: Optional[FiniteAlgebra] = None
-
-    def _support(self):
-        if self._slot_mats is None:
-            ext = self.ext
-            t3 = ext.tensor_power(3)
-            terms = []
-            for flat in np.nonzero(self.twist.u.coeffs)[0]:
-                (k1, k2, k3), pi = t3.unflatten(int(flat))
-                e_pi = np.zeros(ext.base.rank, dtype=np.int64)
-                e_pi[pi] = int(self.twist.u.coeffs[flat])
-                terms.append(
-                    (
-                        e_pi,
-                        ext.rmulmat(ext.basis[k1]),
-                        ext.rmulmat(ext.basis[k2]),
-                        ext.rmulmat(ext.basis[k3]),
-                    )
-                )
-            self._slot_mats = terms
-        return self._slot_mats
 
     def product(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """The twisted product of two endomorphisms given as R-matrices."""
         ext = self.ext
         d, kr = ext.degree, ext.base.rank
+        c_r = ext.base.struct.astype(np.int64)
         out = np.zeros((d, d, kr), dtype=np.int64)
-        for coeff, m1, m2, m3 in self._support():
+        for coeff, pi, m1, m2, m3 in self._slot_mats:
             if self.side == "right":
                 term = _rmat_compose(ext, m3, _rmat_compose(ext, phi, _rmat_compose(ext, m2, _rmat_compose(ext, psi, m1))))
             else:
                 term = _rmat_compose(ext, m1, _rmat_compose(ext, psi, _rmat_compose(ext, m2, _rmat_compose(ext, phi, m3))))
-            out = (out + _rmat_scalar(ext, coeff, term)) % ext.n
+            out = (out + coeff * (term @ c_r[pi])) % ext.n
         return out
 
     def unit_endo(self) -> np.ndarray:
@@ -207,12 +187,7 @@ class TwistedAlgebra:
             d, kr = ext.degree, ext.base.rank
             m = d * d
             struct = np.zeros((m, m, m, kr), dtype=np.int64)
-            basis = []
-            for i in range(d):
-                for j in range(d):
-                    e = np.zeros((d, d, kr), dtype=np.int64)
-                    e[i, j] = ext.base.one
-                    basis.append(e)
+            basis = _matrix_units(ext)
             for a in range(m):
                 for b in range(m):
                     struct[a, b] = self.product(basis[a], basis[b]).reshape(m, kr)
@@ -269,20 +244,13 @@ def ambient_algebra(ext: Extension) -> FiniteAlgebra:
     )
 
 
-def _rmul(c_r: np.ndarray, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("a,b,abt->t", x.astype(np.int64), y.astype(np.int64), c_r) % n
-
-
-def _twist_support(ext: Extension, coeffs: np.ndarray):
-    """(scaled e_pi, c1, c2, c3) for each nonzero coordinate of a twist."""
+def _twist_support(ext: Extension, coeffs: np.ndarray) -> list[tuple[int, int, tuple]]:
+    """(coefficient, base index pi, slots (c1, c2, c3)) per nonzero coordinate of a twist."""
     t3 = ext.tensor_power(3)
-    kr = ext.base.rank
     out = []
     for flat in np.nonzero(coeffs)[0]:
-        (c1, c2, c3), pi = t3.unflatten(int(flat))
-        e = np.zeros(kr, dtype=np.int64)
-        e[pi] = int(coeffs[flat])
-        out.append((e, c1, c2, c3))
+        slots, pi = t3.unflatten(int(flat))
+        out.append((int(coeffs[flat]), pi, slots))
     return out
 
 
@@ -299,11 +267,9 @@ def _membership_matrices(ext: Extension, u_coeffs: np.ndarray):
     c_r = ext.base.struct.astype(np.int64)
     l13 = np.zeros((d, d, d, d, kr, d, d, d, kr), dtype=np.int64)
     l24 = np.zeros((d, d, d, d, kr, d, d, d, kr), dtype=np.int64)
-    for e_pi, c1, c2, c3 in _twist_support(ext, u_coeffs):
+    for coeff, pi, (c1, c2, c3) in _twist_support(ext, u_coeffs):
         for rho in range(kr):
-            e_rho = np.zeros(kr, dtype=np.int64)
-            e_rho[rho] = 1
-            q = _rmul(c_r, n, e_rho, e_pi)
+            q = (coeff * c_r[rho, pi]) % n
             # x_1 u_3 = e_rho e_pi (b_c1 ⊗ c2 b_a ⊗ b_k* ⊗ c3 b_l)
             step = np.einsum("t,aQv,tvs->aQs", q, rmult[c2], c_r) % n
             val = np.einsum("aQs,lLw,swz->aQlLz", step, rmult[c3], c_r) % n
@@ -334,11 +300,9 @@ def gamma_matrix(ext: Extension, u_coeffs: np.ndarray) -> np.ndarray:
     rmult = ext.rmult().astype(np.int64)
     c_r = ext.base.struct.astype(np.int64)
     g = np.zeros((d, d, d, kr, d, d, kr), dtype=np.int64)
-    for e_pi, c1, c2, c3 in _twist_support(ext, u_coeffs):
+    for coeff, pi, (c1, c2, c3) in _twist_support(ext, u_coeffs):
         for rho in range(kr):
-            e_rho = np.zeros(kr, dtype=np.int64)
-            e_rho[rho] = 1
-            q = _rmul(c_r, n, e_rho, e_pi)
+            q = (coeff * c_r[rho, pi]) % n
             # gamma(e_rho eps_ij) = e_rho e_pi (b_c1 ⊗ c2·b_j* ⊗ c3 b_i)
             step = np.einsum("t,Kjv,tvs->Kjs", q, rmult[c2], c_r) % n
             val = np.einsum("Kjs,iLw,swz->KjiLz", step, rmult[c3], c_r) % n
@@ -360,11 +324,9 @@ def gamma_inverse_matrix(ext: Extension, v_coeffs: np.ndarray) -> np.ndarray:
     rmult = ext.rmult().astype(np.int64)
     c_r = ext.base.struct.astype(np.int64)
     g = np.zeros((d, d, kr, d, d, d, kr), dtype=np.int64)
-    for e_pi, c1, c2, c3 in _twist_support(ext, v_coeffs):
+    for coeff, pi, (c1, c2, c3) in _twist_support(ext, v_coeffs):
         for rho in range(kr):
-            e_rho = np.zeros(kr, dtype=np.int64)
-            e_rho[rho] = 1
-            q = _rmul(c_r, n, e_rho, e_pi)
+            q = (coeff * c_r[rho, pi]) % n
             step = np.einsum("t,Kkv,tvs->Kks", q, rmult[c2], c_r) % n
             for a in range(d):
                 for l in range(d):
@@ -485,30 +447,19 @@ def gamma_map(c_or_tw) -> GammaVerification:
     injective = zmod.kernel_right(g, n).size == 0
     image_ok = zmod.same_row_span(g.T, alg.solution_basis, n)
     twisted = TwistedAlgebra(ext, tw, "right")
-    mult = True
-    basis = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d, kr), dtype=np.int64)
-            e[i, j] = ext.base.one
-            basis.append(e)
-    for phi in basis:
-        for psi in basis:
-            lhs = (g @ twisted.product(phi, psi).reshape(-1)) % n
-            rhs = alg.multiply((g @ phi.reshape(-1)) % n, (g @ psi.reshape(-1)) % n)
-            if (lhs != rhs).any():
-                mult = False
-                break
-        if not mult:
-            break
+    basis = _matrix_units(ext)
+    mult = all(
+        (
+            (g @ twisted.product(phi, psi).reshape(-1)) % n
+            == alg.multiply((g @ phi.reshape(-1)) % n, (g @ psi.reshape(-1)) % n)
+        ).all()
+        for phi in basis
+        for psi in basis
+    )
     unital = ((g @ twisted.unit_endo().reshape(-1)) % n == alg.unit_vec()).all()
-    back = (ginv @ g) % n
-    ident = np.eye(d * d * kr, dtype=np.int64)
-    inv_ok = (back == ident).all()
-    for row in alg.solution_basis:
-        if ((g @ ((ginv @ row) % n)) % n != row % n).any():
-            inv_ok = False
-            break
+    inv_ok = ((ginv @ g) % n == np.eye(d * d * kr, dtype=np.int64)).all() and all(
+        ((g @ ((ginv @ row) % n)) % n == row % n).all() for row in alg.solution_basis
+    )
     return GammaVerification(
         ext,
         g,
@@ -520,12 +471,6 @@ def gamma_map(c_or_tw) -> GammaVerification:
         bool(inv_ok),
         alg.rank_over_base,
     )
-
-
-def gamma_inverse(c_or_tw) -> np.ndarray:
-    """The matrix of gamma^{-1} on S ⊗ S* ⊗ S coordinates."""
-    tw = c_or_tw.twist if isinstance(c_or_tw, NormalBasisCoring) else c_or_tw
-    return gamma_inverse_matrix(tw.ext, tw.inverse.coeffs)
 
 
 # -- Azumaya algebras ------------------------------------------------------------
@@ -540,13 +485,12 @@ def enveloping_matrix(alg: FiniteAlgebra) -> np.ndarray:
     m = alg.dim
     kr = alg.base.rank
     n = alg.n
+    c_r = alg.base.struct.astype(np.int64)
     cols = np.zeros((m * m * kr, m * m * kr), dtype=np.int64)
     for i in range(m):
         for j in range(m):
             for rho in range(kr):
-                e_rho = np.zeros(kr, dtype=np.int64)
-                e_rho[rho] = 1
-                left = alg.scalar_mul(e_rho, alg.basis_coords(i))
+                left = (alg.basis_coords(i) @ c_r[rho]) % n
                 endo = np.zeros((m, m, kr), dtype=np.int64)
                 for l in range(m):
                     endo[:, l, :] = alg.mul(alg.mul(left, alg.basis_coords(l)), alg.basis_coords(j))
@@ -578,18 +522,14 @@ def untwist_iso(tw: TwistElement, witness: np.ndarray) -> np.ndarray:
         raise WitnessError("delta_1(witness) does not equal the twist")
     t2 = ext.tensor_power(2)
     c_r = ext.base.struct.astype(np.int64)
-    rmult = ext.rmult().astype(np.int64)
     theta = np.zeros((d, d, kr, d, d, kr), dtype=np.int64)
     for flat in np.nonzero(witness)[0]:
         (k1, k2), pi = t2.unflatten(int(flat))
-        e_pi = np.zeros(kr, dtype=np.int64)
-        e_pi[pi] = int(witness[flat])
+        coeff = int(witness[flat])
         m1 = ext.rmulmat(ext.basis[k1])
         m2 = ext.rmulmat(ext.basis[k2])
         for rho in range(kr):
-            e_rho = np.zeros(kr, dtype=np.int64)
-            e_rho[rho] = 1
-            q = _rmul(c_r, n, e_rho, e_pi)
+            q = (coeff * c_r[rho, pi]) % n
             # e_rho eps_ij -> q · (mu_{b_k2} ∘ eps_ij ∘ mu_{b_k1})
             step = np.einsum("t,riv,tvs->ris", q, m2.astype(np.int64), c_r) % n
             val = np.einsum("ris,jcw,swz->ricjz", step, m1.astype(np.int64), c_r) % n
@@ -598,12 +538,7 @@ def untwist_iso(tw: TwistElement, witness: np.ndarray) -> np.ndarray:
             ) % n
     mat = theta.reshape(d * d * kr, d * d * kr)
     twisted = TwistedAlgebra(ext, tw, "right")
-    basis = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d, kr), dtype=np.int64)
-            e[i, j] = ext.base.one
-            basis.append(e)
+    basis = _matrix_units(ext)
     for phi in basis:
         for psi in basis:
             lhs = (mat @ twisted.product(phi, psi).reshape(-1)) % n

@@ -8,7 +8,11 @@ with coboundaries
 where eta_i inserts 1 in slot i.  A 2-cocycle is a unit u of S^⊗3 with
 u_1 u_2^{-1} u_3 u_4^{-1} = 1; a 2-coboundary is delta_1(v) = v_1 v_2^{-1} v_3
 for a unit v of S^⊗2.  H^2 = Z^2/B^2 is computed here by exhaustive
-enumeration at desk scale, together with the classical identities: the norm
+enumeration at desk scale: Z^2 is a batched cocycle mask over the units of
+S^⊗3, B^2 is delta_1 of all units of S^⊗2 at once (inverses by Lagrange,
+v^{-1} = v^(|U|-1)), and every class is named by the lex-least member of
+its coset u·B^2, found for whole batches of rows by `sorted_cosets`.  Next
+to H^2 live the classical identities: the norm
 |u| = u^1 u^2 u^3, its two partial-collapse identities, normalization of
 cocycles, interleaving of cocycles over S⊗S, and the base-change coboundary
 witness over (S⊗S)/(R⊗S).
@@ -16,14 +20,15 @@ witness over (S⊗S)/(R⊗S).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import reduce
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import zmod
 from .extensions import Extension, amitsur_rebase, external_extension, interleave, rebase_iso, rebase_pushforward
-from .rings import DEFAULT_CAP, InternalCheckError, RingElement, enumerate_units, try_invert
+from .rings import DEFAULT_CAP, InternalCheckError, RingElement, RingTooLarge, enumerate_units, try_invert
 
 
 class NotAUnitError(ValueError):
@@ -140,12 +145,58 @@ def coboundary(ext: Extension, v, level: int) -> np.ndarray:
     inv = zmod.solve_right(tl.mulmat(v), tl.one, ext.n)
     if inv is None:
         raise NotAUnitError("coboundary is only defined on units")
-    up = ext.tensor_power(level + 1).ring
-    out = up.one.copy()
-    for i in range(1, level + 2):
-        factor = v if i % 2 == 1 else inv
-        out = up.mul_vec(out, ext.face_map(level, i).apply_vec(factor))
-    return out
+    return _face_product(ext, level, v, inv, ext.tensor_power(level + 1).ring.mul_vec)
+
+
+def _face_product(ext: Extension, level: int, v, v_inv, mul) -> np.ndarray:
+    """eta_1(v) eta_2(v_inv) eta_3(v) ... in S^⊗(level+1).
+
+    v and v_inv are one element or a batch of rows, and mul is mul_vec or
+    mul_rows of S^⊗(level+1) to match: a single element stays on the sparse
+    mul_vec path, which never builds the dense rank^3 table of a large ring.
+    """
+    faces = (
+        zmod.matmul_mod(v if i % 2 else v_inv, ext.face_map(level, i).matrix.T, ext.n)
+        for i in range(1, level + 2)
+    )
+    return reduce(mul, faces)
+
+
+def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
+    """B^2 = {delta_1(v) : v a unit of S^⊗2} as lex-sorted rows, cached on ext.
+
+    The cap is checked on every call, so a cached B^2 is refused exactly
+    when a fresh one would be.
+    """
+    t2 = ext.tensor_power(2).ring
+    if t2.size > cap:
+        raise RingTooLarge(f"{t2.name} has {t2.size} elements, cap is {cap}")
+    if ext._b2 is None:
+        units2 = enumerate_units(t2, cap=cap, jobs=jobs, as_array=True)
+        inverses = t2.pow_rows(units2, len(units2) - 1)  # Lagrange: v^|U| = 1
+        mul = ext.tensor_power(3).ring.mul_rows
+        ext._b2 = np.unique(_face_product(ext, 2, units2, inverses, mul), axis=0)
+    return ext._b2
+
+
+_COSET_BLOCK = 1 << 12  # products per mul_rows call in sorted_cosets
+
+
+def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
+    """The cosets row·B^2 of a batch of rows of S^⊗3, each sorted lexicographically.
+
+    Yields arrays of shape (rows in block, |B^2|, rank), blocks in row order;
+    member [i, 0] of a block is the lex-least element of its coset, and
+    repeated members stay (a non-unit row may have a smaller orbit).
+    """
+    t3 = ext.tensor_power(3).ring
+    step = max(1, _COSET_BLOCK // len(b2))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        prods = t3.mul_rows(np.repeat(block, len(b2), axis=0), np.tile(b2, (len(block), 1)))
+        prods = prods.reshape(len(block), len(b2), -1)
+        order = np.lexsort(np.moveaxis(prods, 2, 0)[::-1], axis=-1)
+        yield np.take_along_axis(prods, order[:, :, None], axis=1)
 
 
 def delta1(ext: Extension, v) -> np.ndarray:
@@ -249,10 +300,10 @@ def base_change_witness(tw: TwistElement) -> BaseChangeWitness:
         raise NotACocycleError("base-change witness is stated for 2-cocycles")
     ext = tw.ext
     reb = amitsur_rebase(ext)
-    iso2 = rebase_iso(ext, reb, 2)
-    iso3 = rebase_iso(ext, reb, 3)
+    iso2 = rebase_iso(ext, 2)
+    iso3 = rebase_iso(ext, 3)
     w = (zmod.inverse_matrix(iso2, ext.n) @ tw.u.coeffs) % ext.n
-    pushed = (rebase_pushforward(ext, reb, ext.eta, 3) @ tw.u.coeffs) % ext.n
+    pushed = (rebase_pushforward(ext, ext.eta, 3) @ tw.u.coeffs) % ext.n
     # primed coboundary of the witness
     d1w = delta1(reb, w)
     ok = bool((d1w == pushed).all())
@@ -276,7 +327,6 @@ class CohomologyGroup:
     z2: np.ndarray  # cocycle coefficient rows, lex order
     b2: np.ndarray  # coboundary coefficient rows, lex order
     representatives: np.ndarray  # lex-least element of each coset, lex order
-    cosets: list[list[tuple]] = field(repr=False, default_factory=list)
 
     @property
     def order(self) -> int:
@@ -284,9 +334,8 @@ class CohomologyGroup:
 
     def class_of(self, u: np.ndarray) -> tuple:
         """Lex-least element of the coset u·B^2."""
-        t3 = self.ext.tensor_power(3).ring
-        members = sorted(tuple(map(int, t3.mul_vec(u, b))) for b in self.b2)
-        return members[0]
+        u = np.asarray(u, dtype=np.int64)[None, :] % self.ext.n
+        return tuple(map(int, next(sorted_cosets(self.ext, u, self.b2))[0, 0]))
 
 
 def cosickle_form(ext: Extension) -> np.ndarray:
@@ -313,32 +362,17 @@ def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:
 
 def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> CohomologyGroup:
     """Exhaustive H^2: kernel of delta_2 on units(S^⊗3) over image of delta_1."""
-    units2 = enumerate_units(ext.tensor_power(2).ring, cap=cap, jobs=jobs, as_array=True)
+    b2 = b2_rows(ext, cap=cap, jobs=jobs)
     units3 = enumerate_units(ext.tensor_power(3).ring, cap=cap, jobs=jobs, as_array=True)
     z2 = units3[cocycle_mask(ext, units3)]
-    t3 = ext.tensor_power(3).ring
-    b2_set = {tuple(map(int, delta1(ext, v))) for v in units2}
-    b2 = np.array(sorted(b2_set), dtype=np.int64)
-    z2_set = {tuple(map(int, row)) for row in z2}
-    if not b2_set <= z2_set:  # pragma: no cover - delta∘delta = 1
+    # B^2 ⊆ Z^2 (delta∘delta = 1): the rows of Z^2 are distinct, so B^2 adds none
+    if len(np.unique(np.vstack([z2, b2]), axis=0)) != len(z2):  # pragma: no cover
         raise InternalCheckError("B^2 is not contained in Z^2")
-    seen: set[tuple] = set()
-    reps = []
-    cosets = []
-    for row in z2:
-        key = tuple(map(int, row))
-        if key in seen:
-            continue
-        members = sorted(tuple(map(int, t3.mul_vec(row, b))) for b in b2)
-        seen.update(members)
-        reps.append(members[0])
-        cosets.append(members)
-    reps_arr = np.array(sorted(reps), dtype=np.int64)
-    order = [c for _, c in sorted(zip(reps, cosets))]
-    group = CohomologyGroup(ext, z2, b2, reps_arr, order)
+    minima = [cosets[:, 0] for cosets in sorted_cosets(ext, z2, b2)]
+    reps = np.unique(np.concatenate(minima), axis=0)
     if len(z2) % len(b2) != 0 or len(reps) * len(b2) != len(z2):  # pragma: no cover
         raise InternalCheckError("coset partition of Z^2 by B^2 is inconsistent")
-    return group
+    return CohomologyGroup(ext, z2, b2, reps)
 
 
 def cohomologous(

@@ -22,18 +22,17 @@ from typing import Optional
 import numpy as np
 
 from . import zmod
-from .amitsur import TwistElement, _witness_search, cosickle_form, delta1
+from .amitsur import TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets
 from .coring import (
     NormalBasisCoring,
     _delta_tensor_id,
     _id_tensor_delta,
     external_product,
     is_azumaya,
-    recover_twist,  # noqa: F401  (twist recovery is part of this module's surface)
     twisted_coring,
 )
 from .extensions import Extension
-from .rings import DEFAULT_CAP, InternalCheckError, RingTooLarge, all_elements_array, enumerate_units
+from .rings import DEFAULT_CAP, InternalCheckError, RingTooLarge, all_elements_array
 
 COSICKLE_CONDITION = "u1*u3 == u2*u4"
 
@@ -211,19 +210,6 @@ def classify_all(
 # -- quotient monoids -----------------------------------------------------------------
 
 
-_B2_CACHE: dict = {}
-
-
-def _b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
-    if ext in _B2_CACHE:
-        return _B2_CACHE[ext]
-    units2 = enumerate_units(ext.tensor_power(2).ring, cap=cap, jobs=jobs, as_array=True)
-    rows = {tuple(map(int, delta1(ext, v))) for v in units2}
-    out = np.array(sorted(rows), dtype=np.int64)
-    _B2_CACHE[ext] = out
-    return out
-
-
 @dataclass
 class MonoidQuotient:
     """Orbits of the coboundary group acting on a cosickle monoid."""
@@ -250,41 +236,27 @@ def monoid_quotient(
     """Quotient of the (almost invertible) cosickle monoid by B^2.
 
     which = "full" takes all cosickles, "almost" the almost invertible ones.
-    Orbit representatives are the lexicographically least members.
+    Orbit representatives are the lexicographically least members.  An
+    orbit is invertible exactly when its members are units, since B^2 is a
+    group of units.
     """
     if which not in ("full", "almost"):
         raise ValueError("which must be 'full' or 'almost'")
     census = classify_all(ext, cap=cap, jobs=jobs, counit_oracle=False)
     mask = census.is_cosickle if which == "full" else census.is_almost_invertible
-    members = census.elements[mask]
-    unit_lookup = {
-        tuple(map(int, row)): bool(u)
-        for row, u in zip(census.elements, census.is_unit)
-    }
-    b2 = _b2_rows(ext, cap=cap, jobs=jobs)
-    t3 = ext.tensor_power(3).ring
-    seen: set[tuple] = set()
-    reps: list[tuple] = []
-    sizes: list[int] = []
-    invertible: list[bool] = []
-    for row in members:
-        key = tuple(map(int, row))
-        if key in seen:
-            continue
-        orbit = {tuple(map(int, t3.mul_vec(row, b))) for b in b2}
-        seen.update(orbit)
-        rep = min(orbit)
-        reps.append(rep)
-        sizes.append(len(orbit))
-        invertible.append(unit_lookup[rep])
-    idx = sorted(range(len(reps)), key=lambda i: reps[i])
+    b2 = b2_rows(ext, cap=cap, jobs=jobs)
+    minima, sizes = [], []
+    for orbits in sorted_cosets(ext, census.elements[mask], b2):
+        minima.append(orbits[:, 0])
+        sizes.append(1 + (orbits[:, 1:] != orbits[:, :-1]).any(axis=2).sum(axis=1))
+    reps, first = np.unique(np.concatenate(minima), axis=0, return_index=True)
     return MonoidQuotient(
         ext,
         which,
         b2,
-        np.array([reps[i] for i in idx], dtype=np.int64),
-        [sizes[i] for i in idx],
-        np.array([invertible[i] for i in idx], dtype=bool),
+        reps,
+        [int(k) for k in np.concatenate(sizes)[first]],
+        census.is_unit[mask][first],
     )
 
 
@@ -305,19 +277,12 @@ class BrauerClass:
 
     @classmethod
     def of_twist(cls, tw: TwistElement, cap: int = DEFAULT_CAP) -> "BrauerClass":
-        from .amitsur import is_two_cocycle
-
         if not is_two_cocycle(tw):
             raise ValueError("Brauer classes are classes of unit 2-cocycles")
         ext = tw.ext
-        b2 = _b2_rows(ext, cap=cap)
-        t3 = ext.tensor_power(3).ring
-        coll = ext.collapse_map(3).matrix
-        orbit = np.array(
-            sorted({tuple(map(int, t3.mul_vec(tw.u.coeffs, b))) for b in b2}), dtype=np.int64
-        )
-        norms = (orbit @ coll.T) % ext.n
-        normalized = orbit[(norms == ext.top.one).all(axis=1)]
+        coset = next(sorted_cosets(ext, tw.u.coeffs[None, :], b2_rows(ext, cap=cap)))[0]
+        norms = (coset @ ext.collapse_map(3).matrix.T) % ext.n
+        normalized = coset[(norms == ext.top.one).all(axis=1)]
         if not len(normalized):  # pragma: no cover - every coset has norm-1 members
             raise InternalCheckError("coset contains no normalized cocycle")
         return cls(ext, tuple(map(int, normalized[0])), cap=cap)

@@ -109,6 +109,28 @@ def _expect(obj, key, path, kind=None):
     return val
 
 
+def _int_array(value, path: str, ndim: int, n: int) -> np.ndarray:
+    """A JSON array of integers nested ndim deep, rectangular, reduced mod n.
+
+    Bools, floats, strings and wrong nesting are input errors at the path of
+    the offending entry; reducing before conversion keeps huge integers exact.
+    """
+
+    def walk(v, p: str, depth: int):
+        if depth == 0:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise JobSpecError(p, f"expected an integer, got {json.dumps(v)}")
+            return v % n
+        if not isinstance(v, list):
+            raise JobSpecError(p, f"expected an array, got {json.dumps(v)}")
+        return [walk(x, f"{p}[{i}]", depth - 1) for i, x in enumerate(v)]
+
+    rows = walk(value, path, ndim)
+    if ndim == 2 and len({len(row) for row in rows}) > 1:
+        raise JobSpecError(path, "rows must all have the same length")
+    return np.array(rows, dtype=np.int64)
+
+
 def _build_ring(defn, rings: dict, path: str) -> FiniteRing:
     if isinstance(defn, str):
         if defn not in rings:
@@ -121,7 +143,7 @@ def _build_ring(defn, rings: dict, path: str) -> FiniteRing:
         raise JobSpecError(f"{path}.modulus", f"expected an integer from 2 to {zmod.MAX_MODULUS}, got {n!r}")
     kind = _expect(defn, "kind", path, str)
     if kind == "quotient":
-        poly = _expect(defn, "poly", path, list)
+        poly = _int_array(_expect(defn, "poly", path), f"{path}.poly", 1, n)
         try:
             return make_quotient_ring(n, poly)
         except ValueError as exc:
@@ -144,10 +166,9 @@ def _build_extension(defn, rings: dict, path: str) -> Extension:
         raise JobSpecError(path, "extension must be an object")
     base = _build_ring(_expect(defn, "base", path), rings, f"{path}.base")
     top = _build_ring(_expect(defn, "top", path), rings, f"{path}.top")
-    eta_rows = _expect(defn, "eta", path, list)
-    basis = _expect(defn, "basis", path, list)
+    eta_mat = _int_array(_expect(defn, "eta", path), f"{path}.eta", 2, top.n).T
+    basis = _int_array(_expect(defn, "basis", path), f"{path}.basis", 2, top.n)
     try:
-        eta_mat = np.array(eta_rows, dtype=np.int64).T
         if eta_mat.ndim != 2 or eta_mat.shape != (top.rank, base.rank):
             raise ValueError(
                 f"expected {base.rank} image vectors of length {top.rank}"
@@ -156,19 +177,19 @@ def _build_extension(defn, rings: dict, path: str) -> Extension:
     except ValueError as exc:
         raise JobSpecError(f"{path}.eta", str(exc)) from None
     try:
-        return Extension(base, top, eta, np.array(basis, dtype=np.int64))
+        return Extension(base, top, eta, basis)
     except ValueError as exc:
         raise JobSpecError(f"{path}.basis", str(exc)) from None
 
 
 def _twist_param(params: dict, ext: Extension, path: str) -> np.ndarray:
-    vec = _expect(params, "twist", path, list)
+    vec = _int_array(_expect(params, "twist", path), f"{path}.twist", 1, ext.n)
     want = ext.tensor_power(3).rank
     if len(vec) != want:
         raise JobSpecError(
             f"{path}.twist", f"expected {want} coefficients for S^(x3), got {len(vec)}"
         )
-    return np.array(vec, dtype=np.int64) % ext.n
+    return vec
 
 
 def parse_job(text: str, digest: str = "") -> JobSpec:
@@ -180,6 +201,8 @@ def parse_job(text: str, digest: str = "") -> JobSpec:
     if not isinstance(doc, dict):
         raise JobSpecError("$", "job file must be a JSON object")
     rings: dict[str, FiniteRing] = {}
+    if not isinstance(doc.get("rings", {}), dict):
+        raise JobSpecError("rings", "expected an object mapping names to ring definitions")
     for name, defn in doc.get("rings", {}).items():
         rings[name] = _build_ring(defn, rings, f"rings.{name}")
     ext = _build_extension(_expect(doc, "extension", "$"), rings, "extension")
@@ -201,14 +224,10 @@ def parse_job(text: str, digest: str = "") -> JobSpec:
         spec.other_extension = _build_extension(
             _expect(other, "extension", "command.other"), rings, "command.other.extension"
         )
-        other_twist = _expect(other, "twist", "command.other", list)
-        want = spec.other_extension.tensor_power(3).rank
-        if len(other_twist) != want:
-            raise JobSpecError(
-                "command.other.twist", f"expected {want} coefficients for S^(x3), got {len(other_twist)}"
-            )
+        _twist_param(other, spec.other_extension, "command.other")
     if "cap" in params:
-        if not isinstance(params["cap"], int) or params["cap"] <= 0:
+        cap = params["cap"]
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap <= 0:
             raise JobSpecError("command.cap", "cap must be a positive integer")
         spec.cap = params["cap"]
     return spec
@@ -223,7 +242,7 @@ def _vecs(rows) -> list:
 
 def _run_units(spec: JobSpec) -> dict:
     level = spec.params.get("level", 1)
-    if not isinstance(level, int) or level < 1:
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise JobSpecError("command.level", "level must be a positive integer")
     ring = spec.extension.tensor_power(level).ring
     units = enumerate_units(ring, cap=spec.cap, jobs=spec.jobs, as_array=True)
@@ -357,8 +376,8 @@ def _run_azumaya_check(spec: JobSpec) -> dict:
 
 def _run_compare(spec: JobSpec) -> dict:
     left = twisted_coring(spec.extension, _twist_param(spec.params, spec.extension, "command"))
-    right_twist = spec.params["other"]["twist"]
-    right = twisted_coring(spec.other_extension, np.array(right_twist, dtype=np.int64))
+    right_twist = _twist_param(spec.params["other"], spec.other_extension, "command.other")
+    right = twisted_coring(spec.other_extension, right_twist)
     res = compare_via_refinement(left, right, cap=spec.cap)
     return {
         "equivalent": res.equivalent,

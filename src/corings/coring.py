@@ -61,9 +61,7 @@ class NormalBasisCoring:
             mat = np.zeros((t3.rank, t2.rank), dtype=np.int64)
             support = np.nonzero(self.twist.u.coeffs)[0]
             for src, ((i, j), rho) in enumerate(t2.iter_basis()):
-                e_rho = np.zeros(kr, dtype=np.int64)
-                e_rho[rho] = 1
-                left_seed = top.mul_vec(ext.eta.apply_vec(e_rho), ext.basis[i])
+                left_seed = top.mul_vec(ext.eta.matrix[:, rho], ext.basis[i])
                 for flat in support:
                     (k1, k2, k3), pi = t3.unflatten(int(flat))
                     coeff = int(self.twist.u.coeffs[flat])
@@ -71,9 +69,7 @@ class NormalBasisCoring:
                     s3 = top.mul_vec(ext.basis[k3], ext.basis[j])
                     rc1 = ext.r_coords(s1)
                     rc3 = ext.r_coords(s3)
-                    e_pi = np.zeros(kr, dtype=np.int64)
-                    e_pi[pi] = 1
-                    q = np.einsum("s,av,svt->at", e_pi, rc1, c_r) % n
+                    q = (rc1 @ c_r[pi]) % n
                     out = np.einsum("av,bs,vst->abt", q, rc3, c_r) % n
                     block = mat.reshape(d, d, d, kr, t2.rank)
                     block[:, k2, :, :, src] = (block[:, k2, :, :, src] + coeff * out) % n
@@ -265,7 +261,7 @@ def base_change(c: NormalBasisCoring, t_ring, rho: RingHom) -> NormalBasisCoring
     """The coring over (S⊗T)/T obtained by applying -⊗T to the twist."""
     ext = c.ext
     reb = rebase_extension(ext, t_ring, rho)
-    push = rebase_pushforward(ext, reb, rho, 3)
+    push = rebase_pushforward(ext, rho, 3)
     new_twist = (push @ c.twist.u.coeffs) % ext.n
     return NormalBasisCoring(reb, TwistElement(reb, new_twist))
 

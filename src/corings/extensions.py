@@ -31,11 +31,6 @@ from .rings import (
 )
 
 
-def _rmul_vec(c_r: np.ndarray, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of two R-coefficient vectors."""
-    return np.einsum("a,b,abt->t", x.astype(np.int64), y.astype(np.int64), c_r) % n
-
-
 class Extension:
     """S free over R on a declared basis, standing in for faithfully flat."""
 
@@ -58,13 +53,9 @@ class Extension:
                 f"cannot span a rank-{top.rank} module"
             )
         # coordinate isomorphism R^d -> S: column (a, rho) is eta(e_rho) * b_a
-        cols = []
-        for a in range(self.degree):
-            ba = self.basis[a]
-            for rho in range(base.rank):
-                e = np.zeros(base.rank, dtype=np.int64)
-                e[rho] = 1
-                cols.append(top.mul_vec(eta.apply_vec(e), ba))
+        cols = [
+            top.mul_vec(eta.matrix[:, rho], ba) for ba in self.basis for rho in range(base.rank)
+        ]
         self._phi = np.stack(cols, axis=1) % self.n
         if not zmod.is_invertible(self._phi, self.n):
             raise ValueError("declared basis is not a basis: coordinate map is not bijective")
@@ -74,6 +65,9 @@ class Extension:
         self._powers: dict[int, TensorPowerRing] = {}
         self._face_maps: dict[tuple[int, int], RingHom] = {}
         self._collapse: dict[int, RingHom] = {}
+        self._b2: np.ndarray | None = None  # amitsur.b2_rows
+        self._rebased: dict[tuple, Extension] = {}
+        self._external: dict[Extension, Extension] = {}
 
     def __eq__(self, other):
         return (
@@ -99,9 +93,6 @@ class Extension:
         """R-coordinates of a top-ring element: shape (degree, base.rank)."""
         flat = (self._phi_inv @ (np.asarray(vec, dtype=np.int64) % self.n)) % self.n
         return flat.reshape(self.degree, self.base.rank)
-
-    def from_r_coords(self, mat: np.ndarray) -> np.ndarray:
-        return (self._phi @ (np.asarray(mat, dtype=np.int64).reshape(-1) % self.n)) % self.n
 
     def rmult(self) -> np.ndarray:
         """R-valued multiplication tensor of S: b_i b_j = sum_a rmult[i,j,a] b_a."""
@@ -148,10 +139,6 @@ class Extension:
             self._face_maps[key] = self._build_face_map(m, i)
         return self._face_maps[key]
 
-    def _formal_basis_matrix(self, m: int) -> np.ndarray | None:
-        """Change of coordinates native-S -> formal (i, rho) layout at level 1."""
-        return self._phi_inv if m == 1 else None
-
     def _build_face_map(self, m: int, i: int) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m + 1)
@@ -189,9 +176,7 @@ class Extension:
             else:
                 cols = np.zeros((self.top.rank, src.ring.rank), dtype=np.int64)
                 for flat, (slots, rho) in enumerate(src.iter_basis()):
-                    e = np.zeros(self.base.rank, dtype=np.int64)
-                    e[rho] = 1
-                    acc = self.eta.apply_vec(e)
+                    acc = self.eta.matrix[:, rho]
                     for s in slots:
                         acc = self.top.mul_vec(acc, self.basis[s])
                     cols[:, flat] = acc
@@ -234,10 +219,8 @@ class Extension:
                 prod_rc = rmult[slots[-2], slots[-1]]
                 rest = slots[:-2]
                 merged_pos = len(rest)
-            e = np.zeros(kr, dtype=np.int64)
-            e[rho] = 1
             for a in range(d):
-                coeff = _rmul_vec(c_r, self.n, e, prod_rc[a])
+                coeff = (prod_rc[a] @ c_r[rho]) % self.n
                 if not coeff.any():
                     continue
                 new_slots = rest[:merged_pos] + (a,) + rest[merged_pos:]
@@ -350,10 +333,6 @@ def _build_tensor_ring(
 # -- base change and external products ----------------------------------------
 
 
-_REBASE_CACHE: dict = {}
-_EXTERNAL_CACHE: dict = {}
-
-
 def rebase_extension(ext: Extension, t_ring: FiniteRing, rho: RingHom) -> Extension:
     """Base change along rho: R -> T, producing (S ⊗_R T) / T.
 
@@ -364,9 +343,9 @@ def rebase_extension(ext: Extension, t_ring: FiniteRing, rho: RingHom) -> Extens
     """
     if rho.source != ext.base or rho.target != t_ring:
         raise ValueError("rho must map the base of the extension to the new base ring")
-    cache_key = (ext, t_ring, rho.matrix.tobytes())
-    if cache_key in _REBASE_CACHE:
-        return _REBASE_CACHE[cache_key]
+    cache_key = (t_ring, rho.matrix.tobytes())
+    if cache_key in ext._rebased:
+        return ext._rebased[cache_key]
     n = ext.n
     d, kt = ext.degree, t_ring.rank
     tt = t_ring.struct.astype(np.int64)
@@ -389,11 +368,11 @@ def rebase_extension(ext: Extension, t_ring: FiniteRing, rho: RingHom) -> Extens
         row[i] = t_ring.one
         basis[i] = row.reshape(-1)
     out = Extension(t_ring, top, eta, basis, name=f"{top.name}/{t_ring.name}")
-    _REBASE_CACHE[cache_key] = out
+    ext._rebased[cache_key] = out
     return out
 
 
-def rebase_pushforward(ext: Extension, rebased: Extension, rho: RingHom, m: int) -> np.ndarray:
+def rebase_pushforward(ext: Extension, rho: RingHom, m: int) -> np.ndarray:
     """Matrix of S^⊗m -> (S⊗T)^{⊗_T m}, x -> image of x under slotwise (· ⊗ 1).
 
     On the formal bases this is kron(I_{d^m}, rho.matrix): slot indices are
@@ -411,7 +390,7 @@ def amitsur_rebase(ext: Extension) -> Extension:
     return rebase_extension(ext, ext.top, ext.eta)
 
 
-def rebase_iso(ext: Extension, rebased: Extension, m: int) -> np.ndarray:
+def rebase_iso(ext: Extension, m: int) -> np.ndarray:
     """Matrix of the natural isomorphism (S⊗S)^{⊗_S m} -> S^{⊗(m+1)}.
 
     (s_1⊗t_1)⊗...⊗(s_m⊗t_m) -> s_1⊗...⊗s_m⊗(t_1...t_m).  On the formal
@@ -429,9 +408,8 @@ def external_extension(ext_s: Extension, ext_t: Extension) -> Extension:
     """The extension (S ⊗_R T) / R from two extensions of the same base."""
     if ext_s.base != ext_t.base:
         raise ValueError("external products need a common base ring")
-    cache_key = (ext_s, ext_t)
-    if cache_key in _EXTERNAL_CACHE:
-        return _EXTERNAL_CACHE[cache_key]
+    if ext_t in ext_s._external:
+        return ext_s._external[ext_t]
     base = ext_s.base
     n = base.n
     one_s = ext_s.r_coords(ext_s.top.one)
@@ -458,7 +436,7 @@ def external_extension(ext_s: Extension, ext_t: Extension) -> Extension:
             row[i, j] = base.one
             basis[i * dt + j] = row.reshape(-1)
     out = Extension(base, top, eta, basis, name=f"{top.name}/{base.name}")
-    _EXTERNAL_CACHE[cache_key] = out
+    ext_s._external[ext_t] = out
     return out
 
 

@@ -265,9 +265,6 @@ class RingElement:
     def is_one(self) -> bool:
         return (self.coeffs == self.ring.one).all()
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __repr__(self):
         return f"<{list(map(int, self.coeffs))} in {self.ring.name}>"
 

@@ -211,7 +211,7 @@ def test_full_stack_over_rank_two_base(f4_over_f2):
     # the pushed coboundary twist is a cocycle over the new base
     a = ext.top.basis_element(1).coeffs
     u = ext.tensor_power(3).embed_pure([ext.top.one, a, ext.top.one])
-    push = rebase_pushforward(ext, reb, ext.eta, 3)
+    push = rebase_pushforward(ext, ext.eta, 3)
     tw = TwistElement(reb, (push @ u) % 2)
     assert is_two_cocycle(tw)
     assert check_norm_identities(tw)

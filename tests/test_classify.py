@@ -140,6 +140,24 @@ def test_brauer_class_representative_is_normalized(gr42_over_z4):
     assert TwistElement(ext, np.array(cls.rep)).norm.is_one()
 
 
+def test_brauer_class_cap_is_checked_with_cached_b2():
+    """A cached B^2 must not let a call under a small cap through."""
+    from corings.amitsur import b2_rows
+    from corings.classify import BrauerClass
+    from corings.extensions import Extension
+    from corings.rings import RingHom, make_quotient_ring, zmod_ring
+
+    f2, f4 = zmod_ring(2), make_quotient_ring(2, [1, 1, 1])
+    ext = Extension(f2, f4, RingHom(f2, f4, np.outer(f4.one, f2.one)), np.eye(2, dtype=np.int64))
+    tw = unit_twist(ext)
+    with pytest.raises(RingTooLarge):  # cold: B^2 not built yet
+        BrauerClass.of_twist(tw, cap=1)
+    b2_rows(ext)
+    with pytest.raises(RingTooLarge):  # warm: B^2 cached on the extension
+        BrauerClass.of_twist(tw, cap=1)
+    assert BrauerClass.of_twist(tw).is_identity()
+
+
 def test_brauer_class_rejects_non_azumaya(f2x2_over_f2):
     with pytest.raises(ValueError):
         brauer_class(twisted_coring(f2x2_over_f2, np.zeros(8, dtype=np.int64)))

@@ -209,6 +209,61 @@ def test_bad_modulus_is_input_error(tmp_path, capsys, modulus):
     assert "rings.R.modulus" in err and "Traceback" not in err
 
 
+def _twist_job(twist):
+    return job({"name": "cocycle-check", "twist": twist})
+
+
+def _compare_job(other_twist):
+    other = {"extension": F4_EXT, "twist": other_twist}
+    return job({"name": "compare", "twist": [1, 0, 0, 0, 0, 0, 0, 0], "other": other})
+
+
+def _with_ring_poly(poly):
+    return job({"name": "h2"}, F4=dict(F4, poly=poly))
+
+
+def _with_extension(**fields):
+    return job({"name": "h2"}, extension=dict(F4_EXT, **fields))
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (dict(job({"name": "h2"}), rings=[]), "rings"),
+        (_twist_job(["a", 0, 0, 0, 0, 0, 0, 0]), "command.twist[0]"),
+        (_twist_job([[1], 0, 0, 0, 0, 0, 0, 0]), "command.twist[0]"),
+        (_twist_job([1, 0, 0, 1.9, 0, 0, 0, 0]), "command.twist[3]"),
+        (_twist_job([True, 0, 0, 0, 0, 0, 0, 0]), "command.twist[0]"),
+        (_compare_job([1, 0, 0, 0, 0, 0, 0.5, 0]), "command.other.twist[6]"),
+        (_with_ring_poly([1, 1, 1.0]), "rings.F4.poly[2]"),
+        (_with_ring_poly([1, True, 1]), "rings.F4.poly[1]"),
+        (_with_extension(eta=[[1.0, 0]]), "extension.eta[0][0]"),
+        (_with_extension(basis=[[1, 0], [0, 1.5]]), "extension.basis[1][1]"),
+        (_with_extension(basis=[[1, 0], [0]]), "extension.basis"),
+        (job({"name": "h2", "cap": True}), "command.cap"),
+    ],
+    ids=[
+        "rings-array",
+        "twist-string",
+        "twist-nested",
+        "twist-float",
+        "twist-bool",
+        "other-twist-float",
+        "poly-float",
+        "poly-bool",
+        "eta-float",
+        "basis-float",
+        "basis-ragged",
+        "cap-bool",
+    ],
+)
+def test_non_integer_arrays_are_input_errors(tmp_path, capsys, doc, path):
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert f"error: {path}:" in err and "Traceback" not in err
+
+
 def test_reports_are_deterministic(tmp_path):
     doc = job({"name": "h2"})
     outputs = set()

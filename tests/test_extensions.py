@@ -142,7 +142,7 @@ def test_rebase_along_top_is_amitsur_extension(f4_over_f2):
     reb.top.validate()
     # natural iso at levels 1..3 is a ring isomorphism onto S^{⊗(m+1)}
     for m in (1, 2, 3):
-        iso = rebase_iso(ext, reb, m)
+        iso = rebase_iso(ext, m)
         src = reb.tensor_power(m).ring
         tgt = ext.tensor_power(m + 1).ring
         hom = RingHom(src, tgt, iso)  # validates unital + multiplicative
@@ -155,8 +155,8 @@ def test_rebase_pushforward_matches_iso_and_face(f4_over_f2):
     """Pushing u ∈ S^⊗3 to (S⊗S)^{⊗_S 3} then down the natural iso is u_4."""
     ext = f4_over_f2
     reb = amitsur_rebase(ext)
-    push = rebase_pushforward(ext, reb, ext.eta, 3)
-    iso3 = rebase_iso(ext, reb, 3)
+    push = rebase_pushforward(ext, ext.eta, 3)
+    iso3 = rebase_iso(ext, 3)
     eta4 = ext.face_map(3, 4).matrix
     assert (((iso3 @ push) - eta4) % ext.n == 0).all()
 
