@@ -152,8 +152,9 @@ def _face_product(ext: Extension, level: int, v, v_inv, mul) -> np.ndarray:
     """eta_1(v) eta_2(v_inv) eta_3(v) ... in S^⊗(level+1).
 
     v and v_inv are one element or a batch of rows, and mul is mul_vec or
-    mul_rows of S^⊗(level+1) to match: a single element stays on the sparse
-    mul_vec path, which never builds the dense rank^3 table of a large ring.
+    mul_rows of S^⊗(level+1) to match: a single element goes through
+    mul_vec, which multiplies a large tensor power slot by slot and never
+    builds its dense rank^3 table.
     """
     faces = (
         zmod.matmul_mod(v if i % 2 else v_inv, ext.face_map(level, i).matrix.T, ext.n)

@@ -125,9 +125,7 @@ def _delta_tensor_id(c: NormalBasisCoring) -> np.ndarray:
     out = np.zeros((d, d, d, d, kr, d, d, d, kr), dtype=np.int64)
     for l in range(d):
         out[:, :, :, l, :, :, :, l, :] = dm
-    t4 = ext.tensor_power(4)
-    t3 = ext.tensor_power(3)
-    return out.reshape(t4.rank, t3.rank)
+    return out.reshape(d**4 * kr, d**3 * kr)
 
 
 def _id_tensor_delta(c: NormalBasisCoring) -> np.ndarray:
@@ -138,9 +136,7 @@ def _id_tensor_delta(c: NormalBasisCoring) -> np.ndarray:
     out = np.zeros((d, d, d, d, kr, d, d, d, kr), dtype=np.int64)
     for i in range(d):
         out[i, :, :, :, :, i, :, :, :] = dm
-    t4 = ext.tensor_power(4)
-    t3 = ext.tensor_power(3)
-    return out.reshape(t4.rank, t3.rank)
+    return out.reshape(d**4 * kr, d**3 * kr)
 
 
 def check_coassociative(c: NormalBasisCoring) -> bool:

@@ -19,6 +19,8 @@ Level 1 is S itself in its native basis; the conversion to the formal
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import zmod
@@ -29,6 +31,10 @@ from .rings import (
     RingHom,
     RingTooLarge,
 )
+
+# Tensor rings above this rank multiply slot by slot; their dense structure
+# tables would exceed 2^18 entries.
+DENSE_TABLE_MAX_RANK = 64
 
 
 class Extension:
@@ -65,6 +71,7 @@ class Extension:
         self._powers: dict[int, TensorPowerRing] = {}
         self._face_maps: dict[tuple[int, int], RingHom] = {}
         self._collapse: dict[int, RingHom] = {}
+        self._merges: dict[tuple[int, bool], RingHom] = {}
         self._b2: np.ndarray | None = None  # amitsur.b2_rows
         self._rebased: dict[tuple, Extension] = {}
         self._external: dict[Extension, Extension] = {}
@@ -204,6 +211,12 @@ class Extension:
         """S^⊗m -> S^⊗(m-1), multiplying the first (or last) two slots."""
         if m < 2:
             raise ValueError("need at least two slots to merge")
+        key = (m, first)
+        if key not in self._merges:
+            self._merges[key] = self._build_merge_map(m, first)
+        return self._merges[key]
+
+    def _build_merge_map(self, m: int, first: bool) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m - 1)
         d, kr = self.degree, self.base.rank
@@ -243,7 +256,7 @@ class TensorPowerRing:
             self.ring = ext.top
         else:
             one_rc = ext.r_coords(ext.top.one)
-            self.ring = _build_tensor_ring(
+            self.ring = TensorRing(
                 ext.base,
                 [ext.rmult()] * level,
                 [one_rc] * level,
@@ -297,16 +310,65 @@ class TensorPowerRing:
         return self.ring.element(coeffs)
 
 
-def _build_tensor_ring(
-    base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str
-) -> FiniteRing:
-    """Structure constants of A_1 ⊗_R ... ⊗_R A_m from R-valued tensors.
+class TensorRing(FiniteRing):
+    """A_1 ⊗_R ... ⊗_R A_m kept as its slot factors.
 
     rmults[i] has shape (d_i, d_i, d_i, base.rank) and gives the R-valued
     multiplication of the i-th factor on its R-basis; ones[i], of shape
-    (d_i, base.rank), gives the R-coordinates of its unit.  The result ring
-    has basis (i_1, ..., i_m, rho) with the base index rho fastest.
+    (d_i, base.rank), gives the R-coordinates of its unit.  The basis is
+    (i_1, ..., i_m, rho) with the base index rho fastest.  The dense rank^3
+    structure table is built from the factors on first use and cached; below
+    DENSE_TABLE_MAX_RANK every product reads it, above it `mul_vec` multiplies
+    slot by slot with `mul_slots` and never builds it.
     """
+
+    def __init__(self, base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str):
+        n = base.n
+        self.base = base
+        self.rmults = [np.asarray(rm, dtype=np.int64) % n for rm in rmults]
+        self.ones = [np.asarray(o, dtype=np.int64) % n for o in ones]
+        self._c_r = base.struct.astype(np.int64)
+        one = _tensor_unit(base, self.ones)
+        self._set_header(n, one.size, one, name)
+
+    @cached_property
+    def struct(self) -> np.ndarray:
+        return _build_tensor_ring(self.base, self.rmults, self.ones, self.name).struct
+
+    @cached_property
+    def _slot_tensors(self) -> list[np.ndarray]:
+        # (i, j, a, t, u): b_i b_j has b_a in the slot and turns e_t into e_u
+        return [np.einsum("ijap,ptu->ijatu", rm, self._c_r) % self.n for rm in self.rmults]
+
+    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.rank > DENSE_TABLE_MAX_RANK:
+            return self.mul_slots(x, y)
+        return super().mul_vec(x, y)
+
+    def mul_slots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x·y from the factors: x⊗y over the base, then one slot at a time.
+
+        Exact int64 arithmetic, reduced mod n after every contraction of at
+        most d_i²·base.rank terms.
+        """
+        n, kr = self.n, self.base.rank
+        dims = tuple(rm.shape[0] for rm in self.rmults)
+        x = np.asarray(x, dtype=np.int64).reshape(-1, kr)
+        y = np.asarray(y, dtype=np.int64).reshape(-1, kr)
+        xc = np.tensordot(x, self._c_r, axes=(1, 0)) % n  # (I, s, t)
+        z = np.einsum("Ist,Js->IJt", xc, y) % n
+        z = z.reshape(dims + dims + (kr,))
+        # axes of z: x slots left, y slots left, finished slots, base
+        for k, mt in enumerate(self._slot_tensors):
+            left = len(dims) - k
+            z = np.tensordot(z, mt, axes=([0, left, z.ndim - 1], [0, 1, 3])) % n
+        return z.reshape(-1)
+
+
+def _build_tensor_ring(
+    base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str
+) -> FiniteRing:
+    """A_1 ⊗_R ... ⊗_R A_m with its dense structure table, factors as in TensorRing."""
     n = base.n
     c_r = base.struct.astype(np.int64)
     acc = rmults[0].astype(np.int64) % n
@@ -321,12 +383,17 @@ def _build_tensor_ring(
         full = np.einsum("IJAm,psk,kmt->IpJsAt", acc, c_r, c_r) % n
         k = dim * base.rank
         struct = full.reshape(k, k, k)
-    one_acc = ones[0].astype(np.int64) % n
+    return FiniteRing(n, struct, _tensor_unit(base, ones), name=name, check=False)
+
+
+def _tensor_unit(base: FiniteRing, ones: list[np.ndarray]) -> np.ndarray:
+    """Coefficients of 1 ⊗ ... ⊗ 1 from the R-coordinates of each factor's unit."""
+    n = base.n
+    c_r = base.struct.astype(np.int64)
+    acc = ones[0].astype(np.int64) % n
     for o in ones[1:]:
-        one_acc = np.einsum("Ir,is,rst->Iit", one_acc, o.astype(np.int64), c_r).reshape(
-            -1, base.rank
-        ) % n
-    return FiniteRing(n, struct, one_acc.reshape(-1), name=name, check=False)
+        acc = np.einsum("Ir,is,rst->Iit", acc, o.astype(np.int64), c_r).reshape(-1, base.rank) % n
+    return acc.reshape(-1)
 
 
 
@@ -414,7 +481,7 @@ def external_extension(ext_s: Extension, ext_t: Extension) -> Extension:
     n = base.n
     one_s = ext_s.r_coords(ext_s.top.one)
     one_t = ext_t.r_coords(ext_t.top.one)
-    top = _build_tensor_ring(
+    top = TensorRing(
         base,
         [ext_s.rmult(), ext_t.rmult()],
         [one_s, one_t],

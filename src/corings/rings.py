@@ -42,18 +42,22 @@ class FiniteRing:
     def __init__(self, modulus: int, structure, one, name: str = "", check: bool = True):
         if not 2 <= modulus <= zmod.MAX_MODULUS:
             raise ValueError(f"modulus must be between 2 and {zmod.MAX_MODULUS}, got {modulus}")
-        self.n = int(modulus)
-        c = np.asarray(structure, dtype=np.int64) % self.n
+        c = np.asarray(structure, dtype=np.int64) % modulus
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[1] != c.shape[2]:
             raise ValueError("structure constants must form an (r, r, r) array")
-        self.rank = c.shape[0]
+        self._set_header(modulus, c.shape[0], one, name)
         self.struct = c.astype(_struct_dtype(self.n))
+        if check:
+            self.validate()
+
+    def _set_header(self, modulus: int, rank: int, one, name: str) -> None:
+        """Everything but the structure table: modulus, rank, unit and name."""
+        self.n = int(modulus)
+        self.rank = rank
         self.one = np.asarray(one, dtype=np.int64) % self.n
         if self.one.shape != (self.rank,):
             raise ValueError("unit coefficient vector has wrong length")
         self.name = name or f"ring(n={self.n},r={self.rank})"
-        if check:
-            self.validate()
 
     # -- arithmetic on raw coefficient vectors ------------------------------
 
@@ -61,8 +65,8 @@ class FiniteRing:
         c = self.struct
         nx = np.nonzero(x)[0]
         ny = np.nonzero(y)[0]
-        # sparse path: tensor powers of small rings have huge rank but the
-        # elements we multiply there are sparse
+        # sparse path: a product of few nonzero coefficients reads only the
+        # table slices c[i][ny] of the nonzero pairs
         if len(nx) * len(ny) <= 4 * self.rank:
             out = np.zeros(self.rank, dtype=np.int64)
             for i in nx:
@@ -156,12 +160,14 @@ class FiniteRing:
                 raise ValueError(f"{self.name}: unit law fails on basis element {i}")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FiniteRing)
             and self.n == other.n
             and self.rank == other.rank
-            and (self.struct == other.struct).all()
             and (self.one == other.one).all()
+            and (self.struct == other.struct).all()
         )
 
     def __hash__(self):

@@ -289,3 +289,25 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run([exe, str(path), "--format", "json"], capture_output=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["result"]["h2_order"] == 1
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    """`python -m corings` runs a job end to end from a source checkout."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    doc = job({"name": "h2"})
+    code, expected = run_cli(tmp_path, doc, "--format", "json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corings", str(tmp_path / "job.json"), "--format", "json"],
+        capture_output=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == code == EXIT_OK
+    assert proc.stdout == expected
+    assert json.loads(proc.stdout)["result"]["h2_order"] == 1
