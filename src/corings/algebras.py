@@ -356,12 +356,12 @@ class DescentAlgebra:
         self.twist = tw
         self.ambient = ambient_algebra(ext)
         l13, l24 = _membership_matrices(ext, tw.u.coeffs)
-        self.solution_basis = zmod.howell(zmod.kernel_right((l24 - l13) % ext.n, ext.n), ext.n).h
+        self._howell = zmod.howell(zmod.kernel_right((l24 - l13) % ext.n, ext.n), ext.n)
+        self.solution_basis = self._howell.h
         self._check_closure_and_rank()
 
     def contains(self, vec: np.ndarray) -> bool:
-        hf = zmod.howell(self.solution_basis, self.ext.n)
-        return zmod.in_row_span(hf, vec, self.ext.n)
+        return zmod.in_row_span(self._howell, vec, self.ext.n)
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         kr = self.ext.base.rank
@@ -372,9 +372,8 @@ class DescentAlgebra:
     def _check_closure_and_rank(self) -> None:
         ext = self.ext
         d = ext.degree
-        hf = zmod.howell(self.solution_basis, ext.n)
         expected = (ext.n ** ext.base.rank) ** (d * d)  # |R|^(d^2)
-        if zmod.span_size(hf, ext.n) != expected:
+        if zmod.span_size(self._howell, ext.n) != expected:
             raise InternalCheckError(
                 f"A(u) does not have {expected} elements (rank d^2 = {d * d} over the base)"
             )

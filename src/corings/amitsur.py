@@ -8,11 +8,11 @@ with coboundaries
 where eta_i inserts 1 in slot i.  A 2-cocycle is a unit u of S^⊗3 with
 u_1 u_2^{-1} u_3 u_4^{-1} = 1; a 2-coboundary is delta_1(v) = v_1 v_2^{-1} v_3
 for a unit v of S^⊗2.  H^2 = Z^2/B^2 is computed here by exhaustive
-enumeration at desk scale: Z^2 is a batched cocycle mask over the units of
-S^⊗3, B^2 is delta_1 of all units of S^⊗2 at once (inverses by Lagrange,
-v^{-1} = v^(|U|-1)), and every class is named by the lex-least member of
-its coset u·B^2, found for whole batches of rows by `sorted_cosets`.  Next
-to H^2 live the classical identities: the norm
+enumeration at desk scale: Z^2 is one grid sweep of S^⊗3 (`rings.Grid`,
+the cosickle form on the units), B^2 is delta_1 of all units of S^⊗2 at
+once (inverses by Lagrange, v^{-1} = v^(|U|-1)), and every class is named
+by the lex-least member of its coset u·B^2, found for whole batches of rows
+by `sorted_cosets`.  Next to H^2 live the classical identities: the norm
 |u| = u^1 u^2 u^3, its two partial-collapse identities, normalization of
 cocycles, interleaving of cocycles over S⊗S, and the base-change coboundary
 witness over (S⊗S)/(R⊗S).
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import zmod
 from .extensions import Extension, amitsur_rebase, external_extension, interleave, rebase_iso, rebase_pushforward
-from .rings import DEFAULT_CAP, InternalCheckError, RingElement, RingTooLarge, enumerate_units, try_invert
+from .rings import DEFAULT_CAP, Grid, InternalCheckError, RingElement, RingTooLarge, enumerate_units, try_invert
 
 
 class NotAUnitError(ValueError):
@@ -176,7 +176,7 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
         units2 = enumerate_units(t2, cap=cap, jobs=jobs, as_array=True)
         inverses = t2.pow_rows(units2, len(units2) - 1)  # Lagrange: v^|U| = 1
         mul = ext.tensor_power(3).ring.mul_rows
-        ext._b2 = np.unique(_face_product(ext, 2, units2, inverses, mul), axis=0)
+        ext._b2 = zmod.unique_rows(_face_product(ext, 2, units2, inverses, mul))
     return ext._b2
 
 
@@ -362,15 +362,20 @@ def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:
 
 
 def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> CohomologyGroup:
-    """Exhaustive H^2: kernel of delta_2 on units(S^⊗3) over image of delta_1."""
+    """Exhaustive H^2: kernel of delta_2 on units(S^⊗3) over image of delta_1.
+
+    Z^2 is one grid pass over S^⊗3 (`rings.Grid`): the cosickle form
+    evaluated on the units only, rows in lex order.
+    """
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
-    units3 = enumerate_units(ext.tensor_power(3).ring, cap=cap, jobs=jobs, as_array=True)
-    z2 = units3[cocycle_mask(ext, units3)]
+    t3 = ext.tensor_power(3).ring
+    grid = Grid.of(t3, cap)
+    z2 = grid.rows(grid.zero_mask(cosickle_form(ext), alive=grid.unit_mask(t3.residue_fields)))
     # B^2 ⊆ Z^2 (delta∘delta = 1): the rows of Z^2 are distinct, so B^2 adds none
-    if len(np.unique(np.vstack([z2, b2]), axis=0)) != len(z2):  # pragma: no cover
+    if len(zmod.unique_rows(np.vstack([z2, b2]))) != len(z2):  # pragma: no cover
         raise InternalCheckError("B^2 is not contained in Z^2")
     minima = [cosets[:, 0] for cosets in sorted_cosets(ext, z2, b2)]
-    reps = np.unique(np.concatenate(minima), axis=0)
+    reps = zmod.unique_rows(np.concatenate(minima))
     if len(z2) % len(b2) != 0 or len(reps) * len(b2) != len(z2):  # pragma: no cover
         raise InternalCheckError("coset partition of Z^2 by B^2 is inconsistent")
     return CohomologyGroup(ext, z2, b2, reps)
@@ -396,7 +401,9 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     """First (lex) unit w of S^⊗2 with u · w_2 = v · w_1 · w_3, or None.
 
     The equation is the inversion-free form of u = v · delta_1(w); equal
-    inputs short-circuit to the identity witness.
+    inputs short-circuit to the identity witness.  The units come from one
+    grid unit mask; they are tried in lex-ordered chunks of elements,
+    stopping at the first chunk with a hit.
     """
     t2 = ext.tensor_power(2).ring
     t3 = ext.tensor_power(3).ring
@@ -404,23 +411,16 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     v_vec = np.asarray(v_vec, dtype=np.int64) % ext.n
     if (u_vec == v_vec).all():
         return ext.tensor_power(2).one_vec()
-    if t2.size > cap:
-        from .rings import RingTooLarge
-
-        raise RingTooLarge(f"{t2.name} has {t2.size} elements, cap is {cap}")
+    grid = Grid.of(t2, cap)
+    is_unit = grid.unit_mask(t2.residue_fields)
     h1 = ext.face_map(2, 1).matrix.T
     h2 = ext.face_map(2, 2).matrix.T
     h3 = ext.face_map(2, 3).matrix.T
     mu_u = t3.mulmat(u_vec).T
     mu_v = t3.mulmat(v_vec).T
-    from .rings import coeff_block
-
     chunk = 1 << 9
-    total = t2.size
-    for start in range(0, total, chunk):
-        block = coeff_block(t2, start, min(start + chunk, total))
-        mask = zmod.batch_is_unit(block, t2.residue_fields)
-        w = block[mask]
+    for start in range(0, grid.size, chunk):
+        w = grid.rows_at(start + np.flatnonzero(is_unit[start : start + chunk]))
         if not len(w):
             continue
         lhs = zmod.matmul_mod(zmod.matmul_mod(w, h2, ext.n), mu_u, ext.n)

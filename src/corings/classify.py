@@ -32,7 +32,7 @@ from .coring import (
     twisted_coring,
 )
 from .extensions import Extension
-from .rings import DEFAULT_CAP, InternalCheckError, RingTooLarge, all_elements_array
+from .rings import DEFAULT_CAP, Grid, InternalCheckError
 
 COSICKLE_CONDITION = "u1*u3 == u2*u4"
 
@@ -147,54 +147,28 @@ def classify_all(
 ) -> CosickleClassification:
     """Sweep all of S^⊗3 and tag every element.
 
-    The coassociativity tag is computed by the direct two-triple-coproduct
-    test (via its bilinear tensor), independently of the cosickle identity;
-    the two must agree.  The counit-solvability oracle runs per element and
-    is enabled automatically for sweeps of at most 4096 elements.
+    The sweep is one `rings.Grid` over S^⊗3: the unit mask and both partial-
+    collapse masks are residue-field tests on half images, the cosickle and
+    coassociativity tags are zero sets of quadratic forms.  The
+    coassociativity tag is computed by the direct two-triple-coproduct test
+    (via its bilinear tensor), independently of the cosickle identity; the
+    two must agree.  The counit-solvability oracle runs per element and is
+    enabled automatically for sweeps of at most 4096 elements.  `jobs` is
+    accepted for compatibility and changes nothing.
     """
     t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)
-    total = t3.ring.size
-    if total > cap:
-        raise RingTooLarge(f"{t3.ring.name} has {total} elements, cap is {cap}")
+    grid = Grid.of(t3.ring, cap)
     if counit_oracle is None:
-        counit_oracle = total <= 4096
-    elements = all_elements_array(t3.ring, cap=cap)
-    unit_mask = np.zeros(total, dtype=bool)
-    cosickle = np.zeros(total, dtype=bool)
-    coassoc = np.zeros(total, dtype=bool)
-    # Both quadratic forms run in one GEMM per chunk.  Only their zero sets
-    # matter, so each keeps a basis of its output columns.
-    k3 = t3.rank
-    cos_form = zmod.column_basis(cosickle_form(ext).reshape(k3 * k3, -1), ext.n)
-    coassoc_form = zmod.column_basis(_coassoc_difference_tensor(ext).reshape(k3 * k3, -1), ext.n)
-    split = cos_form.shape[1]
-    forms = np.hstack([cos_form, coassoc_form]).reshape(k3, k3, -1)
-    residue = t3.ring.residue_fields
-    chunk = 1 << 12
-
-    def sweep(start: int) -> None:
-        # writes land in disjoint slices, so chunks may run concurrently
-        block = elements[start : start + chunk]
-        unit_mask[start : start + chunk] = zmod.batch_is_unit(block, residue)
-        values = zmod.bilinear_mod(block, block, forms, ext.n)
-        cosickle[start : start + chunk] = ~values[:, :split].any(axis=1)
-        coassoc[start : start + chunk] = ~values[:, split:].any(axis=1)
-
-    starts = list(range(0, total, chunk))
-    if jobs > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(sweep, starts))
-    else:
-        for start in starts:
-            sweep(start)
-    # almost invertible: both partial collapses are units
-    merged1 = zmod.matmul_mod(elements, ext.merge_map(3, first=True).matrix.T, ext.n)
-    merged2 = zmod.matmul_mod(elements, ext.merge_map(3, first=False).matrix.T, ext.n)
+        counit_oracle = grid.size <= 4096
+    elements = grid.rows()
+    unit_mask = grid.unit_mask(t3.ring.residue_fields)
+    cosickle = grid.zero_mask(cosickle_form(ext))
+    coassoc = grid.zero_mask(_coassoc_difference_tensor(ext))
+    # almost invertible: both partial collapses are units of S^⊗2
     residue2 = t2.ring.residue_fields
-    both_units = zmod.batch_is_unit(merged1, residue2) & zmod.batch_is_unit(merged2, residue2)
+    both_units = grid.unit_mask(residue2, via=ext.merge_map(3, first=True).matrix.T)
+    both_units &= grid.unit_mask(residue2, via=ext.merge_map(3, first=False).matrix.T)
     almost = cosickle & both_units
     cocycle = unit_mask & cosickle
     solvable = None
@@ -249,7 +223,7 @@ def monoid_quotient(
     for orbits in sorted_cosets(ext, census.elements[mask], b2):
         minima.append(orbits[:, 0])
         sizes.append(1 + (orbits[:, 1:] != orbits[:, :-1]).any(axis=2).sum(axis=1))
-    reps, first = np.unique(np.concatenate(minima), axis=0, return_index=True)
+    reps, first = zmod.unique_rows(np.concatenate(minima), return_index=True)
     return MonoidQuotient(
         ext,
         which,

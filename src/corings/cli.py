@@ -490,7 +490,9 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     )
     parser.add_argument("jobfile", help="JSON job definition file")
     parser.add_argument("--cap", type=int, default=None, help="enumeration cap (elements)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count for enumeration")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; every sweep runs in one pass"
+    )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--version", action="version", version=f"corings {__version__}")

@@ -304,7 +304,14 @@ class TensorPowerRing:
         return acc.reshape(-1) % self.ext.n
 
     def one_vec(self) -> np.ndarray:
-        return self.embed_pure([self.ext.top.one] * self.level)
+        """Coefficients of 1⊗...⊗1, built once and read-only."""
+        return self._one
+
+    @cached_property
+    def _one(self) -> np.ndarray:
+        one = self.embed_pure([self.ext.top.one] * self.level)
+        one.flags.writeable = False
+        return one
 
     def element(self, coeffs) -> RingElement:
         return self.ring.element(coeffs)

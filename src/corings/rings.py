@@ -7,11 +7,13 @@ quotients Z/nZ[x]/(f) (finite fields, Galois rings) and finite products.
 
 Elements are dense coefficient vectors reduced into [0, n); whenever an
 ordering matters it is the lexicographic order on coefficient tuples.
+Exhaustive sweeps (`enumerate_units`, `all_elements_array`, the census and
+Z^2) go through :class:`Grid`, which writes each element as a pair of digit
+halves and evaluates unit masks and quadratic forms on small half tables.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -107,8 +109,7 @@ class FiniteRing:
     def residue_fields(self) -> zmod.ResidueFields:
         """Projections onto the residue fields, built on first use.
 
-        Feeds zmod.batch_is_unit.  Threads that race to build it compute the
-        same value.
+        Feeds zmod.batch_is_unit and Grid.unit_mask.
         """
         blocks, fields, width = [], [], 0
         for p in zmod.prime_factors(self.n):
@@ -425,23 +426,120 @@ def try_invert(x: RingElement) -> Optional[RingElement]:
     return ring.element(sol)
 
 
-def coeff_block(ring: FiniteRing, start: int, stop: int) -> np.ndarray:
-    """Coefficient rows for element indices [start, stop) in lex order.
+class Grid:
+    """Every element of a rank-r ring over Z/nZ, as a product of two digit halves.
 
-    Element index i has coefficients given by the base-n digits of i, most
-    significant digit first, so increasing index is lexicographic order.
+    Element i = h·n^b + l of the lex order has high digits h in (Z/n)^a and
+    low digits l in (Z/n)^b, with a = r // 2 and b = r - a.  A sweep is then
+    a few small tables instead of one row per element: a linear map is
+    x·M = H·M[:a] + L·M[a:], and a quadratic form splits as
+    Q(x) = Q_aa(h) + Q_bb(l) + cross(h, l), the cross term of one output
+    column being one (n^a × b)·(b × n^b) product.  Masks are over the flat
+    lex order, of length n^r.
+
+    >>> f4 = make_quotient_ring(2, [1, 1, 1])
+    >>> grid = Grid.of(f4)
+    >>> grid.rows(grid.unit_mask(f4.residue_fields)).tolist()
+    [[0, 1], [1, 0], [1, 1]]
+    >>> form = np.zeros((2, 2, 1), dtype=np.int64); form[1, 1, 0] = 1  # x_1^2
+    >>> grid.rows(grid.zero_mask(form)).tolist()
+    [[0, 0], [1, 0]]
     """
-    idx = np.arange(start, stop, dtype=np.int64)
-    k = ring.rank
-    out = np.empty((len(idx), k), dtype=np.int64)
-    for j in range(k):
-        out[:, j] = (idx // (ring.n ** (k - 1 - j))) % ring.n
-    return out
+
+    def __init__(self, n: int, rank: int):
+        self.n = n
+        self.rank = rank
+        self.a = rank // 2
+        self.b = rank - self.a
+        self.high = _digit_rows(n, self.a)
+        self.low = _digit_rows(n, self.b)
+        self.shape = (len(self.high), len(self.low))
+        self.size = n**rank
+
+    @classmethod
+    def of(cls, ring: FiniteRing, cap: int = DEFAULT_CAP) -> "Grid":
+        """The grid of a ring, refused when the ring has more than cap elements."""
+        if ring.size > cap:
+            raise RingTooLarge(f"{ring.name} has {ring.size} elements, cap is {cap}")
+        if ring.size > 2**62:
+            raise RingTooLarge("enumeration beyond 2^62 elements is unsupported")
+        return cls(ring.n, ring.rank)
+
+    def rows(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Coefficient rows of the elements in a flat mask (all when None), in lex order."""
+        return self.rows_at(np.arange(self.size) if mask is None else np.flatnonzero(mask))
+
+    def rows_at(self, idx: np.ndarray) -> np.ndarray:
+        """Coefficient rows of the elements with flat (lex) indices idx."""
+        h, l = np.divmod(idx, self.shape[1])
+        return np.hstack([self.high[h], self.low[l]])
+
+    def unit_mask(self, residue: zmod.ResidueFields, via: Optional[np.ndarray] = None) -> np.ndarray:
+        """Elements x whose image x·via has a nonzero image in every residue field.
+
+        With via = None this is the unit mask of the ring of `residue`.  The
+        image in a field over F_p is zero exactly when the low image is the
+        negated high image mod p, so each field costs one integer equality
+        test per element between base-p codes of the two half images; a code
+        stays below the field size, at most the ring size.
+        """
+        n, a = self.n, self.a
+        proj = residue.proj if via is None else zmod.matmul_mod(via, residue.proj, n)
+        high = zmod.matmul_mod(self.high, proj[:a], n)
+        low = zmod.matmul_mod(self.low, proj[a:], n)
+        mask = np.ones(self.shape, dtype=bool)
+        for p, start, stop in residue.fields:
+            place = p ** np.arange(stop - start, dtype=np.int64)
+            neg_high = (-high[:, start:stop] % p) @ place
+            mask &= neg_high[:, None] != (low[:, start:stop] % p) @ place
+        return mask.reshape(-1)
+
+    def zero_mask(self, form: np.ndarray, alive: Optional[np.ndarray] = None) -> np.ndarray:
+        """Elements x (of alive, default all) with sum_ij x_i x_j form[i, j, :] = 0 mod n.
+
+        Zero and repeated output columns are dropped; the rest are taken in
+        turn over the whole grid, one GEMM [H C_k | Q_aa,k | 1]·[L^T; 1; Q_bb,k]
+        each, while many elements survive.  Once 8 · rank · survivors <= n^r
+        the remaining columns run on the survivors alone, from the same half
+        tables.
+        """
+        n, a, b = self.n, self.a, self.b
+        flat = np.asarray(form, dtype=np.int64).reshape(self.rank**2, -1) % n
+        cols = np.sort(zmod.unique_rows(flat.T, return_index=True)[1])
+        form = flat[:, cols[flat[:, cols].any(axis=0)]].reshape(self.rank, self.rank, -1)
+        alive = np.ones(self.size, dtype=bool) if alive is None else alive.copy()
+        high_q = zmod.bilinear_mod(self.high, self.high, form[:a, :a], n)
+        low_q = zmod.bilinear_mod(self.low, self.low, form[a:, a:], n)
+        width = form.shape[2]
+        cross = (form[:a, a:] + form[a:, :a].transpose(1, 0, 2)) % n
+        high_cross = zmod.matmul_mod(self.high, cross.reshape(a, b * width), n)
+        high_cross = high_cross.reshape(self.shape[0], b, width)
+        # a column's value is an integer below (b + 2) n^2 < 2^53, so the
+        # float64 GEMM is exact, and it is 0 mod n iff value / n is integral
+        left = np.ones((self.shape[0], b + 2))
+        right = np.ones((b + 2, self.shape[1]))
+        right[:b] = self.low.T
+        table = alive.reshape(self.shape)
+        for k in range(width):
+            if 8 * self.rank * np.count_nonzero(alive) <= self.size:
+                idx = np.flatnonzero(alive)
+                h, l = np.divmod(idx, self.shape[1])
+                rest = np.einsum("sjk,sj->sk", high_cross[h, :, k:], self.low[l])
+                rest += high_q[h, k:] + low_q[l, k:]
+                alive[idx] = ~(rest % n).any(axis=1)
+                break
+            left[:, :b] = high_cross[:, :, k]
+            left[:, b] = high_q[:, k]
+            right[b + 1] = low_q[:, k]
+            q = left @ right / n
+            table &= np.floor(q) == q
+        return alive
 
 
-def _unit_mask_for_block(ring: FiniteRing, start: int, stop: int) -> np.ndarray:
-    block = coeff_block(ring, start, stop)
-    return zmod.batch_is_unit(block, ring.residue_fields)
+def _digit_rows(n: int, k: int) -> np.ndarray:
+    """All of (Z/n)^k as rows of base-n digits, most significant first (lex order)."""
+    idx = np.arange(n**k, dtype=np.int64)
+    return (idx[:, None] // n ** np.arange(k - 1, -1, -1, dtype=np.int64)) % n
 
 
 def enumerate_units(
@@ -449,27 +547,12 @@ def enumerate_units(
 ):
     """All invertible elements, in lexicographic coefficient order.
 
-    Work may be partitioned across threads with `jobs`; the merged result is
-    identical for every worker count.
+    One `Grid.unit_mask` over the whole ring.  `jobs` is accepted for
+    compatibility; the sweep has one code path and the result never depends
+    on it.
     """
-    total = ring.size
-    if total > cap:
-        raise RingTooLarge(f"{ring.name} has {total} elements, cap is {cap}")
-    if total > 2**62:
-        raise RingTooLarge("enumeration beyond 2^62 elements is unsupported")
-    chunk = 1 << 13
-    starts = list(range(0, total, chunk))
-    if jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            masks = list(
-                pool.map(lambda s: _unit_mask_for_block(ring, s, min(s + chunk, total)), starts)
-            )
-    else:
-        masks = [_unit_mask_for_block(ring, s, min(s + chunk, total)) for s in starts]
-    rows = [
-        coeff_block(ring, s, min(s + chunk, total))[m] for s, m in zip(starts, masks)
-    ]
-    units = np.vstack(rows) if rows else np.zeros((0, ring.rank), dtype=np.int64)
+    grid = Grid.of(ring, cap)
+    units = grid.rows(grid.unit_mask(ring.residue_fields))
     if as_array:
         return units
     return [ring.element(v) for v in units]
@@ -477,7 +560,4 @@ def enumerate_units(
 
 def all_elements_array(ring: FiniteRing, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Coefficient rows of every ring element in lexicographic order."""
-    total = ring.size
-    if total > cap:
-        raise RingTooLarge(f"{ring.name} has {total} elements, cap is {cap}")
-    return coeff_block(ring, 0, total)
+    return Grid.of(ring, cap).rows()

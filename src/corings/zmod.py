@@ -276,6 +276,27 @@ def same_row_span(a, b, n: int) -> bool:
     return ha.shape == hb.shape and bool((ha == hb).all())
 
 
+def unique_rows(a, return_index: bool = False):
+    """The distinct rows of a 2-d array in lex order, as np.unique(a, axis=0).
+
+    With return_index, also the index of each row's first occurrence.  A
+    stable lexsort keeps this free of numpy.ma, which np.unique imports when
+    it is asked for no indices.
+
+    >>> rows, first = unique_rows(np.array([[1, 0], [0, 2], [1, 0]]), return_index=True)
+    >>> rows.tolist(), first.tolist()
+    ([[0, 2], [1, 0]], [1, 0])
+    """
+    a = np.asarray(a)
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if return_index:
+        return ordered[new], order[new]
+    return ordered[new]
+
+
 @lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n by trial division (n is desk-scale)."""
@@ -388,13 +409,13 @@ def bilinear_mod(x, y, form, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     form = np.asarray(form, dtype=np.float64)
-    flat = form.reshape(-1, form.shape[-1])
+    flat = form.reshape(form.shape[0] * form.shape[1], form.shape[2])
     term = max(n - 1, 1) ** 3
     rows = max(1, _OUTER_BLOCK // max(len(flat), 1))
     blocks = []
     for s in range(0, max(len(x), 1), rows):
         outer = x[s : s + rows, :, None] * y[s : s + rows, None, :]
-        blocks.append(_gemm_mod(outer.reshape(-1, len(flat)), flat, n, term))
+        blocks.append(_gemm_mod(outer.reshape(len(outer), len(flat)), flat, n, term))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
