@@ -22,17 +22,33 @@ enveloping map A ⊗ A^op -> End_R(A).
 Endomorphisms of S are stored as d x d matrices with entries in R, in the
 declared R-basis of S; the identification End_R(S) ≅ S* ⊗ S uses the dual
 basis of that same basis (epsilon_{ij} = b_j* ⊗ b_i sends b_j to b_i).
+
+Every algebra is multiplied as a Z/nZ-algebra.  Restricting scalars once, an
+algebra of dimension m over R of rank kr has rank N = m·kr over Z/nZ and the
+table T[(i,a),(j,b),(k,t)] = sum c_r[a,b,p] struct[i,j,k,q] c_r[p,q,t]
+(FiniteAlgebra.table, cached on the algebra).  Products of batches are then
+one zmod.bilinear_mod each; the unit and associativity laws, closure of
+A(u), the multiplicativity of gamma and of the untwisting map, and the
+enveloping matrix are each one batched identity or contraction on T, not a
+loop over basis pairs.  Structure tensors themselves are built per support
+term of the twist, stacked, with FiniteRing.mul_einsum.
+
+Exactness: T, the structure tensors and the enveloping map are int64 sums
+of products of at most three reduced residues, each reduced mod n before the
+next product, so they stay within the bound in the zmod docstring; batched
+products and the GEMMs run on the exact float64 kernels of zmod.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import zmod
 from .amitsur import TwistElement, delta1, is_two_cocycle, NotACocycleError
-from .coring import NormalBasisCoring, is_azumaya
+from .coring import NormalBasisCoring, _base_multiples, is_azumaya
 from .extensions import Extension
 from .rings import FiniteRing, InternalCheckError, try_invert
 
@@ -46,7 +62,7 @@ class FiniteAlgebra:
 
     Elements are R-coordinate arrays of shape (dim, base.rank); the structure
     tensor has shape (dim, dim, dim, base.rank).  Commutativity is not
-    assumed.
+    assumed.  Products go through the restricted-scalars `table`.
     """
 
     def __init__(self, base: FiniteRing, struct, one, name: str = "", check: bool = True):
@@ -63,10 +79,41 @@ class FiniteAlgebra:
         if check:
             self.validate()
 
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Structure constants over Z/nZ, shape (N, N, N) with N = dim * base.rank.
+
+        T[(i,a),(j,b),(k,t)] = sum c_r[a,b,p] struct[i,j,k,q] c_r[p,q,t] is
+        the product of e_a b_i and e_b b_j; flat indices are i * base.rank + a,
+        the layout of a reshaped coordinate array.
+        """
         c_r = self.base.struct.astype(np.int64)
-        pair = np.einsum("ia,jb,abt->ijt", x.astype(np.int64), y.astype(np.int64), c_r) % self.n
-        return np.einsum("ijp,ijkq,pqt->kt", pair, self.struct, c_r) % self.n
+        scalars = np.einsum("abp,pqt->abqt", c_r, c_r) % self.n  # (e_a e_b) e_q
+        table = np.einsum("ijkq,abqt->iajbkt", self.struct, scalars) % self.n
+        size = self.dim * self.base.rank
+        return table.reshape(size, size, size)
+
+    def products(self, x, y) -> np.ndarray:
+        """Every product x_a y_b of two batches of flat coordinate rows.
+
+        Returns shape (len(x), len(y), N), from one zmod.bilinear_mod call.
+
+        >>> from corings.rings import zmod_ring
+        >>> struct = np.zeros((2, 2, 2, 1), dtype=np.int64)
+        >>> struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 0, 1] = 1  # Z/4[e], e^2 = 0
+        >>> alg = FiniteAlgebra(zmod_ring(4), struct, [[1], [0]])
+        >>> alg.products([[1, 1], [3, 1]], [[2, 1]])[:, 0]  # (1+e)(2+e), (3+e)(2+e)
+        array([[2, 3],
+               [2, 1]])
+        """
+        size = self.dim * self.base.rank
+        x = np.asarray(x, dtype=np.int64).reshape(-1, size) % self.n
+        y = np.asarray(y, dtype=np.int64).reshape(-1, size) % self.n
+        flat = zmod.bilinear_mod(np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1)), self.table, self.n)
+        return flat.reshape(len(x), len(y), size)
+
+    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.products(x, y)[0, 0].reshape(np.shape(x))
 
     def basis_coords(self, i: int) -> np.ndarray:
         out = np.zeros((self.dim, self.base.rank), dtype=np.int64)
@@ -86,21 +133,23 @@ class FiniteAlgebra:
         return not ((self.struct - self.struct.transpose(1, 0, 2, 3)) % self.n).any()
 
     def validate(self) -> None:
-        one_ok = all(
-            (self.mul(self.one, self.basis_coords(i)) == self.basis_coords(i)).all()
-            and (self.mul(self.basis_coords(i), self.one) == self.basis_coords(i)).all()
-            for i in range(self.dim)
-        )
-        if not one_ok:
+        """Unit law and associativity on all basis triples, as identities on the table."""
+        t, n = self.table, self.n
+        size = len(t)
+        eye = np.eye(size, dtype=np.int64)
+        left_unit = self.products(self.one, eye)[0]
+        right_unit = self.products(eye, self.one)[:, 0]
+        if (left_unit != eye).any() or (right_unit != eye).any():
             raise ValueError(f"{self.name}: unit law fails")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul(self.basis_coords(i), self.basis_coords(j))
-                for k in range(self.dim):
-                    lhs = self.mul(ij, self.basis_coords(k))
-                    rhs = self.mul(self.basis_coords(i), self.mul(self.basis_coords(j), self.basis_coords(k)))
-                    if (lhs != rhs).any():
-                        raise ValueError(f"{self.name}: associativity fails at ({i},{j},{k})")
+        # row (i, j) of pairs is e_i e_j; lhs[(i, j), (k, l)] is (e_i e_j) e_k and
+        # rhs[(j, k), (i, l)] is e_i (e_j e_k)
+        pairs = t.reshape(size * size, size)
+        lhs = zmod.matmul_mod(pairs, t.reshape(size, size * size), n)
+        rhs = zmod.matmul_mod(pairs, t.transpose(1, 0, 2).reshape(size, size * size), n)
+        bad = np.argwhere(lhs.reshape((size,) * 4) != rhs.reshape((size,) * 4).transpose(2, 0, 1, 3))
+        if len(bad):
+            i, j, k = (int(v) // self.base.rank for v in bad[0][:3])
+            raise ValueError(f"{self.name}: associativity fails at ({i},{j},{k})")
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name})"
@@ -121,26 +170,17 @@ def algebra_from_extension(ext: Extension) -> FiniteAlgebra:
 
 
 def _rmat_compose(ext: Extension, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Composition of R-matrices: (a ∘ b)[i,k] = sum_j a[i,j] b[j,k] in R."""
-    c_r = ext.base.struct.astype(np.int64)
-    return np.einsum("ija,jkb,abt->ikt", a.astype(np.int64), b.astype(np.int64), c_r) % ext.n
+    """Composition of R-matrices, (a ∘ b)[i,k] = sum_j a[i,j] b[j,k] in R; broadcasts."""
+    return ext.base.mul_einsum("...ij_,...jk_->...ik_", a, b)
 
 
 def identity_endo(ext: Extension) -> np.ndarray:
-    d, kr = ext.degree, ext.base.rank
-    out = np.zeros((d, d, kr), dtype=np.int64)
-    for i in range(d):
-        out[i, i] = ext.base.one
-    return out
+    return np.einsum("ij,t->ijt", np.eye(ext.degree, dtype=np.int64), ext.base.one)
 
 
-def _matrix_units(ext: Extension) -> np.ndarray:
-    """The R-matrices eps_ij (base.one at entry (i, j)), in row-major (i, j) order."""
-    d = ext.degree
-    out = np.zeros((d * d, d, d, ext.base.rank), dtype=np.int64)
-    rows, cols = np.divmod(np.arange(d * d), d)
-    out[np.arange(d * d), rows, cols] = ext.base.one
-    return out
+def _mult_mats(ext: Extension) -> np.ndarray:
+    """mats[c] is the R-matrix of multiplication by b_c (ext.rmulmat of b_c)."""
+    return ext.rmult().transpose(0, 2, 1, 3)
 
 
 class TwistedAlgebra:
@@ -154,26 +194,11 @@ class TwistedAlgebra:
         self.ext = ext
         self.twist = tw
         self.side = side
-        # one term per support coordinate: coefficient, base index, slot matrices
-        self._slot_mats = [
-            (coeff, pi, *(ext.rmulmat(ext.basis[k]) for k in slots))
-            for coeff, pi, slots in _twist_support(ext, tw.u.coeffs)
-        ]
         self._algebra: Optional[FiniteAlgebra] = None
 
     def product(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """The twisted product of two endomorphisms given as R-matrices."""
-        ext = self.ext
-        d, kr = ext.degree, ext.base.rank
-        c_r = ext.base.struct.astype(np.int64)
-        out = np.zeros((d, d, kr), dtype=np.int64)
-        for coeff, pi, m1, m2, m3 in self._slot_mats:
-            if self.side == "right":
-                term = _rmat_compose(ext, m3, _rmat_compose(ext, phi, _rmat_compose(ext, m2, _rmat_compose(ext, psi, m1))))
-            else:
-                term = _rmat_compose(ext, m1, _rmat_compose(ext, psi, _rmat_compose(ext, m2, _rmat_compose(ext, phi, m3))))
-            out = (out + coeff * (term @ c_r[pi])) % ext.n
-        return out
+        return self.algebra().mul(phi, psi)
 
     def unit_endo(self) -> np.ndarray:
         """The unit: multiplication by |u|^{-1}."""
@@ -181,19 +206,31 @@ class TwistedAlgebra:
         return self.ext.rmulmat(nrm_inv.coeffs)
 
     def algebra(self) -> FiniteAlgebra:
-        """Structure constants on the matrix-unit basis (realized lazily)."""
+        """Structure constants on the matrix-unit basis (realized lazily).
+
+        Per support term e·(b_c1 ⊗ b_c2 ⊗ b_c3) of u, with m_c the matrix of
+        b_c·, the right product eps_ij * eps_kl is e·(m3 ∘ eps_ij ∘ m2 ∘ eps_kl ∘ m1),
+        whose entry [x, y] is e·m3[x,i]·m2[j,k]·m1[l,y]; the left product
+        e·(m1 ∘ eps_kl ∘ m2 ∘ eps_ij ∘ m3) mirrors it.
+        """
         if self._algebra is None:
             ext = self.ext
             d, kr = ext.degree, ext.base.rank
             m = d * d
-            struct = np.zeros((m, m, m, kr), dtype=np.int64)
-            basis = _matrix_units(ext)
-            for a in range(m):
-                for b in range(m):
-                    struct[a, b] = self.product(basis[a], basis[b]).reshape(m, kr)
+            slots, scalars = ext.tensor_power(3).support(self.twist.u.coeffs)
+            m1, m2, m3 = _mult_mats(ext)[slots.T]
+            if self.side == "right":
+                factors = ((m3, "xi"), (m2, "jk"), (m1, "ly"))
+            else:
+                factors = ((m1, "xk"), (m2, "li"), (m3, "jy"))
+            (a, sa), (b, sb), (c, sc) = factors
+            mul = ext.base.mul_einsum
+            terms = mul(f"T_,T{sa}_->T{sa}_", scalars, a)
+            terms = mul(f"T{sa}_,T{sb}_->T{sa}{sb}_", terms, b)
+            terms = mul(f"T{sa}{sb}_,T{sc}_->Tijklxy_", terms, c)
             self._algebra = FiniteAlgebra(
                 ext.base,
-                struct,
+                (terms.sum(axis=0) % ext.n).reshape(m, m, m, kr),
                 self.unit_endo().reshape(m, kr),
                 name=f"End({ext.top.name})_u[{self.side}]",
                 check=False,
@@ -222,19 +259,11 @@ def ambient_algebra(ext: Extension) -> FiniteAlgebra:
     """S ⊗ End_R(S) on the basis b_a ⊗ b_k* ⊗ b_l, componentwise product."""
     d, kr = ext.degree, ext.base.rank
     m = d**3
-    rmult = ext.rmult().astype(np.int64)
-    struct = np.zeros((d, d, d, d, d, d, d, d, d, kr), dtype=np.int64)
-    # (b_a ⊗ b_k* ⊗ b_l)(b_a' ⊗ b_k'* ⊗ b_l') = delta_{k l'} (b_a b_a') ⊗ b_k'* ⊗ b_l
-    for k in range(d):
-        for kp in range(d):
-            for l in range(d):
-                struct[:, k, l, :, kp, k, :, kp, l] = rmult
-    one = np.zeros((d, d, d, kr), dtype=np.int64)
-    one_rc = ext.r_coords(ext.top.one)
-    for i in range(d):
-        for a in range(d):
-            # 1_S ⊗ id = sum_a one_rc[a] b_a ⊗ sum_i b_i* ⊗ b_i
-            one[a, i, i] = one_rc[a]
+    eye = np.eye(d, dtype=np.int64)
+    # (b_a ⊗ b_k* ⊗ b_l)(b_b ⊗ b_p* ⊗ b_q) = delta_{k q} (b_a b_b) ⊗ b_p* ⊗ b_l
+    struct = np.einsum("abXt,kq,pK,lL->aklbpqXKLt", ext.rmult(), eye, eye, eye)
+    # 1_S ⊗ id = sum_a one_rc[a] b_a ⊗ sum_i b_i* ⊗ b_i
+    one = np.einsum("at,ik->aikt", ext.r_coords(ext.top.one), eye)
     return FiniteAlgebra(
         ext.base,
         struct.reshape(m, m, m, kr),
@@ -242,16 +271,6 @@ def ambient_algebra(ext: Extension) -> FiniteAlgebra:
         name=f"{ext.top.name}⊗End",
         check=False,
     )
-
-
-def _twist_support(ext: Extension, coeffs: np.ndarray) -> list[tuple[int, int, tuple]]:
-    """(coefficient, base index pi, slots (c1, c2, c3)) per nonzero coordinate of a twist."""
-    t3 = ext.tensor_power(3)
-    out = []
-    for flat in np.nonzero(coeffs)[0]:
-        slots, pi = t3.unflatten(int(flat))
-        out.append((int(coeffs[flat]), pi, slots))
-    return out
 
 
 def _membership_matrices(ext: Extension, u_coeffs: np.ndarray):
@@ -263,27 +282,18 @@ def _membership_matrices(ext: Extension, u_coeffs: np.ndarray):
     """
     d, kr = ext.degree, ext.base.rank
     n = ext.n
-    rmult = ext.rmult().astype(np.int64)
-    c_r = ext.base.struct.astype(np.int64)
-    l13 = np.zeros((d, d, d, d, kr, d, d, d, kr), dtype=np.int64)
-    l24 = np.zeros((d, d, d, d, kr, d, d, d, kr), dtype=np.int64)
-    for coeff, pi, (c1, c2, c3) in _twist_support(ext, u_coeffs):
-        for rho in range(kr):
-            q = (coeff * c_r[rho, pi]) % n
-            # x_1 u_3 = e_rho e_pi (b_c1 ⊗ c2 b_a ⊗ b_k* ⊗ c3 b_l)
-            step = np.einsum("t,aQv,tvs->aQs", q, rmult[c2], c_r) % n
-            val = np.einsum("aQs,lLw,swz->aQlLz", step, rmult[c3], c_r) % n
-            for k in range(d):
-                l13[c1, :, k, :, :, :, k, :, rho] = (
-                    l13[c1, :, k, :, :, :, k, :, rho] + val.transpose(1, 3, 4, 0, 2)
-                ) % n
-            # x_2 u_4 = e_rho e_pi (c1 b_a ⊗ b_c2 ⊗ c3·b_k* ⊗ b_l)
-            step = np.einsum("t,aPv,tvs->aPs", q, rmult[c1], c_r) % n
-            val = np.einsum("aPs,Kkw,swz->aPKkz", step, rmult[c3], c_r) % n
-            for l in range(d):
-                l24[:, c2, :, l, :, :, :, l, rho] = (
-                    l24[:, c2, :, l, :, :, :, l, rho] + val.transpose(1, 2, 4, 0, 3)
-                ) % n
+    slots, scalars = ext.tensor_power(3).support(u_coeffs)
+    r1, r2, r3 = ext.rmult()[slots.T]
+    hot1, hot2 = np.eye(d, dtype=np.int64)[slots[:, :2].T]
+    e = _base_multiples(ext, scalars)
+    mul = ext.base.mul_einsum
+    eye = np.eye(d, dtype=np.int64)
+    # x_1 u_3 = e_rho e (b_c1 ⊗ c2 b_a ⊗ b_k* ⊗ c3 b_l)
+    v13 = mul("TraQ_,TlL_->TQL_alr", mul("Tr_,TaQ_->TraQ_", e, r2), r3)
+    l13 = np.einsum("TC,TQLzalr,kK->CQkLzaKlr", hot1, v13, eye) % n
+    # x_2 u_4 = e_rho e (c1 b_a ⊗ b_c2 ⊗ c3·b_k* ⊗ b_l)
+    v24 = mul("TraP_,TKk_->TPK_akr", mul("Tr_,TaP_->TraP_", e, r1), r3)
+    l24 = np.einsum("TC,TPKzakr,lL->PCKlzakLr", hot2, v24, eye) % n
     src = d**3 * kr
     tgt = d**4 * kr
     return l13.reshape(tgt, src), l24.reshape(tgt, src)
@@ -296,19 +306,13 @@ def gamma_matrix(ext: Extension, u_coeffs: np.ndarray) -> np.ndarray:
     epsilon_{ij} = b_j* ⊗ b_i); rows by (a, K, L, tau) in S ⊗ S* ⊗ S.
     """
     d, kr = ext.degree, ext.base.rank
-    n = ext.n
-    rmult = ext.rmult().astype(np.int64)
-    c_r = ext.base.struct.astype(np.int64)
-    g = np.zeros((d, d, d, kr, d, d, kr), dtype=np.int64)
-    for coeff, pi, (c1, c2, c3) in _twist_support(ext, u_coeffs):
-        for rho in range(kr):
-            q = (coeff * c_r[rho, pi]) % n
-            # gamma(e_rho eps_ij) = e_rho e_pi (b_c1 ⊗ c2·b_j* ⊗ c3 b_i)
-            step = np.einsum("t,Kjv,tvs->Kjs", q, rmult[c2], c_r) % n
-            val = np.einsum("Kjs,iLw,swz->KjiLz", step, rmult[c3], c_r) % n
-            g[c1, :, :, :, :, :, rho] = (
-                g[c1, :, :, :, :, :, rho] + val.transpose(0, 3, 4, 2, 1)
-            ) % n
+    slots, scalars = ext.tensor_power(3).support(u_coeffs)
+    _, r2, r3 = ext.rmult()[slots.T]
+    hot1 = np.eye(d, dtype=np.int64)[slots[:, 0]]
+    mul = ext.base.mul_einsum
+    # gamma(e_rho eps_ij) = e_rho e (b_c1 ⊗ c2·b_j* ⊗ c3 b_i)
+    val = mul("TrKj_,TiL_->TKL_ijr", mul("Tr_,TKj_->TrKj_", _base_multiples(ext, scalars), r2), r3)
+    g = np.einsum("Ta,TKLzijr->aKLzijr", hot1, val) % ext.n
     return g.reshape(d**3 * kr, d**2 * kr)
 
 
@@ -319,27 +323,14 @@ def gamma_inverse_matrix(ext: Extension, v_coeffs: np.ndarray) -> np.ndarray:
     for epsilon_{IK} in End_R(S).
     """
     d, kr = ext.degree, ext.base.rank
-    n = ext.n
-    top = ext.top
-    rmult = ext.rmult().astype(np.int64)
-    c_r = ext.base.struct.astype(np.int64)
-    g = np.zeros((d, d, kr, d, d, d, kr), dtype=np.int64)
-    for coeff, pi, (c1, c2, c3) in _twist_support(ext, v_coeffs):
-        for rho in range(kr):
-            q = (coeff * c_r[rho, pi]) % n
-            step = np.einsum("t,Kkv,tvs->Kks", q, rmult[c2], c_r) % n
-            for a in range(d):
-                for l in range(d):
-                    w = top.mul_vec(
-                        top.mul_vec(ext.basis[c1], ext.basis[c3]),
-                        top.mul_vec(ext.basis[a], ext.basis[l]),
-                    )
-                    rc_w = ext.r_coords(w).astype(np.int64)
-                    val = np.einsum("Kks,Iw,swz->KkIz", step, rc_w, c_r) % n
-                    g[:, :, :, a, :, l, rho] = (
-                        g[:, :, :, a, :, l, rho] + val.transpose(2, 0, 3, 1)
-                    ) % n
-    return g.reshape(d**2 * kr, d**3 * kr)
+    slots, scalars = ext.tensor_power(3).support(v_coeffs)
+    rmult = ext.rmult()
+    # (b_c1 b_c3)(b_a b_l) for every term and every pair (a, l), in R-coordinates
+    w = algebra_from_extension(ext).products(rmult[slots[:, 0], slots[:, 2]], rmult.reshape(d * d, d * kr))
+    mul = ext.base.mul_einsum
+    step = mul("Tr_,TKk_->TrKk_", _base_multiples(ext, scalars), rmult[slots[:, 1]])
+    val = mul("TrKk_,TalI_->TIK_aklr", step, w.reshape(len(slots), d, d, d, kr))
+    return (val.sum(axis=0) % ext.n).reshape(d**2 * kr, d**3 * kr)
 
 
 class DescentAlgebra:
@@ -363,24 +354,19 @@ class DescentAlgebra:
     def contains(self, vec: np.ndarray) -> bool:
         return zmod.in_row_span(self._howell, vec, self.ext.n)
 
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        kr = self.ext.base.rank
-        m = self.ambient.dim
-        prod = self.ambient.mul(x.reshape(m, kr), y.reshape(m, kr))
-        return prod.reshape(-1)
-
     def _check_closure_and_rank(self) -> None:
         ext = self.ext
-        d = ext.degree
-        expected = (ext.n ** ext.base.rank) ** (d * d)  # |R|^(d^2)
-        if zmod.span_size(self._howell, ext.n) != expected:
+        n, d = ext.n, ext.degree
+        expected = (n ** ext.base.rank) ** (d * d)  # |R|^(d^2)
+        size = zmod.span_size(self._howell, n)
+        if size != expected:
             raise InternalCheckError(
                 f"A(u) does not have {expected} elements (rank d^2 = {d * d} over the base)"
             )
-        for x in self.solution_basis:
-            for y in self.solution_basis:
-                if not self.contains(self.multiply(x, y)):
-                    raise InternalCheckError("A(u) is not closed under the ambient product")
+        basis = self.solution_basis
+        products = self.ambient.products(basis, basis).reshape(-1, basis.shape[1])
+        if zmod.span_size(zmod.howell(np.vstack([basis, products]), n), n) != size:
+            raise InternalCheckError("A(u) is not closed under the ambient product")
 
     @property
     def rank_over_base(self) -> int:
@@ -446,19 +432,19 @@ def gamma_map(c_or_tw) -> GammaVerification:
     injective = zmod.kernel_right(g, n).size == 0
     image_ok = zmod.same_row_span(g.T, alg.solution_basis, n)
     twisted = TwistedAlgebra(ext, tw, "right")
-    basis = _matrix_units(ext)
-    mult = all(
-        (
-            (g @ twisted.product(phi, psi).reshape(-1)) % n
-            == alg.multiply((g @ phi.reshape(-1)) % n, (g @ psi.reshape(-1)) % n)
-        ).all()
-        for phi in basis
-        for psi in basis
-    )
+    # gamma(e_A e_B) against gamma(e_A) gamma(e_B) for every basis pair at once
+    table = twisted.algebra().table
+    images = g.T
+    size = len(images)
+    mult = (
+        zmod.matmul_mod(table.reshape(size * size, size), images, n)
+        == alg.ambient.products(images, images).reshape(size * size, -1)
+    ).all()
     unital = ((g @ twisted.unit_endo().reshape(-1)) % n == alg.unit_vec()).all()
-    inv_ok = ((ginv @ g) % n == np.eye(d * d * kr, dtype=np.int64)).all() and all(
-        ((g @ ((ginv @ row) % n)) % n == row % n).all() for row in alg.solution_basis
-    )
+    basis = alg.solution_basis
+    inv_ok = ((ginv @ g) % n == np.eye(d * d * kr, dtype=np.int64)).all() and (
+        zmod.matmul_mod(g, zmod.matmul_mod(ginv, basis.T, n), n) == basis.T
+    ).all()
     return GammaVerification(
         ext,
         g,
@@ -481,20 +467,14 @@ def enveloping_matrix(alg: FiniteAlgebra) -> np.ndarray:
     Rows run over End_R(A) coordinates (row k, column l, base index sigma);
     columns over e_rho (a_i ⊗ a_j).
     """
-    m = alg.dim
-    kr = alg.base.rank
-    n = alg.n
-    c_r = alg.base.struct.astype(np.int64)
-    cols = np.zeros((m * m * kr, m * m * kr), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            for rho in range(kr):
-                left = (alg.basis_coords(i) @ c_r[rho]) % n
-                endo = np.zeros((m, m, kr), dtype=np.int64)
-                for l in range(m):
-                    endo[:, l, :] = alg.mul(alg.mul(left, alg.basis_coords(l)), alg.basis_coords(j))
-                cols[:, (i * m + j) * kr + rho] = endo.reshape(-1)
-    return cols
+    m, kr, n = alg.dim, alg.base.rank, alg.n
+    size = m * kr
+    # right[A, l, D]: e_A a_l, with a_l = base.one at slot l
+    right = np.einsum("b,AlbD->AlD", alg.base.one, alg.table.reshape(size, m, kr, size)) % n
+    # (e_(i,rho) a_l) a_j at (k, sigma), one GEMM over the middle index
+    cols = zmod.matmul_mod(right.reshape(size * m, size), right.reshape(size, m * size), n)
+    cols = cols.reshape(m, kr, m, m, m, kr).transpose(4, 2, 5, 0, 3, 1)
+    return cols.reshape(m * m * kr, m * m * kr)
 
 
 def is_azumaya_algebra(alg: FiniteAlgebra) -> bool:
@@ -519,33 +499,18 @@ def untwist_iso(tw: TwistElement, witness: np.ndarray) -> np.ndarray:
     witness = np.asarray(witness, dtype=np.int64) % n
     if (delta1(ext, witness) != tw.u.coeffs).any():
         raise WitnessError("delta_1(witness) does not equal the twist")
-    t2 = ext.tensor_power(2)
-    c_r = ext.base.struct.astype(np.int64)
-    theta = np.zeros((d, d, kr, d, d, kr), dtype=np.int64)
-    for flat in np.nonzero(witness)[0]:
-        (k1, k2), pi = t2.unflatten(int(flat))
-        coeff = int(witness[flat])
-        m1 = ext.rmulmat(ext.basis[k1])
-        m2 = ext.rmulmat(ext.basis[k2])
-        for rho in range(kr):
-            q = (coeff * c_r[rho, pi]) % n
-            # e_rho eps_ij -> q · (mu_{b_k2} ∘ eps_ij ∘ mu_{b_k1})
-            step = np.einsum("t,riv,tvs->ris", q, m2.astype(np.int64), c_r) % n
-            val = np.einsum("ris,jcw,swz->ricjz", step, m1.astype(np.int64), c_r) % n
-            theta[:, :, :, :, :, rho] = (
-                theta[:, :, :, :, :, rho] + val.transpose(0, 2, 4, 1, 3)
-            ) % n
-    mat = theta.reshape(d * d * kr, d * d * kr)
+    slots, scalars = ext.tensor_power(2).support(witness)
+    m1, m2 = _mult_mats(ext)[slots.T]
+    mul = ext.base.mul_einsum
+    # e_rho eps_ij -> e_rho e (mu_{b_k2} ∘ eps_ij ∘ mu_{b_k1}), summed over terms e (b_k1 ⊗ b_k2)
+    val = mul("TpRi_,Tjc_->TRc_ijp", mul("Tp_,TRi_->TpRi_", _base_multiples(ext, scalars), m2), m1)
+    size = d * d * kr
+    mat = (val.sum(axis=0) % n).reshape(size, size)
     twisted = TwistedAlgebra(ext, tw, "right")
-    basis = _matrix_units(ext)
-    for phi in basis:
-        for psi in basis:
-            lhs = (mat @ twisted.product(phi, psi).reshape(-1)) % n
-            a = ((mat @ phi.reshape(-1)) % n).reshape(d, d, kr)
-            b = ((mat @ psi.reshape(-1)) % n).reshape(d, d, kr)
-            rhs = _rmat_compose(ext, a, b).reshape(-1)
-            if (lhs != rhs).any():
-                raise InternalCheckError("untwisting map is not multiplicative")
+    images = mat.T.reshape(size, d, d, kr)
+    lhs = zmod.matmul_mod(twisted.algebra().table.reshape(size * size, size), mat.T, n)
+    if (lhs != _rmat_compose(ext, images[:, None], images[None, :]).reshape(size * size, size)).any():
+        raise InternalCheckError("untwisting map is not multiplicative")
     if ((mat @ twisted.unit_endo().reshape(-1)) % n != identity_endo(ext).reshape(-1)).any():
         raise InternalCheckError("untwisting map is not unital")
     if not zmod.is_invertible(mat, n):

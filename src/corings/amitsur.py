@@ -57,6 +57,7 @@ class TwistElement:
             self.u = t3.ring.element(u)
         self._inverse: Optional[RingElement] = None
         self._inverse_known = False
+        self._cocycle: Optional[bool] = None  # is_two_cocycle
         self._norm: Optional[RingElement] = None
 
     # -- cached classification -------------------------------------------------
@@ -209,16 +210,21 @@ def delta2(ext: Extension, u) -> np.ndarray:
 
 
 def is_two_cocycle(tw: TwistElement) -> bool:
-    """Whether u is a unit with u_1 u_2^{-1} u_3 u_4^{-1} = 1; non-units are False."""
-    if not tw.is_unit:
-        return False
-    t4 = tw.ext.tensor_power(4).ring
-    d2 = delta2(tw.ext, tw.u.coeffs)
-    verdict = bool((d2 == t4.one).all())
-    # the inversion-free form must agree on units
-    if verdict != tw.is_cosickle:  # pragma: no cover - defensive
-        raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
-    return verdict
+    """Whether u is a unit with u_1 u_2^{-1} u_3 u_4^{-1} = 1; non-units are False.
+
+    The verdict is cached on the twist, so delta_2 and its cross-check run once.
+    """
+    if tw._cocycle is None:
+        if not tw.is_unit:
+            tw._cocycle = False
+            return False
+        t4 = tw.ext.tensor_power(4).ring
+        verdict = bool((delta2(tw.ext, tw.u.coeffs) == t4.one).all())
+        # the inversion-free form must agree on units
+        if verdict != tw.is_cosickle:  # pragma: no cover - defensive
+            raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
+        tw._cocycle = verdict
+    return tw._cocycle
 
 
 # -- norms and normalization ------------------------------------------------------

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import zmod
 from .amitsur import TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets
-from .coring import (
-    NormalBasisCoring,
-    _delta_tensor_id,
-    _id_tensor_delta,
-    external_product,
-    is_azumaya,
-    twisted_coring,
-)
+from .coring import NormalBasisCoring, coassoc_difference, external_product, is_azumaya, term_coproducts
 from .extensions import Extension
 from .rings import DEFAULT_CAP, Grid, InternalCheckError
 
@@ -76,22 +69,9 @@ def _coassoc_difference_tensor(ext: Extension) -> np.ndarray:
     Both triple coproducts are bilinear in u, so the direct coassociativity
     test over a sweep reduces to one quadratic form per matrix entry.
     """
-    t3 = ext.tensor_power(3)
-    k3 = t3.rank
-    basis_corings = [
-        twisted_coring(ext, np.eye(k3, dtype=np.int64)[i]) for i in range(k3)
-    ]
-    deltas = [c.comultiplication for c in basis_corings]
-    m1 = [_delta_tensor_id(c) for c in basis_corings]
-    m2 = [_id_tensor_delta(c) for c in basis_corings]
-    k2 = ext.tensor_power(2).rank
-    k4 = ext.tensor_power(4).rank
-    d = np.zeros((k3, k3, k4 * k2), dtype=np.int64)
-    for i in range(k3):
-        for j in range(k3):
-            diff = ((m1[i] @ deltas[j]) - (m2[i] @ deltas[j])) % ext.n
-            d[i, j] = diff.reshape(-1)
-    return d
+    k3 = ext.tensor_power(3).rank
+    deltas = term_coproducts(ext, *ext.tensor_power(3).support(np.ones(k3, dtype=np.int64)))
+    return coassoc_difference(ext, deltas, deltas)
 
 
 @dataclass

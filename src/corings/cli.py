@@ -322,11 +322,13 @@ def _run_dual_algebra(spec: JobSpec) -> dict:
         raise JobSpecError("command.side", "side must be 'right' or 'left'")
     tw = TwistElement(ext, _twist_param(spec.params, ext, "command"))
     alg = TwistedAlgebra(ext, tw, side).algebra()
-    table = []
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            prod = alg.mul(alg.basis_coords(a), alg.basis_coords(b))
-            table.append({"left": a, "right": b, "product": _vecs(prod)})
+    basis = np.stack([alg.basis_coords(a).ravel() for a in range(alg.dim)])
+    prods = alg.products(basis, basis).reshape(alg.dim, alg.dim, alg.dim, -1)
+    table = [
+        {"left": a, "right": b, "product": _vecs(prods[a, b])}
+        for a in range(alg.dim)
+        for b in range(alg.dim)
+    ]
     return {
         "side": side,
         "dimension": alg.dim,

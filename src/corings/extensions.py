@@ -290,6 +290,20 @@ class TensorPowerRing:
             idx //= d
         return tuple(reversed(slots)), rho
 
+    def support(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero coordinates of an element as pure terms r·(b_s1 ⊗ ... ⊗ b_sm).
+
+        Returns the slot tuples (terms, level) and the base coefficients r
+        (terms, base.rank): coordinate c at (slots, rho) is the term c·e_rho.
+        """
+        d, kr = self.ext.degree, self.ext.base.rank
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        flats = np.nonzero(coeffs)[0]
+        slots = np.stack(np.unravel_index(flats // kr, (d,) * self.level), axis=1)
+        scalars = np.zeros((len(flats), kr), dtype=np.int64)
+        scalars[np.arange(len(flats)), flats % kr] = coeffs[flats]
+        return slots, scalars
+
     def embed_pure(self, factors: list[np.ndarray]) -> np.ndarray:
         """Coefficients of s_1 ⊗ ... ⊗ s_m from native top-ring vectors."""
         if len(factors) != self.level:

@@ -86,6 +86,20 @@ class FiniteRing:
     def _float_struct(self) -> np.ndarray:
         return self.struct.astype(np.float64)
 
+    def mul_einsum(self, spec: str, x, y) -> np.ndarray:
+        """Ring products of two coordinate tensors, contracted as an einsum.
+
+        In spec, "_" marks the coordinate axis of each operand and of the
+        result: "ij_,jk_->ik_" composes matrices with entries in the ring.
+        Each term multiplies three reduced residues (x, y and a structure
+        constant), which the bound in the zmod docstring covers; the result
+        is reduced mod n.
+        """
+        ins, out = spec.split("->")
+        a, b = ins.split(",")
+        full = f"{a.replace('_', 'U')},{b.replace('_', 'V')},UVW->{out.replace('_', 'W')}"
+        return np.einsum(full, x, y, self.struct.astype(np.int64)) % self.n
+
     def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
         """Each row of a batch raised to the power e >= 0."""
         out = np.tile(self.one, (len(x), 1))
