@@ -350,16 +350,21 @@ def cosickle_form(ext: Extension) -> np.ndarray:
 
     Row a of the transposed face-map matrices is the face of the basis
     element e_a, so Q[a, b] is the S^⊗4 product of faces of e_a and e_b.
+    Built once per extension, cached on it and returned read-only.
     """
-    t4 = ext.tensor_power(4).ring
-    h = [ext.face_map(3, i).matrix.T for i in range(1, 5)]
-    r3 = h[0].shape[0]
+    if ext._cosickle is None:
+        t4 = ext.tensor_power(4).ring
+        h = [ext.face_map(3, i).matrix.T for i in range(1, 5)]
+        r3 = h[0].shape[0]
 
-    def pair_products(x, y):
-        return t4.mul_rows(np.repeat(x, r3, axis=0), np.tile(y, (r3, 1)))
+        def pair_products(x, y):
+            return t4.mul_rows(np.repeat(x, r3, axis=0), np.tile(y, (r3, 1)))
 
-    q = (pair_products(h[0], h[2]) - pair_products(h[1], h[3])) % ext.n
-    return q.reshape(r3, r3, t4.rank)
+        q = (pair_products(h[0], h[2]) - pair_products(h[1], h[3])) % ext.n
+        q = q.reshape(r3, r3, t4.rank)
+        q.flags.writeable = False
+        ext._cosickle = q
+    return ext._cosickle
 
 
 def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:

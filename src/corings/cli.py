@@ -92,7 +92,6 @@ class JobSpec:
     other_extension: Extension | None = None
     digest: str = ""
     cap: int = DEFAULT_CAP
-    jobs: int = 1
     fmt: str = "text"
     out: str | None = None
 
@@ -245,12 +244,12 @@ def _run_units(spec: JobSpec) -> dict:
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise JobSpecError("command.level", "level must be a positive integer")
     ring = spec.extension.tensor_power(level).ring
-    units = enumerate_units(ring, cap=spec.cap, jobs=spec.jobs, as_array=True)
+    units = enumerate_units(ring, cap=spec.cap, as_array=True)
     return {"level": level, "ring": ring.name, "count": len(units), "units": _vecs(units)}
 
 
 def _run_h2(spec: JobSpec) -> dict:
-    g = compute_h2(spec.extension, cap=spec.cap, jobs=spec.jobs)
+    g = compute_h2(spec.extension, cap=spec.cap)
     return {
         "z2_order": len(g.z2),
         "b2_order": len(g.b2),
@@ -295,7 +294,7 @@ def _run_twist(spec: JobSpec) -> dict:
 
 
 def _run_classify(spec: JobSpec) -> dict:
-    census = classify_all(spec.extension, cap=spec.cap, jobs=spec.jobs)
+    census = classify_all(spec.extension, cap=spec.cap)
     rows = [
         {
             "element": [int(v) for v in el],
@@ -517,7 +516,6 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
             spec.cap = args.cap
         if args.jobs < 1:
             raise JobSpecError("--jobs", "worker count must be at least 1")
-        spec.jobs = args.jobs
         report = run_job(spec)
         code = EXIT_OK
     except JobSpecError as exc:

@@ -145,30 +145,17 @@ def check_coassociative(c: NormalBasisCoring) -> bool:
     return direct
 
 
-def _eps_tensor_id(c: NormalBasisCoring) -> np.ndarray:
-    """(eps ⊗ id): S^⊗3 -> S⊗S, x⊗y⊗z -> eps(x⊗y) ⊗ z."""
+def _counit_slot_maps(c: NormalBasisCoring) -> tuple[np.ndarray, np.ndarray]:
+    """(eps ⊗ id) and (id ⊗ eps): S^⊗3 -> S⊗S, x⊗y⊗z -> eps(x⊗y) ⊗ z and x ⊗ eps(y⊗z)."""
     ext = c.ext
     d, kr = ext.degree, ext.base.rank
-    t2, t3 = ext.tensor_power(2), ext.tensor_power(3)
-    eps = c.counit
-    out = np.zeros((d, d, kr, t3.rank), dtype=np.int64)
-    for src, ((i, j, l), rho) in enumerate(t3.iter_basis()):
-        val = eps[:, t2.flat_index((i, j), rho)]
-        out[:, l, :, src] = ext.r_coords(val)
-    return out.reshape(t2.rank, t3.rank)
-
-
-def _id_tensor_eps(c: NormalBasisCoring) -> np.ndarray:
-    """(id ⊗ eps): S^⊗3 -> S⊗S, x⊗y⊗z -> x ⊗ eps(y⊗z)."""
-    ext = c.ext
-    d, kr = ext.degree, ext.base.rank
-    t2, t3 = ext.tensor_power(2), ext.tensor_power(3)
-    eps = c.counit
-    out = np.zeros((d, d, kr, t3.rank), dtype=np.int64)
-    for src, ((i, j, l), rho) in enumerate(t3.iter_basis()):
-        val = eps[:, t2.flat_index((j, l), rho)]
-        out[i, :, :, src] = ext.r_coords(val)
-    return out.reshape(t2.rank, t3.rank)
+    # e[a, tau, i, j, rho]: eps(e_rho (b_i ⊗ b_j)) has R-coordinate e_tau at b_a
+    e = ((ext._phi_inv @ c.counit) % ext.n).reshape(d, kr, d, d, kr)
+    eye = np.eye(d, dtype=np.int64)
+    k2, k3 = d * d * kr, d**3 * kr
+    eps_id = np.einsum("atijr,lL->altijLr", e, eye).reshape(k2, k3)
+    id_eps = np.einsum("atjlr,iI->iatIjlr", e, eye).reshape(k2, k3)
+    return eps_id, id_eps
 
 
 def check_counit(c: NormalBasisCoring) -> bool:
@@ -183,8 +170,9 @@ def counit_report(c: NormalBasisCoring) -> tuple[bool, str]:
     n = c.ext.n
     dm = c.comultiplication
     ident = np.eye(c.ext.tensor_power(2).rank, dtype=np.int64)
-    left = (_eps_tensor_id(c) @ dm) % n
-    right = (_id_tensor_eps(c) @ dm) % n
+    eps_id, id_eps = _counit_slot_maps(c)
+    left = (eps_id @ dm) % n
+    right = (id_eps @ dm) % n
     if (left == ident).all() and (right == ident).all():
         return True, "counit laws hold"
     return False, "counit laws fail"  # pragma: no cover - cannot happen for attached counits

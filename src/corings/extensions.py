@@ -7,10 +7,14 @@ makes balanced tensor products computable: S^⊗m is presented on the basis
     e_rho * (b_{i_1} ⊗ ... ⊗ b_{i_m}),
 
 indexed by (i_1, ..., i_m, rho) with the base index rho fastest, where e_rho
-runs over the Z/nZ-basis of R and b_i over the declared R-basis of S.  All
-the simplicial machinery lives here: the face maps eta_i inserting 1 in slot
-i, the collapse map multiplying all slots, slot embeddings, partial-slot
-merges, and the natural isomorphism (S⊗T)^{⊗_T m} ≅ S^{⊗m}⊗T used for base
+runs over the Z/nZ-basis of R and b_i over the declared R-basis of S.  Every
+layer reads a coefficient vector of S^⊗m by reshaping it to this (slot...,
+rho) layout, and each simplicial map is one tensor contraction on it: the
+face maps eta_i inserting 1 in slot i (identities on the slots before and
+after, 1_S's R-coordinates in between), the merges of the first or last two
+slots (the R-valued multiplication of S on those slots), the collapse map
+multiplying all slots (a product of merges), slot embeddings (products of
+faces), and the natural isomorphism (S⊗T)^{⊗_T m} ≅ S^{⊗m}⊗T used for base
 change.
 
 Level 1 is S itself in its native basis; the conversion to the formal
@@ -73,6 +77,7 @@ class Extension:
         self._collapse: dict[int, RingHom] = {}
         self._merges: dict[tuple[int, bool], RingHom] = {}
         self._b2: np.ndarray | None = None  # amitsur.b2_rows
+        self._cosickle: np.ndarray | None = None  # amitsur.cosickle_form
         self._rebased: dict[tuple, Extension] = {}
         self._external: dict[Extension, Extension] = {}
 
@@ -116,11 +121,7 @@ class Extension:
 
     def rmulmat(self, vec: np.ndarray) -> np.ndarray:
         """R-matrix of multiplication by a top element, in the declared basis."""
-        d = self.degree
-        out = np.zeros((d, d, self.base.rank), dtype=np.int64)
-        for j in range(d):
-            out[:, j, :] = self.r_coords(self.top.mul_vec(vec, self.basis[j]))
-        return out
+        return self.base.mul_einsum("i_,ija_->aj_", self.r_coords(vec), self.rmult())
 
     # -- tensor powers ----------------------------------------------------------
 
@@ -149,25 +150,12 @@ class Extension:
     def _build_face_map(self, m: int, i: int) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m + 1)
-        d, kr = self.degree, self.base.rank
-        one_rc = self.r_coords(self.top.one)  # (d, kr)
+        d = self.degree
         c_r = self.base.struct.astype(np.int64)
-        # E[rho, a, tau] = coefficients of e_rho * (1_S's a-th R-coordinate)
-        e = np.einsum("as,rst->rat", one_rc, c_r) % self.n
-        pre = d ** (i - 1)
-        post_src = d ** (m - (i - 1))
-        mat = np.zeros((tgt.ring.rank, kr * d**m), dtype=np.int64)
-        tgtv = mat.reshape(pre, d, post_src, kr, pre, post_src, kr)
-        for a in range(d):
-            for rho in range(kr):
-                for tau in range(kr):
-                    if e[rho, a, tau] == 0:
-                        continue
-                    idx = np.arange(pre)
-                    jdx = np.arange(post_src)
-                    tgtv[idx[:, None], a, jdx[None, :], tau, idx[:, None], jdx[None, :], rho] = e[
-                        rho, a, tau
-                    ]
+        # e[rho, a, tau]: coefficients of e_rho times the a-th R-coordinate of 1_S
+        e = np.einsum("as,rst->rat", self.r_coords(self.top.one), c_r) % self.n
+        pre, post = np.eye(d ** (i - 1), dtype=np.int64), np.eye(d ** (m - i + 1), dtype=np.int64)
+        mat = np.einsum("pP,qQ,rat->paqtPQr", pre, post, e).reshape(tgt.ring.rank, src.ring.rank)
         if m == 1:
             mat = (mat @ self._phi_inv) % self.n
         return RingHom(src.ring, tgt.ring, mat, check=(tgt.ring.rank <= 100))
@@ -181,13 +169,10 @@ class Extension:
                     src.ring, self.top, np.eye(self.top.rank, dtype=np.int64), check=False
                 )
             else:
-                cols = np.zeros((self.top.rank, src.ring.rank), dtype=np.int64)
-                for flat, (slots, rho) in enumerate(src.iter_basis()):
-                    acc = self.eta.matrix[:, rho]
-                    for s in slots:
-                        acc = self.top.mul_vec(acc, self.basis[s])
-                    cols[:, flat] = acc
-                self._collapse[m] = RingHom(src.ring, self.top, cols, check=(src.ring.rank <= 100))
+                mat = self.merge_map(2, first=True).matrix
+                for k in range(3, m + 1):
+                    mat = (mat @ self.merge_map(k, first=True).matrix) % self.n
+                self._collapse[m] = RingHom(src.ring, self.top, mat, check=(src.ring.rank <= 100))
         return self._collapse[m]
 
     def slot_embed(self, m: int, i: int) -> RingHom:
@@ -219,28 +204,12 @@ class Extension:
     def _build_merge_map(self, m: int, first: bool) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m - 1)
-        d, kr = self.degree, self.base.rank
-        rmult = self.rmult()
         c_r = self.base.struct.astype(np.int64)
-        cols = np.zeros((tgt.ring.rank, src.ring.rank), dtype=np.int64)
-        for flat, (slots, rho) in enumerate(src.iter_basis()):
-            if first:
-                prod_rc = rmult[slots[0], slots[1]]  # (d, kr) over target slot index
-                rest = slots[2:]
-                merged_pos = 0
-            else:
-                prod_rc = rmult[slots[-2], slots[-1]]
-                rest = slots[:-2]
-                merged_pos = len(rest)
-            for a in range(d):
-                coeff = (prod_rc[a] @ c_r[rho]) % self.n
-                if not coeff.any():
-                    continue
-                new_slots = rest[:merged_pos] + (a,) + rest[merged_pos:]
-                base_flat = tgt.flat_index(new_slots, 0)
-                cols[base_flat : base_flat + kr, flat] = (
-                    cols[base_flat : base_flat + kr, flat] + coeff
-                ) % self.n
+        # prod[x, y, a, rho, t]: e_rho b_x b_y has e_t b_a
+        prod = np.einsum("xyap,rpt->xyart", self.rmult(), c_r) % self.n
+        rest = np.eye(self.degree ** (m - 2), dtype=np.int64)
+        spec = "xyart,qQ->aqtxyQr" if first else "xyart,qQ->qatQxyr"
+        cols = np.einsum(spec, prod, rest).reshape(tgt.ring.rank, src.ring.rank)
         if m - 1 == 1:
             cols = (self._phi @ cols) % self.n
         return RingHom(src.ring, tgt.ring, cols, check=(src.ring.rank <= 100))
@@ -267,29 +236,6 @@ class TensorPowerRing:
     def rank(self) -> int:
         return self.ring.rank
 
-    def iter_basis(self):
-        """Yields (slot tuple, base index) in flat order (base index fastest)."""
-        d, kr = self.ext.degree, self.ext.base.rank
-        for flat in range(d**self.level * kr):
-            yield self.unflatten(flat)
-
-    def flat_index(self, slots, rho: int) -> int:
-        d, kr = self.ext.degree, self.ext.base.rank
-        idx = 0
-        for s in slots:
-            idx = idx * d + s
-        return idx * kr + rho
-
-    def unflatten(self, flat: int):
-        d, kr = self.ext.degree, self.ext.base.rank
-        rho = flat % kr
-        idx = flat // kr
-        slots = []
-        for _ in range(self.level):
-            slots.append(idx % d)
-            idx //= d
-        return tuple(reversed(slots)), rho
-
     def support(self, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """The nonzero coordinates of an element as pure terms r·(b_s1 ⊗ ... ⊗ b_sm).
 
@@ -310,12 +256,7 @@ class TensorPowerRing:
             raise ValueError("need one factor per slot")
         if self.level == 1:
             return np.asarray(factors[0], dtype=np.int64) % self.ext.n
-        c_r = self.ext.base.struct.astype(np.int64)
-        acc = self.ext.r_coords(factors[0])  # (d, kr)
-        for f in factors[1:]:
-            rc = self.ext.r_coords(f)
-            acc = np.einsum("Ir,is,rst->Iit", acc, rc, c_r).reshape(-1, self.ext.base.rank) % self.ext.n
-        return acc.reshape(-1) % self.ext.n
+        return _pure_tensor(self.ext.base, [self.ext.r_coords(f) for f in factors])
 
     def one_vec(self) -> np.ndarray:
         """Coefficients of 1⊗...⊗1, built once and read-only."""
@@ -349,7 +290,7 @@ class TensorRing(FiniteRing):
         self.rmults = [np.asarray(rm, dtype=np.int64) % n for rm in rmults]
         self.ones = [np.asarray(o, dtype=np.int64) % n for o in ones]
         self._c_r = base.struct.astype(np.int64)
-        one = _tensor_unit(base, self.ones)
+        one = _pure_tensor(base, self.ones)
         self._set_header(n, one.size, one, name)
 
     @cached_property
@@ -404,18 +345,17 @@ def _build_tensor_ring(
         full = np.einsum("IJAm,psk,kmt->IpJsAt", acc, c_r, c_r) % n
         k = dim * base.rank
         struct = full.reshape(k, k, k)
-    return FiniteRing(n, struct, _tensor_unit(base, ones), name=name, check=False)
+    return FiniteRing(n, struct, _pure_tensor(base, ones), name=name, check=False)
 
 
-def _tensor_unit(base: FiniteRing, ones: list[np.ndarray]) -> np.ndarray:
-    """Coefficients of 1 ⊗ ... ⊗ 1 from the R-coordinates of each factor's unit."""
+def _pure_tensor(base: FiniteRing, coords: list[np.ndarray]) -> np.ndarray:
+    """Coefficients of s_1 ⊗ ... ⊗ s_m from the R-coordinates (d_i, base.rank) of each s_i."""
     n = base.n
     c_r = base.struct.astype(np.int64)
-    acc = ones[0].astype(np.int64) % n
-    for o in ones[1:]:
-        acc = np.einsum("Ir,is,rst->Iit", acc, o.astype(np.int64), c_r).reshape(-1, base.rank) % n
+    acc = coords[0].astype(np.int64) % n
+    for c in coords[1:]:
+        acc = np.einsum("Ir,is,rst->Iit", acc, c.astype(np.int64), c_r).reshape(-1, base.rank) % n
     return acc.reshape(-1)
-
 
 
 # -- base change and external products ----------------------------------------
@@ -450,11 +390,7 @@ def rebase_extension(ext: Extension, t_ring: FiniteRing, rho: RingHom) -> Extens
     # structural map: t_sigma -> 1_S ⊗ t_sigma = sum_a b_a ⊗ rho(one_rc[a]) t_sigma
     eta_mat = np.einsum("av,vsw->aws", one_img, tt).reshape(k, kt) % n
     eta = RingHom(t_ring, top, eta_mat, check=(k <= 100))
-    basis = np.zeros((d, k), dtype=np.int64)
-    for i in range(d):
-        row = np.zeros((d, kt), dtype=np.int64)
-        row[i] = t_ring.one
-        basis[i] = row.reshape(-1)
+    basis = np.kron(np.eye(d, dtype=np.int64), t_ring.one)
     out = Extension(t_ring, top, eta, basis, name=f"{top.name}/{t_ring.name}")
     ext._rebased[cache_key] = out
     return out
@@ -515,14 +451,7 @@ def external_extension(ext_s: Extension, ext_t: Extension) -> Extension:
     one_top = top.one.reshape(-1, base.rank)
     eta_mat = np.einsum("rst,As->Atr", c_r, one_top).reshape(top.rank, base.rank) % n
     eta = RingHom(base, top, eta_mat, check=(top.rank <= 100))
-    ds, dt = ext_s.degree, ext_t.degree
-    kr = base.rank
-    basis = np.zeros((ds * dt, top.rank), dtype=np.int64)
-    for i in range(ds):
-        for j in range(dt):
-            row = np.zeros((ds, dt, kr), dtype=np.int64)
-            row[i, j] = base.one
-            basis[i * dt + j] = row.reshape(-1)
+    basis = np.kron(np.eye(ext_s.degree * ext_t.degree, dtype=np.int64), base.one)
     out = Extension(base, top, eta, basis, name=f"{top.name}/{base.name}")
     ext_s._external[ext_t] = out
     return out
@@ -535,20 +464,18 @@ def interleave(
 
     u^1⊗...⊗u^m and v^1⊗...⊗v^m combine to (u^1⊗v^1)⊗...⊗(u^m⊗v^m).
     """
+    if not 1 <= m <= 3:
+        raise ValueError("interleaving implemented for levels 1..3")
     n = ext_s.n
     kr = ext_s.base.rank
     ds, dt = ext_s.degree, ext_t.degree
     uu = (u if m > 1 else (ext_s._phi_inv @ u) % n).reshape((ds,) * m + (kr,)).astype(np.int64)
     vv = (v if m > 1 else (ext_t._phi_inv @ v) % n).reshape((dt,) * m + (kr,)).astype(np.int64)
     c_r = ext_s.base.struct.astype(np.int64)
-    if m == 3:
-        out = np.einsum("abcr,xyzs,rst->axbyczt", uu, vv, c_r) % n
-    elif m == 2:
-        out = np.einsum("abr,xys,rst->axbyt", uu, vv, c_r) % n
-    elif m == 1:
-        out = np.einsum("ar,xs,rst->axt", uu, vv, c_r) % n
-    else:
-        raise ValueError("interleaving implemented for levels 1..3")
+    # axes 0..m-1: slots of u, m..2m-1: slots of v, then the base indices r, s, t
+    r, s, t = 2 * m, 2 * m + 1, 2 * m + 2
+    pairs = [ax for k in range(m) for ax in (k, m + k)]
+    out = np.einsum(uu, [*range(m), r], vv, [*range(m, 2 * m), s], c_r, [r, s, t], [*pairs, t]) % n
     flat = out.reshape(-1)
     if m == 1:
         flat = (ext_st._phi @ flat) % n

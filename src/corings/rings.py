@@ -168,11 +168,10 @@ class FiniteRing:
         rhs = np.einsum("jkm,iml->ijkl", c, c) % self.n
         if ((lhs - rhs) % self.n).any():
             raise ValueError(f"{self.name}: multiplication is not associative")
-        for i in range(self.rank):
-            ei = np.zeros(self.rank, dtype=np.int64)
-            ei[i] = 1
-            if (self.mul_vec(self.one, ei) != ei).any():
-                raise ValueError(f"{self.name}: unit law fails on basis element {i}")
+        # column i of the multiplication matrix of 1 is 1·e_i
+        bad = (self.mulmat(self.one) != np.eye(self.rank, dtype=np.int64)).any(axis=0)
+        if bad.any():
+            raise ValueError(f"{self.name}: unit law fails on basis element {int(np.argmax(bad))}")
 
     def __eq__(self, other):
         if self is other:
@@ -401,10 +400,7 @@ def make_quotient_ring(n: int, poly: Iterable[int]) -> FiniteRing:
         if top:
             red = (red - top * np.array(f[:deg], dtype=np.int64)) % n
         powers[k] = red % n
-    struct = np.zeros((deg, deg, deg), dtype=np.int64)
-    for i in range(deg):
-        for j in range(deg):
-            struct[i, j] = powers[i + j]
+    struct = powers[np.add.outer(range(deg), range(deg))]
     one = np.zeros(deg, dtype=np.int64)
     one[0] = 1
     return FiniteRing(n, struct, one, name=f"Z/{n}[x]/({_poly_name(f)})")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from corings.extensions import Extension
+from corings.extensions import Extension, amitsur_rebase
 from corings.rings import RingHom, make_quotient_ring, zmod_ring
+
+
+DESK = ["f4_over_f2", "f2x2_over_f2", "z2sq_over_f2", "gr42_over_z4", "gf9_over_f3"]
 
 
 def simple_extension(base, top):
@@ -10,6 +13,18 @@ def simple_extension(base, top):
     eta = RingHom(base, top, np.outer(top.one, base.one) % top.n)
     basis = np.eye(top.rank, dtype=np.int64)
     return Extension(base, top, eta, basis)
+
+
+def desk_extensions(request):
+    """The desk fixtures and the rebased (F4⊗F4)/F4."""
+    exts = [request.getfixturevalue(name) for name in DESK]
+    return exts + [amitsur_rebase(request.getfixturevalue("f4_over_f2"))]
+
+
+def random_extension(n, poly, rebased):
+    """(Z/n)[x]/(poly) over Z/n, or its Amitsur rebase ((S⊗S)/S)."""
+    ext = simple_extension(zmod_ring(n), make_quotient_ring(n, poly))
+    return amitsur_rebase(ext) if rebased else ext
 
 
 @pytest.fixture(scope="session")

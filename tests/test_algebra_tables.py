@@ -31,11 +31,8 @@ from corings.algebras import (
 from corings.amitsur import TwistElement, compute_h2, delta1, unit_twist
 from corings.classify import _coassoc_difference_tensor
 from corings.coring import twisted_coring
-from corings.extensions import amitsur_rebase
-from corings.rings import InternalCheckError, make_quotient_ring, try_invert, zmod_ring
-from tests.conftest import simple_extension
-
-DESK = ["f4_over_f2", "f2x2_over_f2", "z2sq_over_f2", "gr42_over_z4", "gf9_over_f3"]
+from corings.rings import InternalCheckError, try_invert, zmod_ring
+from tests.conftest import desk_extensions, random_extension
 
 
 # -- reference routes -------------------------------------------------------------
@@ -53,8 +50,12 @@ def ref_compose(ext, a, b):
 
 
 def ref_support(ext, coeffs, level):
-    tp = ext.tensor_power(level)
-    return [(int(coeffs[f]),) + tuple(reversed(tp.unflatten(int(f)))) for f in np.nonzero(coeffs)[0]]
+    shape = (ext.degree,) * level + (ext.base.rank,)
+    terms = []
+    for f in np.nonzero(coeffs)[0]:
+        *slots, rho = map(int, np.unravel_index(f, shape))
+        terms.append((int(coeffs[f]), rho, tuple(slots)))
+    return terms
 
 
 def ref_twisted_product(ext, terms, side, phi, psi):
@@ -123,7 +124,8 @@ def ref_comultiplication(ext, u):
     c_r = ext.base.struct.astype(np.int64)
     mat = np.zeros((t3.rank, t2.rank), dtype=np.int64)
     block = mat.reshape(d, d, d, kr, t2.rank)
-    for src, ((i, j), rho) in enumerate(t2.iter_basis()):
+    for src in range(t2.rank):
+        i, j, rho = np.unravel_index(src, (d, d, kr))
         left_seed = ext.top.mul_vec(ext.eta.matrix[:, rho], ext.basis[i])
         for coeff, pi, (k1, k2, k3) in ref_support(ext, u, 3):
             rc1 = ext.r_coords(ext.top.mul_vec(ext.basis[k1], left_seed))
@@ -247,11 +249,6 @@ def check_cocycle(ext, tw):
     assert gamma_map(tw).ok
 
 
-def desk_extensions(request):
-    exts = [request.getfixturevalue(name) for name in DESK]
-    return exts + [amitsur_rebase(request.getfixturevalue("f4_over_f2"))]
-
-
 def test_tables_match_per_pair_routes_on_every_cocycle(request):
     """Ambient, descent and both dual algebras, on every Z^2 cocycle of the desk fixtures and (F4⊗F4)/F4."""
     for ext in desk_extensions(request):
@@ -268,11 +265,6 @@ def test_coproducts_match_per_coring_loop(request):
         rows = [t3.one_vec(), np.zeros(t3.rank, dtype=np.int64)] + list(rng.integers(0, ext.n, (4, t3.rank)))
         for u in rows:
             assert (twisted_coring(ext, u).comultiplication == ref_comultiplication(ext, u)).all()
-
-
-def random_extension(n, poly, rebased):
-    ext = simple_extension(zmod_ring(n), make_quotient_ring(n, poly))
-    return amitsur_rebase(ext) if rebased else ext
 
 
 @settings(max_examples=15, deadline=None)

@@ -254,3 +254,11 @@ def test_delta_zero_and_composition_at_level_one(f4_over_f2, gr42_over_z4):
             )
             assert (d0 == expected).all()
             assert (delta1(ext, d0) == t3.one_vec()).all()
+
+
+def test_cosickle_form_is_cached_read_only(gr42_over_z4):
+    q = amitsur.cosickle_form(gr42_over_z4)
+    assert amitsur.cosickle_form(gr42_over_z4) is q
+    assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0, 0, 0] = 1

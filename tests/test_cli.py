@@ -311,3 +311,10 @@ def test_python_dash_m_entry_point(tmp_path):
     assert proc.returncode == code == EXIT_OK
     assert proc.stdout == expected
     assert json.loads(proc.stdout)["result"]["h2_order"] == 1
+
+
+def test_jobs_below_one_is_input_error(tmp_path, capsys):
+    code, out = run_cli(tmp_path, job({"name": "h2"}), "--jobs", "0")
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert "--jobs" in err and "Traceback" not in err

@@ -16,7 +16,6 @@ from corings import zmod
 from corings.algebras import DescentAlgebra
 from corings.amitsur import TwistElement, _witness_search, cocycle_mask, compute_h2, cosickle_form
 from corings.classify import _coassoc_difference_tensor, classify_all
-from corings.extensions import amitsur_rebase
 from corings.rings import (
     Grid,
     RingTooLarge,
@@ -26,10 +25,9 @@ from corings.rings import (
     make_quotient_ring,
     zmod_ring,
 )
-from tests.conftest import simple_extension
+from tests.conftest import desk_extensions, simple_extension
 from tests.test_kernels import MODULI, quotient_ring
 
-DESK = ["f4_over_f2", "f2x2_over_f2", "z2sq_over_f2", "gr42_over_z4", "gf9_over_f3"]
 CHUNK = 1 << 12
 
 
@@ -97,11 +95,6 @@ def reference_witness(ext, u, v):
         if hits.any():
             return w[int(np.argmax(hits))]
     return None
-
-
-def desk_extensions(request):
-    exts = [request.getfixturevalue(name) for name in DESK]
-    return exts + [amitsur_rebase(request.getfixturevalue("f4_over_f2"))]
 
 
 # -- rings ----------------------------------------------------------------------

@@ -141,3 +141,13 @@ def test_modulus_bound_refuses_instead_of_wrapping():
     want = [n - 11, 29]
     assert ring.mul_vec(x, y).tolist() == want
     assert ring.mul_rows(x[None], y[None]).tolist() == [want]
+
+
+def test_ring_validation_names_first_failing_unit_basis_element():
+    """1 = e_0 fixes e_0 and kills e_1 and e_2: the unit law first fails at index 1."""
+    from corings.rings import FiniteRing
+
+    struct = np.zeros((3, 3, 3), dtype=np.int64)
+    struct[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="unit law fails on basis element 1$"):
+        FiniteRing(2, struct, [1, 0, 0])

@@ -13,13 +13,10 @@ from corings.extensions import (
     DENSE_TABLE_MAX_RANK,
     TensorRing,
     _build_tensor_ring,
-    amitsur_rebase,
     external_extension,
 )
 from corings.rings import make_quotient_ring, zmod_ring
-from tests.conftest import simple_extension
-
-DESK = ["f4_over_f2", "f2x2_over_f2", "z2sq_over_f2", "gr42_over_z4", "gf9_over_f3"]
+from tests.conftest import DESK, desk_extensions, random_extension, simple_extension
 
 
 def dense_table(ring: TensorRing) -> np.ndarray:
@@ -32,11 +29,6 @@ def table_product(struct, x, y, n):
     for i in np.nonzero(x)[0]:
         out += int(x[i]) * (y @ struct[i].astype(np.int64))
     return out % n
-
-
-def desk_extensions(request):
-    exts = [request.getfixturevalue(name) for name in DESK]
-    return exts + [amitsur_rebase(request.getfixturevalue("f4_over_f2"))]
 
 
 def check_basis_pairs(ring):
@@ -58,11 +50,6 @@ def test_slot_product_matches_table_on_basis_pairs(request):
 def test_slot_product_matches_table_with_distinct_factors(f4_over_f2, f2x2_over_f2):
     """The top F4⊗(F2×F2) of an external extension has two different factors."""
     check_basis_pairs(external_extension(f4_over_f2, f2x2_over_f2).top)
-
-
-def random_extension(n, poly, rebased):
-    ext = simple_extension(zmod_ring(n), make_quotient_ring(n, poly))
-    return amitsur_rebase(ext) if rebased else ext
 
 
 @settings(max_examples=40, deadline=None)
