@@ -319,14 +319,19 @@ class RingHom:
         return (self.apply_vec(self.source.one) == self.target.one).all()
 
     def is_multiplicative(self) -> bool:
-        m = self.matrix
-        tgt = self.target
-        # images of all basis products vs products of basis images
-        lhs = np.einsum("ijk,lk->ijl", self.source.struct.astype(np.int64), m) % tgt.n
-        imgs = m.T  # (source.rank, target.rank)
-        prod = np.einsum("ia,abl->ibl", imgs, tgt.struct.astype(np.int64)) % tgt.n
-        rhs = np.einsum("ibl,jb->ijl", prod, imgs) % tgt.n
-        return not ((lhs - rhs) % tgt.n).any()
+        """Images of all basis products against products of basis images.
+
+        Three exact GEMMs (zmod.matmul_mod): lhs = struct_s·Mᵀ, the images
+        of the products; prod = imgs·struct_t, each image times the target
+        basis; rhs = imgs·prod, the products of two images.
+        """
+        n, s, t = self.target.n, self.source.rank, self.target.rank
+        imgs = self.matrix.T  # row i is the image of e_i
+        lhs = zmod.matmul_mod(self.source.struct.reshape(s * s, s), imgs, n)  # [(i, j), l]
+        prod = zmod.matmul_mod(imgs, self.target.struct.reshape(t, t * t), n)  # [i, (b, l)]
+        by_b = prod.reshape(s, t, t).transpose(1, 0, 2).reshape(t, s * t)  # [b, (i, l)]
+        rhs = zmod.matmul_mod(imgs, by_b, n)  # [j, (i, l)]
+        return bool((lhs.reshape(s, s, t) == rhs.reshape(s, s, t).transpose(1, 0, 2)).all())
 
     def validate(self) -> None:
         if not self.is_unital():

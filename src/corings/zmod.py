@@ -3,9 +3,14 @@
 Z/nZ is not a field for composite n, so plain Gaussian elimination does not
 give canonical forms, kernels or solvability tests.  The Howell form does:
 it is the unique row-echelon-like canonical form of the row span of a matrix
-over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  The exact linear algebra
-here is built on one routine, :func:`howell`, which returns the form
-together with a transformation matrix and a spanning set of the left kernel.
+over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  Every solver here reads
+one routine, :func:`howell`, which eliminates one pivot column at a time on
+the augmented rows [h | t]: the row of least gcd with n becomes the pivot
+(merged first with other rows when n is composite and no single entry
+generates the column's ideal), is scaled to a divisor b of n, and clears
+every other row in one rank-1 update; when b > 1, (n/b)·pivot row is
+appended.  h and the pivots are canonical; the transform t and the kernel
+rows k are one valid choice, read only through unique values or spans.
 
 Conventions: matrices are numpy int64 arrays with entries reduced into
 [0, n).  Row convention for the core (`x @ A`); the `*_right` wrappers
@@ -18,6 +23,8 @@ handle exactly rather than answer from wrapped arithmetic.
   contraction left in the package multiplies three reduced residues and sums
   at most DEFAULT_RANK_CAP^2 = 600^2 terms; (2^14 - 1)^3 * 600^2 < 2^63, so
   it cannot wrap.  FiniteRing checks the bound on construction.
+- The rank-1 update of :func:`howell` multiplies a quotient q < n by an
+  entry below n, so each product is below n^2 <= 2^28, exact in int64.
 - :func:`matmul_mod` and :func:`bilinear_mod`, the sweep kernels, run on
   float64 BLAS (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  A
   contraction of length k over entries in [0, n) is done in one GEMM when
@@ -47,8 +54,7 @@ _OUTER_BLOCK = 1 << 20  # entries of one batched outer product, about 8 MB
 
 
 def _as_mod_array(a, n: int) -> np.ndarray:
-    out = np.asarray(a, dtype=np.int64) % n
-    return out
+    return np.asarray(a, dtype=np.int64) % n
 
 
 def gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -111,8 +117,8 @@ class HowellForm(NamedTuple):
     """Howell form of the row span of a matrix A over Z/nZ.
 
     h: the canonical Howell rows (zero rows dropped), h = t @ A mod n.
-    t: transformation rows.
-    k: rows spanning the left kernel {x : x @ A == 0 mod n}.
+    t: transformation rows, one valid choice.
+    k: rows spanning the left kernel {x : x @ A == 0 mod n}, one valid choice.
     pivots: column index of each Howell row's pivot.
     """
 
@@ -130,64 +136,58 @@ def howell(a, n: int) -> HowellForm:
     array([[4, 1, 0],
            [0, 3, 0],
            [0, 0, 1]])
+
+    Over Z/6 neither 2 nor 3 generates the column's ideal, so the two rows
+    are merged into one pivot:
+
+    >>> howell([[2], [3]], 6).h
+    array([[1]])
     """
     a = np.atleast_2d(_as_mod_array(a, n))
     nrows, ncols = a.shape
-    h = a.copy()
-    t = np.eye(nrows, dtype=np.int64)
-
-    r = 0
+    # augmented rows [h | t]; each pivot column appends at most one Howell row
+    w = np.zeros((nrows + ncols, ncols + nrows), dtype=np.int64)
+    w[:nrows, :ncols] = a
+    w[:nrows, ncols:] = np.eye(nrows, dtype=np.int64)
+    composite = len(prime_factors(n)) > 1
+    m = nrows
+    pivots = []
     for c in range(ncols):
-        m = h.shape[0]
-        j = r
-        while j < m and h[j, c] == 0:
-            j += 1
-        if j == m:
+        r = len(pivots)
+        if r == m:
+            break
+        g = np.gcd(w[r:m, c], n)
+        j = r + int(g.argmin())
+        if g[j - r] == n:
             continue
         if j > r:
-            h[[r, j]] = h[[j, r]]
-            t[[r, j]] = t[[j, r]]
-        # scale the pivot to gcd(pivot, n), a divisor of n
-        x = stab_unit(int(h[r, c]), n)
-        if x != 1:
-            h[r] = (x * h[r]) % n
-            t[r] = (x * t[r]) % n
-        # clear below the pivot with unimodular 2x2 updates
-        for i in range(r + 1, m):
-            if h[i, c] % n == 0:
-                continue
-            g, s_, t_ = gcdex(int(h[r, c]), int(h[i, c]))
-            u_ = -(int(h[i, c]) // g)
-            v_ = int(h[r, c]) // g
-            row_r = (s_ * h[r] + t_ * h[i]) % n
-            row_i = (u_ * h[r] + v_ * h[i]) % n
-            h[r], h[i] = row_r, row_i
-            row_r = (s_ * t[r] + t_ * t[i]) % n
-            row_i = (u_ * t[r] + v_ * t[i]) % n
-            t[r], t[i] = row_r, row_i
-        # reduce entries above the pivot
-        b = int(h[r, c])
-        for i in range(r):
-            q = int(h[i, c]) // b
-            if q:
-                h[i] = (h[i] - q * h[r]) % n
-                t[i] = (t[i] - q * t[r]) % n
-        # a zero-divisor pivot contributes an extra span row (Howell property);
-        # after scaling the pivot equals gcd(original, n), so it divides n
+            w[[r, j]] = w[[j, r]]
+        # merge rows until the pivot alone generates the column's ideal; each
+        # unimodular 2x2 step leaves gcd(hr, hi) in the pivot and 0 in row i
+        if composite and (g % g[j - r]).any():
+            for i in range(r + 1, m):
+                hr, hi = int(w[r, c]), int(w[i, c])
+                if hi % gcd(hr, n):
+                    d, x, y = gcdex(hr, hi)
+                    w[[r, i], c:] = (np.array([[x, y], [-(hi // d), hr // d]]) @ w[[r, i], c:]) % n
+        # scale the pivot to gcd(pivot, n), a divisor of n that divides the column
+        b = int(w[r, c])
+        if n % b:
+            w[r, c:] = (stab_unit(b, n) * w[r, c:]) % n
+            b = int(w[r, c])
+        # one rank-1 update: rows below go to 0 in column c, rows above into [0, b)
+        q = w[:m, c] // b
+        q[r] = 0
+        w[:m, c:] = (w[:m, c:] - np.multiply.outer(q, w[r, c:])) % n
+        # a zero-divisor pivot contributes an extra span row (Howell property)
         if b > 1:
-            x = n // b
-            h = np.vstack([h, (x * h[r]) % n])
-            t = np.vstack([t, (x * t[r]) % n])
-        r += 1
+            w[m, c:] = ((n // b) * w[r, c:]) % n
+            m += 1
+        pivots.append(c)
 
-    nonzero = h.any(axis=1)
-    # all zero rows sit at the bottom: every processed column is cleared below r
-    hn = h[:r][nonzero[:r]] if r else h[:0]
-    k = t[r:]
-    k = k[k.any(axis=1)]
-    tn = t[:r][nonzero[:r]] if r else t[:0]
-    pivots = tuple(int(np.nonzero(row)[0][0]) for row in hn)
-    return HowellForm(hn, tn, k, pivots)
+    r = len(pivots)
+    k = w[r:m, ncols:]
+    return HowellForm(w[:r, :ncols].copy(), w[:r, ncols:].copy(), k[k.any(axis=1)], tuple(pivots))
 
 
 def reduce_against(hf: HowellForm, v, n: int) -> tuple[np.ndarray, np.ndarray]:

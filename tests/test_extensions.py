@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from corings import zmod
 from corings.extensions import (
     amitsur_rebase,
     external_extension,
@@ -13,6 +14,7 @@ from corings.extensions import (
     rebase_pushforward,
 )
 from corings.rings import RingHom, RingTooLarge, enumerate_units
+from tests.conftest import desk_extensions
 
 
 def test_tensor_power_ranks(f4_over_f2, gr42_over_z4):
@@ -187,3 +189,47 @@ def test_interleave_is_multiplicative(f4_over_f2):
             interleave(ext, ext, big, 3, u1, v1), interleave(ext, ext, big, 3, u2, v2)
         )
         assert (lhs == rhs).all()
+
+
+def ref_is_multiplicative(hom):
+    """The multiplicativity check as three int64 einsums."""
+    n, m = hom.target.n, hom.matrix
+    lhs = np.einsum("ijk,lk->ijl", hom.source.struct.astype(np.int64), m) % n
+    imgs = m.T
+    prod = np.einsum("ia,abl->ibl", imgs, hom.target.struct.astype(np.int64)) % n
+    rhs = np.einsum("ibl,jb->ijl", prod, imgs) % n
+    return not ((lhs - rhs) % n).any()
+
+
+def simplicial_maps(ext, top_level=3):
+    """Every face, merge and collapse map of ext up to level top_level."""
+    for m in range(1, top_level + 1):
+        yield from (ext.face_map(m, i) for i in range(1, m + 2))
+        yield ext.collapse_map(m)
+        if m >= 2:
+            yield from (ext.merge_map(m, first) for first in (True, False))
+
+
+def test_is_multiplicative_matches_einsum_route(request):
+    """The GEMM check against the einsum route: on every face, merge and
+    collapse map of the desk fixtures and (F4⊗F4)/F4, and on unital
+    perturbations of them, which are mostly not multiplicative."""
+    rng = np.random.default_rng(17)
+    rejected = 0
+    for ext in desk_extensions(request):
+        for hom in simplicial_maps(ext):
+            assert hom.is_multiplicative() and ref_is_multiplicative(hom)
+            # hom + v ⊗ w with w·1 = 0 still sends 1 to 1
+            src, tgt, n = hom.source, hom.target, hom.target.n
+            ker = zmod.kernel_right(src.one[None, :], n)
+            w = (rng.integers(0, n, size=len(ker)) @ ker) % n
+            mat = (hom.matrix + np.outer(rng.integers(0, n, size=tgt.rank), w)) % n
+            bent = RingHom(src, tgt, mat, check=False)
+            assert bent.is_unital()
+            verdict = ref_is_multiplicative(bent)
+            assert bent.is_multiplicative() == verdict
+            if not verdict:
+                rejected += 1
+                with pytest.raises(ValueError, match="map is not multiplicative"):
+                    RingHom(src, tgt, mat)
+    assert rejected >= 60
