@@ -21,7 +21,7 @@ witness over (S⊗S)/(R⊗S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,19 +55,13 @@ class TwistElement:
             self.u = u
         else:
             self.u = t3.ring.element(u)
-        self._inverse: Optional[RingElement] = None
-        self._inverse_known = False
-        self._cocycle: Optional[bool] = None  # is_two_cocycle
-        self._norm: Optional[RingElement] = None
+        self._cocycle: Optional[bool] = None  # is_two_cocycle on a unit
 
     # -- cached classification -------------------------------------------------
 
-    @property
+    @cached_property
     def inverse(self) -> Optional[RingElement]:
-        if not self._inverse_known:
-            self._inverse = try_invert(self.u)
-            self._inverse_known = True
-        return self._inverse
+        return try_invert(self.u)
 
     @property
     def is_unit(self) -> bool:
@@ -106,13 +100,9 @@ class TwistElement:
             zmod.batch_is_unit(np.stack([p, q]), t2.residue_fields).all()
         )
 
-    @property
+    @cached_property
     def norm(self) -> RingElement:
-        if self._norm is None:
-            self._norm = self.ext.top.element(
-                self.ext.collapse_map(3).apply_vec(self.u.coeffs)
-            )
-        return self._norm
+        return self.ext.top.element(self.ext.collapse_map(3).apply_vec(self.u.coeffs))
 
     def __eq__(self, other):
         return isinstance(other, TwistElement) and self.ext == other.ext and self.u == other.u
@@ -141,12 +131,11 @@ def coboundary(ext: Extension, v, level: int) -> np.ndarray:
     delta_1(v) = v_1 v_2^{-1} v_3 and delta_2(u) = u_1 u_2^{-1} u_3 u_4^{-1}
     are the level 2 and 3 instances.
     """
-    tl = ext.tensor_power(level).ring
-    v = np.asarray(v, dtype=np.int64) % ext.n
-    inv = zmod.solve_right(tl.mulmat(v), tl.one, ext.n)
+    v = ext.tensor_power(level).ring.element(v)
+    inv = try_invert(v)
     if inv is None:
         raise NotAUnitError("coboundary is only defined on units")
-    return _face_product(ext, level, v, inv, ext.tensor_power(level + 1).ring.mul_vec)
+    return _face_product(ext, level, v.coeffs, inv.coeffs, ext.tensor_power(level + 1).ring.mul_vec)
 
 
 def _face_product(ext: Extension, level: int, v, v_inv, mul) -> np.ndarray:
@@ -212,19 +201,18 @@ def delta2(ext: Extension, u) -> np.ndarray:
 def is_two_cocycle(tw: TwistElement) -> bool:
     """Whether u is a unit with u_1 u_2^{-1} u_3 u_4^{-1} = 1; non-units are False.
 
-    The verdict is cached on the twist, so delta_2 and its cross-check run once.
+    delta_2(u) reads the inverse the twist caches, and the verdict is cached
+    on the twist, so one inversion, delta_2 and its cross-check run once.
     """
-    if tw._cocycle is None:
-        if not tw.is_unit:
-            tw._cocycle = False
-            return False
+    if tw._cocycle is None and tw.is_unit:
         t4 = tw.ext.tensor_power(4).ring
-        verdict = bool((delta2(tw.ext, tw.u.coeffs) == t4.one).all())
+        d2 = _face_product(tw.ext, 3, tw.u.coeffs, tw.inverse.coeffs, t4.mul_vec)
+        verdict = bool((d2 == t4.one).all())
         # the inversion-free form must agree on units
         if verdict != tw.is_cosickle:  # pragma: no cover - defensive
             raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
         tw._cocycle = verdict
-    return tw._cocycle
+    return bool(tw._cocycle)
 
 
 # -- norms and normalization ------------------------------------------------------
@@ -317,7 +305,7 @@ def base_change_witness(tw: TwistElement) -> BaseChangeWitness:
     # the same identity downstairs: u_4 = u_1 u_2^{-1} u_3 in S^⊗4
     t4 = ext.tensor_power(4).ring
     u1, u2, u3, u4 = tw.faces()
-    u2_inv = zmod.solve_right(t4.mulmat(u2), t4.one, ext.n)
+    u2_inv = try_invert(t4.element(u2)).coeffs
     ok = ok and (t4.mul_vec(t4.mul_vec(u1, u2_inv), u3) == u4).all()
     ok = ok and ((iso3 @ d1w) % ext.n == u4).all()
     return BaseChangeWitness(reb, w, pushed, bool(ok))

@@ -17,12 +17,13 @@ base are compared after refining both to S⊗T.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import zmod
-from .amitsur import TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets
+from .amitsur import TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets, unit_twist
 from .coring import NormalBasisCoring, coassoc_difference, external_product, is_azumaya, term_coproducts
 from .extensions import Extension
 from .rings import DEFAULT_CAP, Grid, InternalCheckError
@@ -79,7 +80,7 @@ class CosickleClassification:
     """Census of S^⊗3 with the tag chain and its cross-checking oracles."""
 
     ext: Extension
-    elements: np.ndarray = field(repr=False)
+    grid: Grid = field(repr=False)
     is_unit: np.ndarray = field(repr=False)
     is_cocycle: np.ndarray = field(repr=False)
     is_cosickle: np.ndarray = field(repr=False)
@@ -97,6 +98,11 @@ class CosickleClassification:
         if not chain:  # pragma: no cover - the implication chain is definitional
             raise InternalCheckError("tag implication chain violated in census")
 
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Coefficient rows of every element of S^⊗3, lex order; built on first read."""
+        return self.grid.rows()
+
     @property
     def admits_counit(self) -> Optional[np.ndarray]:
         """Coassociative and a counit exists (linear-solvability oracle)."""
@@ -107,7 +113,7 @@ class CosickleClassification:
     @property
     def counts(self) -> dict:
         out = {
-            "elements": int(len(self.elements)),
+            "elements": int(self.grid.size),
             "units": int(self.is_unit.sum()),
             "unit_cocycles": int(self.is_cocycle.sum()),
             "cosickles": int(self.is_cosickle.sum()),
@@ -133,15 +139,14 @@ def classify_all(
     coassociativity tag is computed by the direct two-triple-coproduct test
     (via its bilinear tensor), independently of the cosickle identity; the
     two must agree.  The counit-solvability oracle runs per element and is
-    enabled automatically for sweeps of at most 4096 elements.  `jobs` is
-    accepted for compatibility and changes nothing.
+    enabled automatically for sweeps of at most 4096 elements.  The census
+    builds its rows only when `elements` is read.  `jobs` changes nothing.
     """
     t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)
     grid = Grid.of(t3.ring, cap)
     if counit_oracle is None:
         counit_oracle = grid.size <= 4096
-    elements = grid.rows()
     unit_mask = grid.unit_mask(t3.ring.residue_fields)
     cosickle = grid.zero_mask(cosickle_form(ext))
     coassoc = grid.zero_mask(_coassoc_difference_tensor(ext))
@@ -154,10 +159,10 @@ def classify_all(
     solvable = None
     if counit_oracle:
         solvable = np.array(
-            [counit_solution(ext, row) is not None for row in elements], dtype=bool
+            [counit_solution(ext, row) is not None for row in grid.rows()], dtype=bool
         )
     return CosickleClassification(
-        ext, elements, unit_mask, cocycle, cosickle, almost, coassoc, solvable
+        ext, grid, unit_mask, cocycle, cosickle, almost, coassoc, solvable
     )
 
 
@@ -200,7 +205,7 @@ def monoid_quotient(
     mask = census.is_cosickle if which == "full" else census.is_almost_invertible
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
     minima, sizes = [], []
-    for orbits in sorted_cosets(ext, census.elements[mask], b2):
+    for orbits in sorted_cosets(ext, census.grid.rows(mask), b2):
         minima.append(orbits[:, 0])
         sizes.append(1 + (orbits[:, 1:] != orbits[:, :-1]).any(axis=2).sum(axis=1))
     reps, first = zmod.unique_rows(np.concatenate(minima), return_index=True)
@@ -256,9 +261,7 @@ class BrauerClass:
         return BrauerClass.of_twist(TwistElement(self.ext, tw.inverse.coeffs), cap=self._cap)
 
     def is_identity(self) -> bool:
-        return self == BrauerClass.of_twist(
-            TwistElement(self.ext, self.ext.tensor_power(3).one_vec()), cap=self._cap
-        )
+        return self == BrauerClass.of_twist(unit_twist(self.ext), cap=self._cap)
 
     def __eq__(self, other):
         return isinstance(other, BrauerClass) and self.ext == other.ext and self.rep == other.rep

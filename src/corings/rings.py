@@ -38,12 +38,19 @@ def _struct_dtype(n: int):
     return np.int8 if n <= 127 else np.int16
 
 
+def _check_rank(rank: int) -> None:
+    """Refuse a rank above DEFAULT_RANK_CAP before anything of that size is allocated."""
+    if rank > DEFAULT_RANK_CAP:
+        raise ValueError(f"rank {rank} exceeds the rank cap {DEFAULT_RANK_CAP}")
+
+
 class FiniteRing:
     """A finite commutative ring, free over Z/nZ with structure constants."""
 
     def __init__(self, modulus: int, structure, one, name: str = "", check: bool = True):
         if not 2 <= modulus <= zmod.MAX_MODULUS:
             raise ValueError(f"modulus must be between 2 and {zmod.MAX_MODULUS}, got {modulus}")
+        _check_rank(max(np.shape(structure), default=0))
         c = np.asarray(structure, dtype=np.int64) % modulus
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[1] != c.shape[2]:
             raise ValueError("structure constants must form an (r, r, r) array")
@@ -64,19 +71,16 @@ class FiniteRing:
     # -- arithmetic on raw coefficient vectors ------------------------------
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        c = self.struct
-        nx = np.nonzero(x)[0]
-        ny = np.nonzero(y)[0]
-        # sparse path: a product of few nonzero coefficients reads only the
-        # table slices c[i][ny] of the nonzero pairs
-        if len(nx) * len(ny) <= 4 * self.rank:
-            out = np.zeros(self.rank, dtype=np.int64)
-            for i in nx:
-                xi = int(x[i])
-                block = c[i][ny].astype(np.int64)  # (|ny|, rank)
-                out += xi * (y[ny] @ block)
-            return out % self.n
-        return self.mul_rows(x[None, :], y[None, :])[0]
+        """x·y of reduced vectors: mx = sum_i x_i c[i] over the nonzero x_i, mod n, then y·mx.
+
+        Each int64 sum has at most r terms below (n-1)^2, so it stays below
+        r (n-1)^2 < 2^63 for r <= DEFAULT_RANK_CAP and n <= zmod.MAX_MODULUS.
+        """
+        r = self.rank
+        x = np.asarray(x, dtype=np.int64)
+        nx = x.nonzero()[0]
+        mx = (x[nx] @ self.struct.reshape(r, r * r)[nx]) % self.n
+        return (y @ mx.reshape(r, r)) % self.n
 
     def mul_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Products of corresponding rows of two batches of reduced elements."""
@@ -392,6 +396,7 @@ def make_quotient_ring(n: int, poly: Iterable[int]) -> FiniteRing:
         raise ValueError(f"leading coefficient {f[-1]} is not a unit modulo {n}") from None
     f = [(c * lead_inv) % n for c in f]
     deg = len(f) - 1
+    _check_rank(deg)
     # powers of x up to x^(2 deg - 2), reduced mod f
     powers = np.zeros((2 * deg - 1, deg), dtype=np.int64)
     powers[0, 0] = 1
@@ -416,6 +421,7 @@ def make_product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     if a.n != b.n:
         raise ValueError(f"modulus mismatch: {a.n} != {b.n}")
     r = a.rank + b.rank
+    _check_rank(r)
     struct = np.zeros((r, r, r), dtype=np.int64)
     struct[: a.rank, : a.rank, : a.rank] = a.struct
     struct[a.rank :, a.rank :, a.rank :] = b.struct

@@ -209,6 +209,15 @@ def test_bad_modulus_is_input_error(tmp_path, capsys, modulus):
     assert "rings.R.modulus" in err and "Traceback" not in err
 
 
+def test_ring_above_rank_cap_is_input_error(tmp_path, capsys):
+    """A degree-601 quotient is refused before its 601^3 table is allocated."""
+    ring = {"modulus": 2, "kind": "quotient", "poly": [1] + [0] * 600 + [1]}
+    code, out = run_cli(tmp_path, job({"name": "h2"}, R=ring))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert "error: rings.R.poly:" in err and "rank cap" in err and "Traceback" not in err
+
+
 def _twist_job(twist):
     return job({"name": "cocycle-check", "twist": twist})
 

@@ -1,0 +1,165 @@
+"""Single-element paths against the routes they replaced, and guards on their cost.
+
+`FiniteRing.mul_vec` is one exact int64 contraction; the sparse/dense
+two-path product it replaced is kept here as the oracle.  `is_two_cocycle`
+builds delta_2(u) from the inverse its twist caches; it is compared with
+delta_2(u) = 1 on units and with the batched `cocycle_mask`.  The guards
+count Howell solves on the Brauer-class path and check that a census keeps
+its rows unbuilt until they are read.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corings import classify, zmod
+from corings.amitsur import TwistElement, b2_rows, cocycle_mask, compute_h2, delta2, is_two_cocycle, sorted_cosets
+from corings.classify import BrauerClass, classify_all, monoid_quotient
+from corings.extensions import amitsur_rebase
+from corings.rings import Grid, InternalCheckError, make_product_ring, make_quotient_ring, zmod_ring
+from tests.conftest import DESK, desk_extensions
+
+MODULI = [2, 3, 4, 6, 8, 9, 12, zmod.MAX_MODULUS]
+
+
+def two_path_mul_vec(ring, x, y):
+    """The product mul_vec replaced: per-coefficient table slices when there
+    are few nonzero pairs, the float64 bilinear kernel otherwise."""
+    nx = np.nonzero(x)[0]
+    ny = np.nonzero(y)[0]
+    if len(nx) * len(ny) <= 4 * ring.rank:
+        out = np.zeros(ring.rank, dtype=np.int64)
+        for i in nx:
+            out += int(x[i]) * (y[ny] @ ring.struct[i][ny].astype(np.int64))
+        return out % ring.n
+    return zmod.bilinear_mod(x[None, :], y[None, :], ring.struct, ring.n)[0]
+
+
+# -- mul_vec -----------------------------------------------------------------------
+
+
+def test_mul_vec_on_basis_pairs_matches_two_path_product(request):
+    """Every basis pair of S^⊗m, m = 1..4, over the desk fixtures and (F4⊗F4)/F4."""
+    for ext in desk_extensions(request):
+        for m in range(1, 5):
+            ring = ext.tensor_power(m).ring
+            eye = np.eye(ring.rank, dtype=np.int64)
+            for x in eye:
+                for y in eye:
+                    assert (ring.mul_vec(x, y) == two_path_mul_vec(ring, x, y)).all()
+
+
+def ring_with_pair(n):
+    """A quotient or product ring over Z/n with two elements, zero vectors included."""
+    monic = st.integers(1, 4).flatmap(lambda d: st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+    quotient = monic.map(lambda f: make_quotient_ring(n, f + [1]))
+    product = st.tuples(quotient, quotient).map(lambda ab: make_product_ring(*ab))
+
+    def pair(ring):
+        vec = st.one_of(
+            st.just([0] * ring.rank),
+            st.lists(st.integers(0, n - 1), min_size=ring.rank, max_size=ring.rank),
+        )
+        return st.tuples(st.just(ring), vec, vec)
+
+    return st.one_of(quotient, product).flatmap(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODULI).flatmap(ring_with_pair))
+def test_mul_vec_matches_two_path_product_on_random_rings(case):
+    ring, x, y = case
+    x = np.array(x, dtype=np.int64)
+    y = np.array(y, dtype=np.int64)
+    got = ring.mul_vec(x, y)
+    assert got.dtype == np.int64 and got.shape == (ring.rank,)
+    assert (got == two_path_mul_vec(ring, x, y)).all()
+    assert (got == ring.mul_rows(x[None], y[None])[0]).all()
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_mul_vec_on_rank_one_and_zero(n):
+    ring = zmod_ring(n)
+    zero = np.zeros(1, dtype=np.int64)
+    for a in range(min(n, 13)):
+        x = np.array([a], dtype=np.int64)
+        assert ring.mul_vec(x, np.array([n - 1])).tolist() == [(a * (n - 1)) % n]
+        assert ring.mul_vec(zero, x).tolist() == [0] and ring.mul_vec(x, zero).tolist() == [0]
+
+
+# -- is_two_cocycle ----------------------------------------------------------------
+
+# GR(4,2)/Z4 has 4^8 elements in S^⊗3; it is checked on its cocycles and on
+# every 64th element in lex order, the other desk fixtures on every element.
+STRIDE = {"gr42_over_z4": 64}
+
+
+@pytest.mark.parametrize("name", DESK)
+def test_is_two_cocycle_matches_delta2_and_cocycle_mask(request, name):
+    ext = request.getfixturevalue(name)
+    t3 = ext.tensor_power(3).ring
+    t4 = ext.tensor_power(4).ring
+    grid = Grid.of(t3)
+    unit = grid.unit_mask(t3.residue_fields)
+    idx = np.arange(0, grid.size, STRIDE.get(name, 1))
+    rows = np.vstack([grid.rows_at(idx), compute_h2(ext).z2])
+    units = np.concatenate([unit[idx], np.ones(len(rows) - len(idx), dtype=bool)])
+    want = np.zeros(len(rows), dtype=bool)
+    want[units] = cocycle_mask(ext, rows[units])
+    for row, is_unit, expected in zip(rows, units, want):
+        tw = TwistElement(ext, row)
+        assert tw.is_unit == is_unit
+        assert is_two_cocycle(tw) == expected
+        if is_unit:
+            assert bool((delta2(ext, row) == t4.one).all()) == expected
+
+
+def test_cross_check_still_raises_when_the_routes_disagree(gr42_over_z4, monkeypatch):
+    ext = gr42_over_z4
+    t3 = ext.tensor_power(3).ring
+    units = Grid.of(t3).rows_at(np.arange(1, 4096))
+    units = units[zmod.batch_is_unit(units, t3.residue_fields)]
+    cocycle = compute_h2(ext).z2[1]
+    non_cocycle = units[~cocycle_mask(ext, units)][0]
+    honest = TwistElement.is_cosickle.fget
+    monkeypatch.setattr(TwistElement, "is_cosickle", property(lambda tw: not honest(tw)))
+    for row in (cocycle, non_cocycle):
+        with pytest.raises(InternalCheckError):
+            is_two_cocycle(TwistElement(ext, row))
+
+
+# -- cost guards -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["gf9_over_f3", "gr42_over_z4"])
+def test_brauer_class_of_a_fresh_cocycle_runs_one_howell_solve(request, name):
+    ext = request.getfixturevalue(name)
+    z2 = compute_h2(ext).z2
+    BrauerClass.of_twist(TwistElement(ext, z2[0]))  # builds B^2 and the maps once
+    for row in z2[1:4]:
+        with mock.patch.object(zmod, "howell", wraps=zmod.howell) as howell:
+            BrauerClass.of_twist(TwistElement(ext, row))
+        assert howell.call_count == 1
+
+
+def test_census_rows_are_built_only_when_read(f4_over_f2):
+    ext = amitsur_rebase(f4_over_f2)
+    censuses = []
+
+    def spy(*args, **kwargs):
+        censuses.append(classify_all(*args, **kwargs))
+        return censuses[-1]
+
+    census = classify_all(ext)
+    with mock.patch.object(classify, "classify_all", spy):
+        quotient = monoid_quotient(ext)
+    assert censuses and all("elements" not in vars(c) for c in [census, *censuses])
+    assert census.counts["elements"] == 2**16 and "elements" not in vars(census)
+    # the replaced route: every row built up front, the cosickles picked from it
+    rows = Grid.of(ext.tensor_power(3).ring).rows()
+    minima = [c[:, 0] for c in sorted_cosets(ext, rows[census.is_cosickle], b2_rows(ext))]
+    assert (quotient.representatives == zmod.unique_rows(np.concatenate(minima))).all()
+    assert (census.elements == rows).all() and "elements" in vars(census)

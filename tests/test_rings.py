@@ -151,3 +151,20 @@ def test_ring_validation_names_first_failing_unit_basis_element():
     struct[0, 0, 0] = 1
     with pytest.raises(ValueError, match="unit law fails on basis element 1$"):
         FiniteRing(2, struct, [1, 0, 0])
+
+
+def test_rank_cap_refuses_before_allocating(f4_over_f2):
+    """Rank DEFAULT_RANK_CAP + 1 is refused by every constructor before its
+    rank^3 table exists: a broadcast view stands in for the structure, and the
+    product factors are tensor rings whose dense tables are never built."""
+    from corings.rings import DEFAULT_RANK_CAP, FiniteRing
+
+    r = DEFAULT_RANK_CAP + 1
+    with pytest.raises(ValueError, match="rank cap"):
+        FiniteRing(2, np.broadcast_to(np.int8(0), (r, r, r)), np.zeros(r, dtype=np.int64))
+    with pytest.raises(ValueError, match="rank cap"):
+        make_quotient_ring(2, [1] + [0] * (r - 1) + [1])
+    big = f4_over_f2.tensor_power(9, rank_cap=2**9).ring  # rank 512
+    with pytest.raises(ValueError, match="rank cap"):
+        make_product_ring(big, big)
+    assert "struct" not in vars(big)
