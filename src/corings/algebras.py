@@ -27,7 +27,7 @@ Every algebra is multiplied as a Z/nZ-algebra.  Restricting scalars once, an
 algebra of dimension m over R of rank kr has rank N = m·kr over Z/nZ and the
 table T[(i,a),(j,b),(k,t)] = sum c_r[a,b,p] struct[i,j,k,q] c_r[p,q,t]
 (FiniteAlgebra.table, cached on the algebra).  Products of batches are then
-one zmod.bilinear_mod each; the unit and associativity laws, closure of
+one zmod.outer_products each; the unit and associativity laws, closure of
 A(u), the multiplicativity of gamma and of the untwisting map, and the
 enveloping matrix are each one batched identity or contraction on T, not a
 loop over basis pairs.  Structure tensors themselves are built per support
@@ -96,7 +96,7 @@ class FiniteAlgebra:
     def products(self, x, y) -> np.ndarray:
         """Every product x_a y_b of two batches of flat coordinate rows.
 
-        Returns shape (len(x), len(y), N), from one zmod.bilinear_mod call.
+        Returns shape (len(x), len(y), N), from one zmod.outer_products call.
 
         >>> from corings.rings import zmod_ring
         >>> struct = np.zeros((2, 2, 2, 1), dtype=np.int64)
@@ -109,8 +109,7 @@ class FiniteAlgebra:
         size = self.dim * self.base.rank
         x = np.asarray(x, dtype=np.int64).reshape(-1, size) % self.n
         y = np.asarray(y, dtype=np.int64).reshape(-1, size) % self.n
-        flat = zmod.bilinear_mod(np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1)), self.table, self.n)
-        return flat.reshape(len(x), len(y), size)
+        return zmod.outer_products(x, y, self.table, self.n)
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.products(x, y)[0, 0].reshape(np.shape(x))

@@ -12,10 +12,12 @@ enumeration at desk scale: Z^2 is one grid sweep of S^⊗3 (`rings.Grid`,
 the cosickle form on the units), B^2 is delta_1 of all units of S^⊗2 at
 once (inverses by Lagrange, v^{-1} = v^(|U|-1)), and every class is named
 by the lex-least member of its coset u·B^2, found for whole batches of rows
-by `sorted_cosets`.  Next to H^2 live the classical identities: the norm
-|u| = u^1 u^2 u^3, its two partial-collapse identities, normalization of
-cocycles, interleaving of cocycles over S⊗S, and the base-change coboundary
-witness over (S⊗S)/(R⊗S).
+by `sorted_cosets`: one `zmod.outer_products` of a block of rows against
+B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the cosets of Z^2 and of the
+cosickle monoids never all exist at once.  Next to H^2 live the classical
+identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
+identities, normalization of cocycles, interleaving of cocycles over S⊗S,
+and the base-change coboundary witness over (S⊗S)/(R⊗S).
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ class TwistElement:
     @cached_property
     def inverse(self) -> Optional[RingElement]:
         return try_invert(self.u)
+
+    def inverted(self) -> "TwistElement":
+        """The twist u^{-1} of a unit u, its own inverse already known to be u."""
+        if self.inverse is None:
+            raise NotAUnitError("only a unit twist has an inverse twist")
+        out = TwistElement(self.ext, self.inverse)
+        out.inverse = self.u  # (u^{-1})^{-1} = u: the cached_property reads it
+        return out
 
     @property
     def is_unit(self) -> bool:
@@ -170,22 +180,20 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
     return ext._b2
 
 
-_COSET_BLOCK = 1 << 12  # products per mul_rows call in sorted_cosets
-
-
 def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
     """The cosets row·B^2 of a batch of rows of S^⊗3, each sorted lexicographically.
 
     Yields arrays of shape (rows in block, |B^2|, rank), blocks in row order;
     member [i, 0] of a block is the lex-least element of its coset, and
-    repeated members stay (a non-unit row may have a smaller orbit).
+    repeated members stay (a non-unit row may have a smaller orbit).  Each
+    block is one `FiniteRing.products` (`zmod.outer_products`) against B^2,
+    of at most zmod.BLOCK_ENTRIES entries, so no transient grows with the
+    number of rows.
     """
     t3 = ext.tensor_power(3).ring
-    step = max(1, _COSET_BLOCK // len(b2))
+    step = zmod.block_rows(len(b2) * t3.rank)
     for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        prods = t3.mul_rows(np.repeat(block, len(b2), axis=0), np.tile(b2, (len(block), 1)))
-        prods = prods.reshape(len(block), len(b2), -1)
+        prods = t3.products(rows[start : start + step], b2)
         order = np.lexsort(np.moveaxis(prods, 2, 0)[::-1], axis=-1)
         yield np.take_along_axis(prods, order[:, :, None], axis=1)
 
@@ -343,13 +351,7 @@ def cosickle_form(ext: Extension) -> np.ndarray:
     if ext._cosickle is None:
         t4 = ext.tensor_power(4).ring
         h = [ext.face_map(3, i).matrix.T for i in range(1, 5)]
-        r3 = h[0].shape[0]
-
-        def pair_products(x, y):
-            return t4.mul_rows(np.repeat(x, r3, axis=0), np.tile(y, (r3, 1)))
-
-        q = (pair_products(h[0], h[2]) - pair_products(h[1], h[3])) % ext.n
-        q = q.reshape(r3, r3, t4.rank)
+        q = (t4.products(h[0], h[2]) - t4.products(h[1], h[3])) % ext.n
         q.flags.writeable = False
         ext._cosickle = q
     return ext._cosickle

@@ -257,8 +257,7 @@ class BrauerClass:
         return BrauerClass.of_twist(TwistElement(self.ext, prod), cap=self._cap)
 
     def inverse(self) -> "BrauerClass":
-        tw = self.twist()
-        return BrauerClass.of_twist(TwistElement(self.ext, tw.inverse.coeffs), cap=self._cap)
+        return BrauerClass.of_twist(self.twist().inverted(), cap=self._cap)
 
     def is_identity(self) -> bool:
         return self == BrauerClass.of_twist(unit_twist(self.ext), cap=self._cap)

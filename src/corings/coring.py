@@ -41,6 +41,7 @@ class NormalBasisCoring:
         self._delta: Optional[np.ndarray] = None
         self._counit: Optional[np.ndarray] = None
         self._counit_known = False
+        self._azumaya: Optional[bool] = None  # is_azumaya, kept once decided
 
     # -- structure maps ---------------------------------------------------------
 
@@ -185,10 +186,14 @@ def tilde_delta(c: NormalBasisCoring) -> np.ndarray:
 
 
 def is_azumaya(c: NormalBasisCoring) -> bool:
-    """Coassociative with bijective tilde-Delta; equals 'unit 2-cocycle twist'."""
-    if not check_coassociative(c):
-        return False
-    return zmod.is_invertible(tilde_delta(c), c.ext.n)
+    """Coassociative with bijective tilde-Delta; equals 'unit 2-cocycle twist'.
+
+    The verdict is kept on the coring, so both coassociativity routes and the
+    invertibility test run once per coring.
+    """
+    if c._azumaya is None:
+        c._azumaya = check_coassociative(c) and zmod.is_invertible(tilde_delta(c), c.ext.n)
+    return c._azumaya
 
 
 def coring_axiom_report(c: NormalBasisCoring) -> dict:
@@ -225,10 +230,9 @@ def coring_tensor(c: NormalBasisCoring, d: NormalBasisCoring) -> NormalBasisCori
 
 def dual_coring(c: NormalBasisCoring) -> NormalBasisCoring:
     """The inverse twist; tensoring with it lands on the canonical coring."""
-    inv = c.twist.inverse
-    if inv is None:
+    if not c.twist.is_unit:
         raise ValueError("dual coring requires a unit twist")
-    return NormalBasisCoring(c.ext, TwistElement(c.ext, inv.coeffs))
+    return NormalBasisCoring(c.ext, c.twist.inverted())
 
 
 def base_change(c: NormalBasisCoring, t_ring, rho: RingHom) -> NormalBasisCoring:

@@ -86,6 +86,10 @@ class FiniteRing:
         """Products of corresponding rows of two batches of reduced elements."""
         return zmod.bilinear_mod(x, y, self._float_struct, self.n)
 
+    def products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every product x_i y_j of two batches of reduced elements, shape (len x, len y, rank)."""
+        return zmod.outer_products(x, y, self._float_struct, self.n)
+
     @cached_property
     def _float_struct(self) -> np.ndarray:
         return self.struct.astype(np.float64)
@@ -240,11 +244,11 @@ def _residue_projections(a: FiniteRing) -> list[np.ndarray]:
     for y in berlekamp:
         shifted = (y[None, :] - np.outer(_values(a, y, len(berlekamp)), a.one)) % p
         deltas = (a.one[None, :] - a.pow_rows(shifted, p - 1)) % p
-        prods = a.mul_rows(np.repeat(idems, len(deltas), axis=0), np.tile(deltas, (len(idems), 1)))
+        prods = a.products(idems, deltas).reshape(-1, r)
         idems = prods[prods.any(axis=1)]
     out = []
     for e in idems:
-        proj = zmod.matmul_mod(a.mul_rows(eye, np.broadcast_to(e, (r, r))), frob_k, p)
+        proj = zmod.matmul_mod(a.products(e[None], eye)[0], frob_k, p)
         out.append(zmod.column_basis(proj, p))
     return out
 
@@ -522,17 +526,29 @@ class Grid:
         turn over the whole grid, one GEMM [H C_k | Q_aa,k | 1]·[L^T; 1; Q_bb,k]
         each, while many elements survive.  Once 8 · rank · survivors <= n^r
         the remaining columns run on the survivors alone, from the same half
-        tables.
+        tables.  The cross terms H C_k are formed one block of columns at a
+        time, of at most zmod.BLOCK_ENTRIES entries, and the switch to the
+        survivors is tested before every column of a block.
         """
         n, a, b = self.n, self.a, self.b
-        flat = np.asarray(form, dtype=np.int64).reshape(self.rank**2, -1) % n
-        cols = np.sort(zmod.unique_rows(flat.T, return_index=True)[1])
-        form = flat[:, cols[flat[:, cols].any(axis=0)]].reshape(self.rank, self.rank, -1)
+        form = _distinct_columns(form, self.rank, n)
         alive = np.ones(self.size, dtype=bool) if alive is None else alive.copy()
         high_q = zmod.bilinear_mod(self.high, self.high, form[:a, :a], n)
         low_q = zmod.bilinear_mod(self.low, self.low, form[a:, a:], n)
-        width = form.shape[2]
         cross = (form[:a, a:] + form[a:, :a].transpose(1, 0, 2)) % n
+        step = zmod.block_rows(self.shape[0] * b)  # output columns per block
+        for start in range(0, form.shape[2], step):
+            cols = slice(start, start + step)
+            self._narrow(alive, cross[:, :, cols], high_q[:, cols], low_q[:, cols])
+        return alive
+
+    def _narrow(self, alive: np.ndarray, cross: np.ndarray, high_q: np.ndarray, low_q: np.ndarray) -> None:
+        """Clear from alive, in place, the elements where a column of one block is nonzero.
+
+        cross, high_q and low_q are the block's columns of C, Q_aa and Q_bb.
+        """
+        n, a, b = self.n, self.a, self.b
+        width = cross.shape[2]
         high_cross = zmod.matmul_mod(self.high, cross.reshape(a, b * width), n)
         high_cross = high_cross.reshape(self.shape[0], b, width)
         # a column's value is an integer below (b + 2) n^2 < 2^53, so the
@@ -545,16 +561,28 @@ class Grid:
             if 8 * self.rank * np.count_nonzero(alive) <= self.size:
                 idx = np.flatnonzero(alive)
                 h, l = np.divmod(idx, self.shape[1])
-                rest = np.einsum("sjk,sj->sk", high_cross[h, :, k:], self.low[l])
-                rest += high_q[h, k:] + low_q[l, k:]
+                rest = high_q[h, k:] + low_q[l, k:]
+                # one (survivors × columns) gather per low digit, not one of b times that
+                for j in range(b):
+                    rest += high_cross[h, j, k:] * self.low[l, j, None]
                 alive[idx] = ~(rest % n).any(axis=1)
-                break
+                return
             left[:, :b] = high_cross[:, :, k]
             left[:, b] = high_q[:, k]
             right[b + 1] = low_q[:, k]
-            q = left @ right / n
+            q = left @ right
+            q /= n
             table &= np.floor(q) == q
-        return alive
+
+
+def _distinct_columns(form: np.ndarray, rank: int, n: int) -> np.ndarray:
+    """The nonzero distinct output columns of a (rank, rank, K) form mod n, in first-seen order.
+
+    A function of its own so that the flattened copy is freed before the sweep.
+    """
+    flat = np.asarray(form, dtype=np.int64).reshape(rank * rank, -1) % n
+    cols = np.sort(zmod.unique_rows(flat.T, return_index=True)[1])
+    return flat[:, cols[flat[:, cols].any(axis=0)]].reshape(rank, rank, -1)
 
 
 def _digit_rows(n: int, k: int) -> np.ndarray:

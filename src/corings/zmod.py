@@ -27,13 +27,19 @@ handle exactly rather than answer from wrapped arithmetic.
   its table; tensor powers raise RingTooLarge.
 - The rank-1 update of :func:`howell` multiplies a quotient q < n by an
   entry below n, so each product is below n^2 <= 2^28, exact in int64.
-- :func:`matmul_mod` and :func:`bilinear_mod`, the sweep kernels, run on
-  float64 BLAS (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  A
-  contraction of length k over entries in [0, n) is done in one GEMM when
-  k (n-1)^2 < 2^53, and otherwise in blocks whose sums stay below 2^53,
-  reduced between blocks.  Every partial sum is then an integer below 2^53,
-  which float64 represents exactly, so no rounding ever happens and neither
-  the summation order nor the number of BLAS threads can change a result.
+- :func:`matmul_mod`, :func:`bilinear_mod` and :func:`outer_products`, the
+  sweep kernels, run on float64 BLAS (Dumas, Giorgi and Pernet,
+  FFLAS-FFPACK, ACM TOMS 2008).  A contraction of length k over entries in
+  [0, n) is done in one GEMM when k (n-1)^2 < 2^53, and otherwise in blocks
+  whose sums stay below 2^53, reduced between blocks.  Every partial sum is
+  then an integer below 2^53, which float64 represents exactly, so no
+  rounding ever happens and neither the summation order nor the number of
+  BLAS threads can change a result.  :func:`outer_products` is two such
+  contractions of length r, each term below (n-1)^2: r (n-1)^2 < 2^53 for
+  r <= DEFAULT_RANK_CAP, so each is one GEMM.
+- Batched kernels take their rows, and `Grid.zero_mask` its output columns,
+  in blocks of at most BLOCK_ENTRIES = 2^17 float64 entries (about 1 MB),
+  so their transients do not grow with the batch.
 - Units are decided through residue fields (Ronyai, JSC 1990): x in a finite
   commutative Z/nZ-algebra S is a unit iff its image in every residue field
   S/m is nonzero.  :class:`ResidueFields` holds, for each prime p | n and
@@ -52,7 +58,7 @@ import numpy as np
 
 MAX_MODULUS = 1 << 14  # see "Exactness" above
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
-_OUTER_BLOCK = 1 << 20  # entries of one batched outer product, about 8 MB
+BLOCK_ENTRIES = 1 << 17  # float64 entries of one transient block, about 1 MB
 
 
 def _as_mod_array(a, n: int) -> np.ndarray:
@@ -370,21 +376,27 @@ def _reduce(c: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
+def block_rows(width: int) -> int:
+    """Rows of a given width that fit in one transient block of BLOCK_ENTRIES."""
+    return max(1, BLOCK_ENTRIES // max(width, 1))
+
+
 def _gemm_mod(a: np.ndarray, b: np.ndarray, n: int, term: int) -> np.ndarray:
-    """(a @ b) mod n for float64 integer arrays with every |a_ik b_kj| <= term.
+    """(a @ b) mod n as float64, for float64 integer arrays with every |a_ik b_kj| <= term.
 
     The contraction is split into blocks of at most (2^53 - n) // term
     terms, reduced between blocks, so every partial sum is an integer of
-    magnitude below 2^53.
+    magnitude below 2^53.  b may be a stack of matrices (np.matmul
+    broadcasting); its contraction axis is then the second to last.
     """
     step = (_FLOAT_EXACT - n) // term
     if step < 1:
         raise ValueError(f"modulus {n} is too large for exact float64 products")
-    out = _reduce(np.matmul(a[..., :step], b[:step]), n)
+    out = _reduce(np.matmul(a[..., :step], b[..., :step, :]), n)
     for s in range(step, a.shape[-1], step):
-        out += np.matmul(a[..., s : s + step], b[s : s + step])
+        out += np.matmul(a[..., s : s + step], b[..., s : s + step, :])
         _reduce(out, n)
-    return out.astype(np.int64)
+    return out
 
 
 def matmul_mod(a, b, n: int) -> np.ndarray:
@@ -395,7 +407,7 @@ def matmul_mod(a, b, n: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return _gemm_mod(a, b, n, max(n - 1, 1) ** 2)
+    return _gemm_mod(a, b, n, max(n - 1, 1) ** 2).astype(np.int64)
 
 
 def bilinear_mod(x, y, form, n: int) -> np.ndarray:
@@ -406,19 +418,51 @@ def bilinear_mod(x, y, form, n: int) -> np.ndarray:
     batch one GEMM against the flattened form.  The outer products are not
     reduced: their entries stay below (n-1)^2, each term below (n-1)^3, and
     the GEMM blocks its contraction to match.  Rows are taken in blocks so
-    the outer products stay near _OUTER_BLOCK entries.
+    the outer products stay within BLOCK_ENTRIES entries.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     form = np.asarray(form, dtype=np.float64)
     flat = form.reshape(form.shape[0] * form.shape[1], form.shape[2])
     term = max(n - 1, 1) ** 3
-    rows = max(1, _OUTER_BLOCK // max(len(flat), 1))
+    rows = block_rows(len(flat))
     blocks = []
     for s in range(0, max(len(x), 1), rows):
         outer = x[s : s + rows, :, None] * y[s : s + rows, None, :]
-        blocks.append(_gemm_mod(outer.reshape(len(outer), len(flat)), flat, n, term))
+        blocks.append(_gemm_mod(outer.reshape(len(outer), len(flat)), flat, n, term).astype(np.int64))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def outer_products(x, y, table, n: int) -> np.ndarray:
+    """Every product sum_ab x_ia y_jb table[a, b, :] mod n, shape (len x, len y, K).
+
+    x: (X, r1), y: (Y, r2), table: (r1, r2, K), entries in [0, n).  For a
+    block of rows of x, one GEMM against the table flattened to (r1, r2 K)
+    gives the multiplication matrix of each x_i, reduced mod n; one batched
+    GEMM then multiplies every y_j by each matrix.  Both contract terms
+    below (n-1)^2 and are split as in :func:`matmul_mod`.  Rows of x are
+    taken in blocks that keep the matrices and their products within
+    BLOCK_ENTRIES entries, so only the result grows with the batches.
+
+    >>> f4 = np.zeros((2, 2, 2)); f4[0, 0, 0] = f4[0, 1, 1] = f4[1, 0, 1] = 1
+    >>> f4[1, 1] = [1, 1]  # F4 = F2[a], a^2 = a + 1
+    >>> outer_products([[0, 1], [1, 1]], [[0, 1]], f4, 2)[:, 0]  # a·a, (1+a)·a
+    array([[1, 1],
+           [1, 0]])
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
+    r1, r2, width = table.shape
+    flat = table.reshape(r1, r2 * width)
+    term = max(n - 1, 1) ** 2
+    out = np.empty((len(x), len(y), width), dtype=np.int64)
+    rows = block_rows(max(r2, len(y)) * width)
+    for s in range(0, len(x), rows):
+        block = x[s : s + rows]
+        mats = _gemm_mod(block, flat, n, term).reshape(len(block), r2, width)
+        out[s : s + rows] = _gemm_mod(y, mats, n, term)
+    return out
 
 
 class ResidueFields(NamedTuple):

@@ -145,6 +145,38 @@ def test_brauer_class_of_a_fresh_cocycle_runs_one_howell_solve(request, name):
         assert howell.call_count == 1
 
 
+@pytest.mark.parametrize("name", ["gf9_over_f3", "gr42_over_z4"])
+def test_brauer_class_inverse_runs_one_howell_solve(request, name):
+    """The inverse twist is built knowing its own inverse, so only u^{-1} is solved for."""
+    ext = request.getfixturevalue(name)
+    z2 = compute_h2(ext).z2
+    BrauerClass.of_twist(TwistElement(ext, z2[0]))  # builds B^2 and the maps once
+    for row in z2[1:4]:
+        cls = BrauerClass.of_twist(TwistElement(ext, row))
+        with mock.patch.object(zmod, "howell", wraps=zmod.howell) as howell:
+            inv = cls.inverse()
+        assert howell.call_count == 1
+        # the replaced route: a fresh twist of u^{-1} that inverts it again
+        assert inv == BrauerClass.of_twist(TwistElement(ext, cls.twist().inverse.coeffs))
+        assert (cls * inv).is_identity()
+
+
+def test_azumaya_verdict_is_decided_once_per_coring(f4_over_f2, f2x2_over_f2):
+    """compare_via_refinement touches six corings and decides each once."""
+    from corings import coring
+    from corings.classify import compare_via_refinement
+    from corings.coring import canonical_coring, is_azumaya, twisted_coring
+
+    c = twisted_coring(f4_over_f2, compute_h2(f4_over_f2).z2[-1])
+    d = canonical_coring(f2x2_over_f2)
+    with mock.patch.object(coring, "check_coassociative", wraps=coring.check_coassociative) as coassoc:
+        assert compare_via_refinement(c, d).equivalent
+        assert is_azumaya(c) and is_azumaya(d)
+    assert coassoc.call_count == 6
+    not_unit = twisted_coring(f2x2_over_f2, np.zeros(8, dtype=np.int64))
+    assert not is_azumaya(not_unit) and not is_azumaya(not_unit)
+
+
 def test_census_rows_are_built_only_when_read(f4_over_f2):
     ext = amitsur_rebase(f4_over_f2)
     censuses = []
