@@ -145,22 +145,22 @@ def coboundary(ext: Extension, v, level: int) -> np.ndarray:
     inv = try_invert(v)
     if inv is None:
         raise NotAUnitError("coboundary is only defined on units")
-    return _face_product(ext, level, v.coeffs, inv.coeffs, ext.tensor_power(level + 1).ring.mul_vec)
+    return _face_product(ext, level, v.coeffs, inv.coeffs)
 
 
-def _face_product(ext: Extension, level: int, v, v_inv, mul) -> np.ndarray:
-    """eta_1(v) eta_2(v_inv) eta_3(v) ... in S^⊗(level+1).
+def _face_product(ext: Extension, level: int, v, v_inv) -> np.ndarray:
+    """eta_1(v) eta_2(v_inv) eta_3(v) ... in S^⊗(level+1), for one element or a batch of rows.
 
-    v and v_inv are one element or a batch of rows, and mul is mul_vec or
-    mul_rows of S^⊗(level+1) to match: a single element goes through
+    A batch multiplies through mul_rows.  A single element goes through
     mul_vec, which multiplies a large tensor power slot by slot and never
     builds its dense rank^3 table.
     """
+    ring = ext.tensor_power(level + 1).ring
     faces = (
         zmod.matmul_mod(v if i % 2 else v_inv, ext.face_map(level, i).matrix.T, ext.n)
         for i in range(1, level + 2)
     )
-    return reduce(mul, faces)
+    return reduce(ring.mul_rows if np.ndim(v) == 2 else ring.mul_vec, faces)
 
 
 def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
@@ -175,8 +175,7 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
     if ext._b2 is None:
         units2 = enumerate_units(t2, cap=cap, jobs=jobs, as_array=True)
         inverses = t2.pow_rows(units2, len(units2) - 1)  # Lagrange: v^|U| = 1
-        mul = ext.tensor_power(3).ring.mul_rows
-        ext._b2 = zmod.unique_rows(_face_product(ext, 2, units2, inverses, mul))
+        ext._b2 = zmod.unique_rows(_face_product(ext, 2, units2, inverses))
     return ext._b2
 
 
@@ -214,7 +213,7 @@ def is_two_cocycle(tw: TwistElement) -> bool:
     """
     if tw._cocycle is None and tw.is_unit:
         t4 = tw.ext.tensor_power(4).ring
-        d2 = _face_product(tw.ext, 3, tw.u.coeffs, tw.inverse.coeffs, t4.mul_vec)
+        d2 = _face_product(tw.ext, 3, tw.u.coeffs, tw.inverse.coeffs)
         verdict = bool((d2 == t4.one).all())
         # the inversion-free form must agree on units
         if verdict != tw.is_cosickle:  # pragma: no cover - defensive

@@ -55,19 +55,6 @@ from .rings import (
     make_quotient_ring,
 )
 
-COMMANDS = (
-    "units",
-    "h2",
-    "cocycle-check",
-    "normalize",
-    "twist",
-    "classify",
-    "dual-algebra",
-    "gamma-verify",
-    "azumaya-check",
-    "compare",
-)
-
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
@@ -401,6 +388,7 @@ _RUNNERS = {
     "azumaya-check": _run_azumaya_check,
     "compare": _run_compare,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def _extension_info(ext: Extension) -> dict:
@@ -414,8 +402,8 @@ def _extension_info(ext: Extension) -> dict:
     }
 
 
-def run_job(spec: JobSpec) -> dict:
-    payload = _RUNNERS[spec.command](spec)
+def _report(spec: JobSpec, result: dict) -> dict:
+    """The report envelope around a command's result."""
     return {
         "tool": "corings",
         "version": __version__,
@@ -423,8 +411,12 @@ def run_job(spec: JobSpec) -> dict:
         "extension": spec.extension.name,
         "extension_info": _extension_info(spec.extension),
         "command": spec.command,
-        "result": payload,
+        "result": result,
     }
+
+
+def run_job(spec: JobSpec) -> dict:
+    return _report(spec, _RUNNERS[spec.command](spec))
 
 
 # -- report emission -------------------------------------------------------------------
@@ -525,15 +517,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except MathCheckFailure as exc:
-        report = {
-            "tool": "corings",
-            "version": __version__,
-            "input_digest": digest,
-            "extension": spec.extension.name,
-            "extension_info": _extension_info(spec.extension),
-            "command": spec.command,
-            "result": json.loads(str(exc)),
-        }
+        report = _report(spec, json.loads(str(exc)))
         code = EXIT_MATH
     except (NotACocycleError, NotAUnitError, ValueError) as exc:
         print(f"error: mathematical precondition: {exc}", file=sys.stderr)

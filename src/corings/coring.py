@@ -96,7 +96,7 @@ def twisted_coring(ext: Extension, tw) -> NormalBasisCoring:
 
 def _base_multiples(ext: Extension, scalars: np.ndarray) -> np.ndarray:
     """scalars[T] · e_rho for every base index rho: shape (T, base.rank, base.rank)."""
-    return ext.base.mul_einsum("T_,r_->Tr_", scalars, np.eye(ext.base.rank, dtype=np.int64))
+    return ext.base.products(scalars, np.eye(ext.base.rank, dtype=np.int64))
 
 
 def term_coproducts(ext: Extension, slots: np.ndarray, scalars: np.ndarray) -> np.ndarray:

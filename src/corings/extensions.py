@@ -62,11 +62,8 @@ class Extension:
                 f"rank mismatch: {self.degree} basis elements over a rank-{base.rank} base "
                 f"cannot span a rank-{top.rank} module"
             )
-        # coordinate isomorphism R^d -> S: column (a, rho) is eta(e_rho) * b_a
-        cols = [
-            top.mul_vec(eta.matrix[:, rho], ba) for ba in self.basis for rho in range(base.rank)
-        ]
-        self._phi = np.stack(cols, axis=1) % self.n
+        # coordinate isomorphism R^d -> S: column (a, rho) is b_a * eta(e_rho)
+        self._phi = top.products(self.basis, eta.matrix.T).reshape(top.rank, top.rank).T
         if not zmod.is_invertible(self._phi, self.n):
             raise ValueError("declared basis is not a basis: coordinate map is not bijective")
         self._phi_inv = zmod.inverse_matrix(self._phi, self.n)
@@ -110,13 +107,8 @@ class Extension:
         """R-valued multiplication tensor of S: b_i b_j = sum_a rmult[i,j,a] b_a."""
         if self._rmult is None:
             d = self.degree
-            out = np.zeros((d, d, d, self.base.rank), dtype=np.int64)
-            for i in range(d):
-                for j in range(i, d):
-                    rc = self.r_coords(self.top.mul_vec(self.basis[i], self.basis[j]))
-                    out[i, j] = rc
-                    out[j, i] = rc
-            self._rmult = out
+            prods = self.top.products(self.basis, self.basis).reshape(d * d, -1)
+            self._rmult = zmod.matmul_mod(prods, self._phi_inv.T, self.n).reshape(d, d, d, -1)
         return self._rmult
 
     def rmulmat(self, vec: np.ndarray) -> np.ndarray:

@@ -69,29 +69,34 @@ class FiniteRing:
         self.name = name or f"ring(n={self.n},r={self.rank})"
 
     # -- arithmetic on raw coefficient vectors ------------------------------
+    #
+    # One element goes through mulmat (int64, from the small-integer table),
+    # paired batches through mul_rows and all pairs of two batches through
+    # products (float64 BLAS, exact; see zmod).
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x·y of reduced vectors: mx = sum_i x_i c[i] over the nonzero x_i, mod n, then y·mx.
-
-        Each int64 sum has at most r terms below (n-1)^2, so it stays below
-        r (n-1)^2 < 2^63 for r <= DEFAULT_RANK_CAP and n <= zmod.MAX_MODULUS.
-        """
-        r = self.rank
-        x = np.asarray(x, dtype=np.int64)
-        nx = x.nonzero()[0]
-        mx = (x[nx] @ self.struct.reshape(r, r * r)[nx]) % self.n
-        return (y @ mx.reshape(r, r)) % self.n
+        """x·y of reduced vectors: the multiplication matrix of x applied to y, mod n."""
+        return (self.mulmat(x) @ y) % self.n
 
     def mul_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Products of corresponding rows of two batches of reduced elements."""
+        """Products x_i y_i of corresponding rows of two batches of reduced elements.
+
+        One zmod.bilinear_mod of the outer products x_i ⊗ y_i against the
+        float64 table.
+        """
         return zmod.bilinear_mod(x, y, self._float_struct, self.n)
 
     def products(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Every product x_i y_j of two batches of reduced elements, shape (len x, len y, rank)."""
+        """Every product x_i y_j of two batches of reduced elements, shape (len x, len y, rank).
+
+        zmod.outer_products: the multiplication matrices of a block of x by
+        one GEMM against the float64 table, then every y_j by one batched GEMM.
+        """
         return zmod.outer_products(x, y, self._float_struct, self.n)
 
     @cached_property
     def _float_struct(self) -> np.ndarray:
+        # 8 bytes an entry; only the batched kernels read it
         return self.struct.astype(np.float64)
 
     def mul_einsum(self, spec: str, x, y) -> np.ndarray:
@@ -109,7 +114,7 @@ class FiniteRing:
         return np.einsum(full, x, y, self.struct.astype(np.int64)) % self.n
 
     def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
-        """Each row of a batch raised to the power e >= 0."""
+        """Each row of a batch raised to the power e >= 0, by squaring through mul_rows."""
         out = np.tile(self.one, (len(x), 1))
         base = np.asarray(x, dtype=np.int64) % self.n
         while e:
@@ -121,10 +126,21 @@ class FiniteRing:
         return out
 
     def mulmat(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of multiplication by x in the module basis."""
-        return np.einsum("i,ijk->kj", np.asarray(x, dtype=np.int64), self.struct) % self.n
+        """Matrix of multiplication by a reduced x in the module basis: column j is x·e_j.
+
+        mx = sum_i x_i c[i] over the nonzero x_i, mod n, read from the int8
+        or int16 table; the matrix is its transpose.  Each int64 sum has at
+        most r terms below (n-1)^2, so it stays below r (n-1)^2 < 2^63 for
+        r <= DEFAULT_RANK_CAP and n <= zmod.MAX_MODULUS.
+        """
+        r = self.rank
+        x = np.asarray(x, dtype=np.int64)
+        nx = x.nonzero()[0]
+        mx = (x[nx] @ self.struct.reshape(r, r * r)[nx]) % self.n
+        return mx.reshape(r, r).T
 
     def pow_vec(self, x: np.ndarray, e: int) -> np.ndarray:
+        """x^e for one element, as a batch of one row of pow_rows."""
         return self.pow_rows(np.asarray(x)[None, :], e)[0]
 
     @cached_property
@@ -248,7 +264,7 @@ def _residue_projections(a: FiniteRing) -> list[np.ndarray]:
         idems = prods[prods.any(axis=1)]
     out = []
     for e in idems:
-        proj = zmod.matmul_mod(a.products(e[None], eye)[0], frob_k, p)
+        proj = zmod.matmul_mod(a.mulmat(e).T, frob_k, p)
         out.append(zmod.column_basis(proj, p))
     return out
 
@@ -327,19 +343,10 @@ class RingHom:
         return (self.apply_vec(self.source.one) == self.target.one).all()
 
     def is_multiplicative(self) -> bool:
-        """Images of all basis products against products of basis images.
-
-        Three exact GEMMs (zmod.matmul_mod): lhs = struct_s·Mᵀ, the images
-        of the products; prod = imgs·struct_t, each image times the target
-        basis; rhs = imgs·prod, the products of two images.
-        """
-        n, s, t = self.target.n, self.source.rank, self.target.rank
-        imgs = self.matrix.T  # row i is the image of e_i
-        lhs = zmod.matmul_mod(self.source.struct.reshape(s * s, s), imgs, n)  # [(i, j), l]
-        prod = zmod.matmul_mod(imgs, self.target.struct.reshape(t, t * t), n)  # [i, (b, l)]
-        by_b = prod.reshape(s, t, t).transpose(1, 0, 2).reshape(t, s * t)  # [b, (i, l)]
-        rhs = zmod.matmul_mod(imgs, by_b, n)  # [j, (i, l)]
-        return bool((lhs.reshape(s, s, t) == rhs.reshape(s, s, t).transpose(1, 0, 2)).all())
+        """The images of all basis products against the products of the basis images."""
+        s, imgs = self.source.rank, self.matrix.T  # row i is the image of e_i
+        lhs = zmod.matmul_mod(self.source.struct.reshape(s * s, s), imgs, self.target.n)
+        return bool((lhs == self.target.products(imgs, imgs).reshape(s * s, -1)).all())
 
     def validate(self) -> None:
         if not self.is_unital():

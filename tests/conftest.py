@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corings.extensions import Extension, amitsur_rebase
-from corings.rings import RingHom, make_quotient_ring, zmod_ring
+from corings.rings import RingHom, enumerate_units, make_quotient_ring, zmod_ring
 
 
 DESK = ["f4_over_f2", "f2x2_over_f2", "z2sq_over_f2", "gr42_over_z4", "gf9_over_f3"]
@@ -25,6 +25,18 @@ def random_extension(n, poly, rebased):
     """(Z/n)[x]/(poly) over Z/n, or its Amitsur rebase ((S⊗S)/S)."""
     ext = simple_extension(zmod_ring(n), make_quotient_ring(n, poly))
     return amitsur_rebase(ext) if rebased else ext
+
+
+def skewed(ext, rng):
+    """The same extension on a random unit upper-triangular change of basis,
+    each new basis element scaled by a random unit of R."""
+    d = ext.degree
+    change = np.eye(d, dtype=np.int64)
+    change[np.triu_indices(d, 1)] = rng.integers(1, ext.n, d * (d - 1) // 2)
+    units = enumerate_units(ext.base, as_array=True)
+    scales = ext.eta.matrix @ units[rng.integers(0, len(units), d)].T % ext.n
+    basis = [ext.top.mul_vec(r, b) for r, b in zip(scales.T, (change @ ext.basis) % ext.n)]
+    return Extension(ext.base, ext.top, ext.eta, basis)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 """Single-element paths against the routes they replaced, and guards on their cost.
 
-`FiniteRing.mul_vec` is one exact int64 contraction; the sparse/dense
-two-path product it replaced is kept here as the oracle.  `is_two_cocycle`
+`FiniteRing.mulmat` is the one single-element contraction and `mul_vec`
+applies its matrix; the routes they replaced are kept here as oracles: the
+whole-table einsum of `mulmat`, the own contraction of `mul_vec` and the
+sparse/dense two-path product before it.  The coordinate map and R-valued
+multiplication of an `Extension` are batched products; the per-pair loops
+that built them are kept as oracles too.  `is_two_cocycle`
 builds delta_2(u) from the inverse its twist caches; it is compared with
 delta_2(u) = 1 on units and with the batched `cocycle_mask`.  The guards
 count Howell solves on the Brauer-class path and check that a census keeps
@@ -12,15 +16,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corings import classify, zmod
 from corings.amitsur import TwistElement, b2_rows, cocycle_mask, compute_h2, delta2, is_two_cocycle, sorted_cosets
 from corings.classify import BrauerClass, classify_all, monoid_quotient
-from corings.extensions import amitsur_rebase
+from corings.extensions import amitsur_rebase, external_extension
 from corings.rings import Grid, InternalCheckError, make_product_ring, make_quotient_ring, zmod_ring
-from tests.conftest import DESK, desk_extensions
+from tests.conftest import DESK, desk_extensions, random_extension, skewed
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, zmod.MAX_MODULUS]
 
@@ -38,7 +42,30 @@ def two_path_mul_vec(ring, x, y):
     return zmod.bilinear_mod(x[None, :], y[None, :], ring.struct, ring.n)[0]
 
 
-# -- mul_vec -----------------------------------------------------------------------
+def contraction_mul_vec(ring, x, y):
+    """The product mul_vec formed itself: mx = sum_i x_i c[i] over the nonzero x_i, then y·mx."""
+    r = ring.rank
+    nx = x.nonzero()[0]
+    mx = (x[nx] @ ring.struct.reshape(r, r * r)[nx]) % ring.n
+    return (y @ mx.reshape(r, r)) % ring.n
+
+
+def einsum_mulmat(ring, x):
+    """The multiplication matrix mulmat replaced: one int64 einsum over the whole table."""
+    return np.einsum("i,ijk->kj", x, ring.struct) % ring.n
+
+
+def check_element_routes(ring, x, y):
+    """mul_vec and mulmat on one pair against each route they replaced."""
+    got = ring.mul_vec(x, y)
+    assert got.dtype == np.int64 and got.shape == (ring.rank,)
+    assert (got == two_path_mul_vec(ring, x, y)).all()
+    assert (got == contraction_mul_vec(ring, x, y)).all()
+    mat = ring.mulmat(x)
+    assert mat.dtype == np.int64 and (mat == einsum_mulmat(ring, x)).all()
+
+
+# -- mul_vec and mulmat --------------------------------------------------------------
 
 
 def test_mul_vec_on_basis_pairs_matches_two_path_product(request):
@@ -49,7 +76,7 @@ def test_mul_vec_on_basis_pairs_matches_two_path_product(request):
             eye = np.eye(ring.rank, dtype=np.int64)
             for x in eye:
                 for y in eye:
-                    assert (ring.mul_vec(x, y) == two_path_mul_vec(ring, x, y)).all()
+                    check_element_routes(ring, x, y)
 
 
 def ring_with_pair(n):
@@ -74,10 +101,8 @@ def test_mul_vec_matches_two_path_product_on_random_rings(case):
     ring, x, y = case
     x = np.array(x, dtype=np.int64)
     y = np.array(y, dtype=np.int64)
-    got = ring.mul_vec(x, y)
-    assert got.dtype == np.int64 and got.shape == (ring.rank,)
-    assert (got == two_path_mul_vec(ring, x, y)).all()
-    assert (got == ring.mul_rows(x[None], y[None])[0]).all()
+    check_element_routes(ring, x, y)
+    assert (ring.mul_vec(x, y) == ring.mul_rows(x[None], y[None])[0]).all()
 
 
 @pytest.mark.parametrize("n", MODULI)
@@ -86,8 +111,73 @@ def test_mul_vec_on_rank_one_and_zero(n):
     zero = np.zeros(1, dtype=np.int64)
     for a in range(min(n, 13)):
         x = np.array([a], dtype=np.int64)
+        for u, v in ((x, np.array([n - 1])), (zero, x), (x, zero)):
+            check_element_routes(ring, u, v)
         assert ring.mul_vec(x, np.array([n - 1])).tolist() == [(a * (n - 1)) % n]
         assert ring.mul_vec(zero, x).tolist() == [0] and ring.mul_vec(x, zero).tolist() == [0]
+
+
+# -- coordinate map and R-valued multiplication --------------------------------------
+
+
+def loop_phi(ext):
+    """The coordinate map as it was built: column (a, rho) is one mul_vec of eta(e_rho) and b_a."""
+    top, rank = ext.top, ext.base.rank
+    cols = [top.mul_vec(ext.eta.matrix[:, rho], ba) for ba in ext.basis for rho in range(rank)]
+    return np.stack(cols, axis=1) % ext.n
+
+
+def loop_rmult(ext):
+    """The R-valued multiplication as it was built: one mul_vec and r_coords per pair i <= j."""
+    d = ext.degree
+    out = np.zeros((d, d, d, ext.base.rank), dtype=np.int64)
+    for i in range(d):
+        for j in range(i, d):
+            rc = ext.r_coords(ext.top.mul_vec(ext.basis[i], ext.basis[j]))
+            out[i, j] = rc
+            out[j, i] = rc
+    return out
+
+
+def check_extension_tables(plain, rng):
+    """On the declared basis and on a skewed one, where phi is not symmetric."""
+    for ext in (plain, skewed(plain, rng)):
+        for got, want in ((ext._phi, loop_phi(ext)), (ext.rmult(), loop_rmult(ext))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_extension_tables_match_loops(request, f4_over_f2, f2x2_over_f2, gr42_over_z4):
+    """The desk fixtures, the rebased (F4⊗F4)/F4 and external extensions with tensor-ring tops."""
+    exts = desk_extensions(request)
+    rebased = exts[-1]  # (F4⊗F4)/F4, base rank 2
+    for s, t in ((f4_over_f2, f2x2_over_f2), (gr42_over_z4, gr42_over_z4), (rebased, rebased)):
+        exts.append(external_extension(s, t))
+    rng = np.random.default_rng(11)
+    for ext in exts:
+        check_extension_tables(ext, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 6, 8, 9, 12]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, 3).flatmap(
+                lambda d: st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(lambda c: c + [1])
+            ),
+            st.booleans(),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_extension_tables_match_loops_on_random_extensions(case):
+    n, poly, rebased, seed = case
+    try:
+        ext = random_extension(n, poly, rebased)
+    except ValueError:
+        assume(False)
+    check_extension_tables(ext, np.random.default_rng(seed))
 
 
 # -- is_two_cocycle ----------------------------------------------------------------

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from corings.amitsur import compute_h2, delta1
 from corings.coring import _counit_slot_maps, canonical_coring, twisted_coring
-from corings.extensions import Extension, amitsur_rebase, external_extension, interleave
-from corings.rings import enumerate_units, make_quotient_ring, try_invert, zmod_ring
-from tests.conftest import desk_extensions, random_extension, simple_extension
+from corings.extensions import amitsur_rebase, external_extension, interleave
+from corings.rings import make_quotient_ring, try_invert, zmod_ring
+from tests.conftest import desk_extensions, random_extension, simple_extension, skewed
 
 LEVELS = (1, 2, 3, 4)
 
@@ -158,18 +158,6 @@ def check_interleave(ext_s, ext_t, rng):
         u = rng.integers(0, ext_s.n, ext_s.tensor_power(m).rank)
         v = rng.integers(0, ext_t.n, ext_t.tensor_power(m).rank)
         assert (interleave(ext_s, ext_t, big, m, u, v) == ref_interleave(ext_s, ext_t, big, m, u, v)).all()
-
-
-def skewed(ext, rng):
-    """The same extension on a random unit upper-triangular change of basis,
-    each new basis element scaled by a random unit of R."""
-    d = ext.degree
-    change = np.eye(d, dtype=np.int64)
-    change[np.triu_indices(d, 1)] = rng.integers(1, ext.n, d * (d - 1) // 2)
-    units = enumerate_units(ext.base, as_array=True)
-    scales = ext.eta.matrix @ units[rng.integers(0, len(units), d)].T % ext.n
-    basis = [ext.top.mul_vec(r, b) for r, b in zip(scales.T, (change @ ext.basis) % ext.n)]
-    return Extension(ext.base, ext.top, ext.eta, basis)
 
 
 def refined_extension():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corings.amitsur import TwistElement, delta2, is_two_cocycle
 from corings.classify import compare_via_refinement
 from corings.coring import twisted_coring
 from corings.extensions import (
@@ -116,6 +117,17 @@ def test_compare_never_builds_the_fourth_power_table():
     assert res.equivalent
     assert (res.left_twist == t3[8]).all() and (res.right_twist == t3[0]).all()
     assert (res.witness == t2[8]).all()
+
+
+def test_single_element_coboundaries_never_build_the_fourth_power_table():
+    """delta_2 of one element multiplies its faces through mul_vec, slot by slot in S^⊗4."""
+    refined = refined_extension()[2]
+    t4 = refined.tensor_power(4).ring
+    assert t4.rank > DENSE_TABLE_MAX_RANK
+    twist = TwistElement(refined, np.eye(64, dtype=np.int64)[8])  # the left twist of compare.json
+    assert is_two_cocycle(twist)
+    assert (delta2(refined, twist.u.coeffs) == t4.one).all()
+    assert "struct" not in vars(t4)
 
 
 def test_ring_equals_itself_without_building_its_table():
