@@ -25,12 +25,12 @@ basis of that same basis (epsilon_{ij} = b_j* ⊗ b_i sends b_j to b_i).
 
 Every algebra is multiplied as a Z/nZ-algebra.  Restricting scalars once, an
 algebra of dimension m over R of rank kr has rank N = m·kr over Z/nZ and the
-table T[(i,a),(j,b),(k,t)] = sum c_r[a,b,p] struct[i,j,k,q] c_r[p,q,t]
-(FiniteAlgebra.table, cached on the algebra).  Products of batches are then
-one zmod.outer_products each; the unit and associativity laws, closure of
-A(u), the multiplicativity of gamma and of the untwisting map, and the
-enveloping matrix are each one batched identity or contraction on T, not a
-loop over basis pairs.  Structure tensors themselves are built per support
+table T[(i,a),(j,b),(k,t)] = ((e_a e_b)·struct[i,j,k])_t (FiniteAlgebra.table,
+one extensions.restrict_scalars, cached on the algebra).  Products of batches
+are then one zmod.outer_products each; the unit and associativity laws,
+closure of A(u), the multiplicativity of gamma and of the untwisting map, and
+the enveloping matrix are each one batched identity or contraction on T, not
+a loop over basis pairs.  Structure tensors themselves are built per support
 term of the twist, stacked, with FiniteRing.mul_einsum.
 
 Exactness: T, the structure tensors and the enveloping map are int64 sums
@@ -41,6 +41,7 @@ products and the GEMMs run on the exact float64 kernels of zmod.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -49,7 +50,7 @@ import numpy as np
 from . import zmod
 from .amitsur import TwistElement, delta1, is_two_cocycle, NotACocycleError
 from .coring import NormalBasisCoring, _base_multiples, is_azumaya
-from .extensions import Extension
+from .extensions import Extension, restrict_scalars
 from .rings import FiniteRing, InternalCheckError, try_invert
 
 
@@ -83,15 +84,11 @@ class FiniteAlgebra:
     def table(self) -> np.ndarray:
         """Structure constants over Z/nZ, shape (N, N, N) with N = dim * base.rank.
 
-        T[(i,a),(j,b),(k,t)] = sum c_r[a,b,p] struct[i,j,k,q] c_r[p,q,t] is
-        the product of e_a b_i and e_b b_j; flat indices are i * base.rank + a,
-        the layout of a reshaped coordinate array.
+        T[(i,a),(j,b),(k,t)] is coordinate t of (e_a e_b)·struct[i,j,k], the
+        product of e_a b_i and e_b b_j (extensions.restrict_scalars); flat
+        indices are i * base.rank + a, the layout of a reshaped coordinate array.
         """
-        c_r = self.base.struct.astype(np.int64)
-        scalars = np.einsum("abp,pqt->abqt", c_r, c_r) % self.n  # (e_a e_b) e_q
-        table = np.einsum("ijkq,abqt->iajbkt", self.struct, scalars) % self.n
-        size = self.dim * self.base.rank
-        return table.reshape(size, size, size)
+        return restrict_scalars(self.base, self.struct)
 
     def products(self, x, y) -> np.ndarray:
         """Every product x_a y_b of two batches of flat coordinate rows.
@@ -118,15 +115,6 @@ class FiniteAlgebra:
         out = np.zeros((self.dim, self.base.rank), dtype=np.int64)
         out[i] = self.base.one
         return out
-
-    def opposite(self) -> "FiniteAlgebra":
-        return FiniteAlgebra(
-            self.base,
-            self.struct.transpose(1, 0, 2, 3),
-            self.one,
-            name=f"{self.name}^op",
-            check=False,
-        )
 
     def is_commutative(self) -> bool:
         return not ((self.struct - self.struct.transpose(1, 0, 2, 3)) % self.n).any()
@@ -381,30 +369,19 @@ def descent_algebra(c_or_tw) -> DescentAlgebra:
     return DescentAlgebra(tw.ext, tw)
 
 
+@dataclass(eq=False)
 class GammaVerification:
     """gamma and gamma^{-1} with all Theorem-level checks made explicit."""
 
-    def __init__(
-        self,
-        ext: Extension,
-        gamma: np.ndarray,
-        gamma_inv: np.ndarray,
-        injective: bool,
-        image_is_descent_algebra: bool,
-        multiplicative: bool,
-        unital: bool,
-        two_sided_inverse: bool,
-        descent_rank: int,
-    ):
-        self.ext = ext
-        self.gamma = gamma
-        self.gamma_inv = gamma_inv
-        self.injective = injective
-        self.image_is_descent_algebra = image_is_descent_algebra
-        self.multiplicative = multiplicative
-        self.unital = unital
-        self.two_sided_inverse = two_sided_inverse
-        self.descent_rank = descent_rank  # free rank of A(u) over the base ring
+    ext: Extension
+    gamma: np.ndarray = field(repr=False)
+    gamma_inv: np.ndarray = field(repr=False)
+    injective: bool
+    image_is_descent_algebra: bool
+    multiplicative: bool
+    unital: bool
+    two_sided_inverse: bool
+    descent_rank: int  # free rank of A(u) over the base ring
 
     @property
     def ok(self) -> bool:

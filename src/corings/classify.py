@@ -239,12 +239,12 @@ class BrauerClass:
         if not is_two_cocycle(tw):
             raise ValueError("Brauer classes are classes of unit 2-cocycles")
         ext = tw.ext
-        coset = next(sorted_cosets(ext, tw.u.coeffs[None, :], b2_rows(ext, cap=cap)))[0]
+        coset = ext.tensor_power(3).ring.products(tw.u.coeffs[None, :], b2_rows(ext, cap=cap))[0]
         norms = (coset @ ext.collapse_map(3).matrix.T) % ext.n
         normalized = coset[(norms == ext.top.one).all(axis=1)]
         if not len(normalized):  # pragma: no cover - every coset has norm-1 members
             raise InternalCheckError("coset contains no normalized cocycle")
-        return cls(ext, tuple(map(int, normalized[0])), cap=cap)
+        return cls(ext, tuple(map(int, zmod.unique_rows(normalized)[0])), cap=cap)
 
     def twist(self) -> TwistElement:
         return TwistElement(self.ext, np.array(self.rep, dtype=np.int64))

@@ -19,6 +19,11 @@ change.
 
 Level 1 is S itself in its native basis; the conversion to the formal
 (i, rho) layout is the coordinate isomorphism R^d ≅ S attached to the basis.
+
+Every product of base-ring coordinates here is one FiniteRing.mul_einsum.
+S^⊗m, the base change (S ⊗_R T)/T and the external product (S ⊗_R T)/R all
+have TensorRing tops, kept as R-valued factor tables; a dense Z/nZ table is
+their product with scalars restricted once (`restrict_scalars`).
 """
 
 from __future__ import annotations
@@ -142,10 +147,9 @@ class Extension:
     def _build_face_map(self, m: int, i: int) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m + 1)
-        d = self.degree
-        c_r = self.base.struct.astype(np.int64)
+        d, eye = self.degree, np.eye(self.base.rank, dtype=np.int64)
         # e[rho, a, tau]: coefficients of e_rho times the a-th R-coordinate of 1_S
-        e = np.einsum("as,rst->rat", self.r_coords(self.top.one), c_r) % self.n
+        e = self.base.mul_einsum("r_,a_->ra_", eye, self.r_coords(self.top.one))
         pre, post = np.eye(d ** (i - 1), dtype=np.int64), np.eye(d ** (m - i + 1), dtype=np.int64)
         mat = np.einsum("pP,qQ,rat->paqtPQr", pre, post, e).reshape(tgt.ring.rank, src.ring.rank)
         if m == 1:
@@ -196,9 +200,9 @@ class Extension:
     def _build_merge_map(self, m: int, first: bool) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m - 1)
-        c_r = self.base.struct.astype(np.int64)
+        eye = np.eye(self.base.rank, dtype=np.int64)
         # prod[x, y, a, rho, t]: e_rho b_x b_y has e_t b_a
-        prod = np.einsum("xyap,rpt->xyart", self.rmult(), c_r) % self.n
+        prod = self.base.mul_einsum("xya_,r_->xyar_", self.rmult(), eye)
         rest = np.eye(self.degree ** (m - 2), dtype=np.int64)
         spec = "xyart,qQ->aqtxyQr" if first else "xyart,qQ->qatQxyr"
         cols = np.einsum(spec, prod, rest).reshape(tgt.ring.rank, src.ring.rank)
@@ -281,7 +285,6 @@ class TensorRing(FiniteRing):
         self.base = base
         self.rmults = [np.asarray(rm, dtype=np.int64) % n for rm in rmults]
         self.ones = [np.asarray(o, dtype=np.int64) % n for o in ones]
-        self._c_r = base.struct.astype(np.int64)
         one = _pure_tensor(base, self.ones)
         self._set_header(n, one.size, one, name)
 
@@ -292,7 +295,8 @@ class TensorRing(FiniteRing):
     @cached_property
     def _slot_tensors(self) -> list[np.ndarray]:
         # (i, j, a, t, u): b_i b_j has b_a in the slot and turns e_t into e_u
-        return [np.einsum("ijap,ptu->ijatu", rm, self._c_r) % self.n for rm in self.rmults]
+        eye = np.eye(self.base.rank, dtype=np.int64)
+        return [self.base.mul_einsum("ija_,t_->ijat_", rm, eye) for rm in self.rmults]
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.rank > DENSE_TABLE_MAX_RANK:
@@ -300,18 +304,16 @@ class TensorRing(FiniteRing):
         return super().mul_vec(x, y)
 
     def mul_slots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x·y from the factors: x⊗y over the base, then one slot at a time.
+        """x·y from the factors: x⊗y over the base (one mul_einsum), then one slot at a time.
 
-        Exact int64 arithmetic, reduced mod n after every contraction of at
-        most d_i²·base.rank terms.
+        Exact int64 arithmetic, reduced mod n after every contraction; each
+        slot contraction has d_i²·base.rank terms.
         """
         n, kr = self.n, self.base.rank
         dims = tuple(rm.shape[0] for rm in self.rmults)
         x = np.asarray(x, dtype=np.int64).reshape(-1, kr)
         y = np.asarray(y, dtype=np.int64).reshape(-1, kr)
-        xc = np.tensordot(x, self._c_r, axes=(1, 0)) % n  # (I, s, t)
-        z = np.einsum("Ist,Js->IJt", xc, y) % n
-        z = z.reshape(dims + dims + (kr,))
+        z = self.base.mul_einsum("I_,J_->IJ_", x, y).reshape(dims + dims + (kr,))
         # axes of z: x slots left, y slots left, finished slots, base
         for k, mt in enumerate(self._slot_tensors):
             left = len(dims) - k
@@ -323,30 +325,30 @@ def _build_tensor_ring(
     base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str
 ) -> FiniteRing:
     """A_1 ⊗_R ... ⊗_R A_m with its dense structure table, factors as in TensorRing."""
-    n = base.n
-    c_r = base.struct.astype(np.int64)
-    acc = rmults[0].astype(np.int64) % n
-    dim = rmults[0].shape[0]
+    acc = np.asarray(rmults[0], dtype=np.int64) % base.n
     for rm in rmults[1:]:
-        acc = np.einsum("IJAr,ijas,rst->IiJjAat", acc, rm.astype(np.int64), c_r) % n
-        dim *= rm.shape[0]
-        acc = acc.reshape(dim, dim, dim, base.rank)
-    if base.rank == 1:
-        struct = acc.reshape(dim, dim, dim)
-    else:
-        full = np.einsum("IJAm,psk,kmt->IpJsAt", acc, c_r, c_r) % n
-        k = dim * base.rank
-        struct = full.reshape(k, k, k)
-    return FiniteRing(n, struct, _pure_tensor(base, ones), name=name, check=False)
+        dim = len(acc) * len(rm)
+        acc = base.mul_einsum("IJA_,ija_->IiJjAa_", acc, rm).reshape(dim, dim, dim, base.rank)
+    acc = restrict_scalars(base, acc)  # frees the R-valued table before FiniteRing copies it
+    return FiniteRing(base.n, acc, _pure_tensor(base, ones), name=name, check=False)
+
+
+def restrict_scalars(base: FiniteRing, rtable: np.ndarray) -> np.ndarray:
+    """The Z/nZ table of an R-algebra from its R-valued table (b_i b_j on b_k).
+
+    T[(i,a),(j,b),(k,t)] is coordinate t of (e_a e_b)·rtable[i, j, k], the
+    product of e_a b_i and e_b b_j, with flat indices i * base.rank + a.
+    """
+    table = base.mul_einsum("ab_,ijk_->iajbk_", base.struct, rtable)
+    size = rtable.shape[0] * base.rank
+    return table.reshape(size, size, size)
 
 
 def _pure_tensor(base: FiniteRing, coords: list[np.ndarray]) -> np.ndarray:
     """Coefficients of s_1 ⊗ ... ⊗ s_m from the R-coordinates (d_i, base.rank) of each s_i."""
-    n = base.n
-    c_r = base.struct.astype(np.int64)
-    acc = coords[0].astype(np.int64) % n
+    acc = np.asarray(coords[0], dtype=np.int64) % base.n
     for c in coords[1:]:
-        acc = np.einsum("Ir,is,rst->Iit", acc, c.astype(np.int64), c_r).reshape(-1, base.rank) % n
+        acc = base.mul_einsum("I_,i_->Ii_", acc, c).reshape(-1, base.rank)
     return acc.reshape(-1)
 
 
@@ -364,28 +366,15 @@ def rebase_extension(ext: Extension, t_ring: FiniteRing, rho: RingHom) -> Extens
     if rho.source != ext.base or rho.target != t_ring:
         raise ValueError("rho must map the base of the extension to the new base ring")
     cache_key = (t_ring, rho.matrix.tobytes())
-    if cache_key in ext._rebased:
-        return ext._rebased[cache_key]
-    n = ext.n
-    d, kt = ext.degree, t_ring.rank
-    tt = t_ring.struct.astype(np.int64)
-    # (b_i ⊗ t_s)(b_j ⊗ t_t) = sum_a b_a ⊗ rho(rmult[i,j,a]) t_s t_t
-    rho_r = np.einsum("ijam,wm->ijaw", ext.rmult().astype(np.int64), rho.matrix) % n
-    tmp = np.einsum("ijav,vsw->ijasw", rho_r, tt) % n  # rho(r) * t_s
-    full = np.einsum("ijasw,wtu->isjtau", tmp, tt) % n
-    k = d * kt
-    struct = full.reshape(k, k, k)
-    one_img = np.einsum("am,wm->aw", ext.r_coords(ext.top.one).astype(np.int64), rho.matrix) % n
-    top = FiniteRing(
-        n, struct, one_img.reshape(-1), name=f"({ext.top.name}(x){t_ring.name})", check=(k <= 32)
-    )
-    # structural map: t_sigma -> 1_S ⊗ t_sigma = sum_a b_a ⊗ rho(one_rc[a]) t_sigma
-    eta_mat = np.einsum("av,vsw->aws", one_img, tt).reshape(k, kt) % n
-    eta = RingHom(t_ring, top, eta_mat, check=(k <= 100))
-    basis = np.kron(np.eye(d, dtype=np.int64), t_ring.one)
-    out = Extension(t_ring, top, eta, basis, name=f"{top.name}/{t_ring.name}")
-    ext._rebased[cache_key] = out
-    return out
+    if cache_key not in ext._rebased:
+        # S ⊗_R T is free over T on b_i ⊗ 1: b_i b_j = sum_a rho(rmult[i,j,a]) b_a
+        ext._rebased[cache_key] = _tensor_extension(
+            t_ring,
+            [ext.rmult() @ rho.matrix.T],
+            [ext.r_coords(ext.top.one) @ rho.matrix.T],
+            name=f"({ext.top.name}(x){t_ring.name})",
+        )
+    return ext._rebased[cache_key]
 
 
 def rebase_pushforward(ext: Extension, rho: RingHom, m: int) -> np.ndarray:
@@ -424,29 +413,31 @@ def external_extension(ext_s: Extension, ext_t: Extension) -> Extension:
     """The extension (S ⊗_R T) / R from two extensions of the same base."""
     if ext_s.base != ext_t.base:
         raise ValueError("external products need a common base ring")
-    if ext_t in ext_s._external:
-        return ext_s._external[ext_t]
-    base = ext_s.base
-    n = base.n
-    one_s = ext_s.r_coords(ext_s.top.one)
-    one_t = ext_t.r_coords(ext_t.top.one)
-    top = TensorRing(
-        base,
-        [ext_s.rmult(), ext_t.rmult()],
-        [one_s, one_t],
-        name=f"({ext_s.top.name}(x){ext_t.top.name})",
-    )
+    if ext_t not in ext_s._external:
+        ext_s._external[ext_t] = _tensor_extension(
+            ext_s.base,
+            [ext_s.rmult(), ext_t.rmult()],
+            [ext_s.r_coords(ext_s.top.one), ext_t.r_coords(ext_t.top.one)],
+            name=f"({ext_s.top.name}(x){ext_t.top.name})",
+        )
+    return ext_s._external[ext_t]
+
+
+def _tensor_extension(
+    base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str
+) -> Extension:
+    """The TensorRing of the factors as an extension of base, free on b_i ⊗ 1.
+
+    The top is validated up to rank 32; eta sends e_rho to e_rho·(1 ⊗ ... ⊗ 1).
+    """
+    top = TensorRing(base, rmults, ones, name=name)
     if top.rank <= 32:
         top.validate()
-    # eta: e_rho -> e_rho * (1_S ⊗ 1_T)
-    c_r = base.struct.astype(np.int64)
-    one_top = top.one.reshape(-1, base.rank)
-    eta_mat = np.einsum("rst,As->Atr", c_r, one_top).reshape(top.rank, base.rank) % n
-    eta = RingHom(base, top, eta_mat, check=(top.rank <= 100))
-    basis = np.kron(np.eye(ext_s.degree * ext_t.degree, dtype=np.int64), base.one)
-    out = Extension(base, top, eta, basis, name=f"{top.name}/{base.name}")
-    ext_s._external[ext_t] = out
-    return out
+    eye = np.eye(base.rank, dtype=np.int64)
+    eta_mat = base.mul_einsum("A_,r_->A_r", top.one.reshape(-1, base.rank), eye)
+    eta = RingHom(base, top, eta_mat.reshape(top.rank, base.rank), check=(top.rank <= 100))
+    basis = np.kron(np.eye(top.rank // base.rank, dtype=np.int64), base.one)
+    return Extension(base, top, eta, basis, name=f"{name}/{base.name}")
 
 
 def interleave(
@@ -463,12 +454,10 @@ def interleave(
     ds, dt = ext_s.degree, ext_t.degree
     uu = (u if m > 1 else (ext_s._phi_inv @ u) % n).reshape((ds,) * m + (kr,)).astype(np.int64)
     vv = (v if m > 1 else (ext_t._phi_inv @ v) % n).reshape((dt,) * m + (kr,)).astype(np.int64)
-    c_r = ext_s.base.struct.astype(np.int64)
-    # axes 0..m-1: slots of u, m..2m-1: slots of v, then the base indices r, s, t
-    r, s, t = 2 * m, 2 * m + 1, 2 * m + 2
-    pairs = [ax for k in range(m) for ax in (k, m + k)]
-    out = np.einsum(uu, [*range(m), r], vv, [*range(m, 2 * m), s], c_r, [r, s, t], [*pairs, t]) % n
-    flat = out.reshape(-1)
+    # slots a, b, c of u and d, e, f of v interleave as a, d, b, e, c, f
+    us, vs = "abc"[:m], "def"[:m]
+    spec = f"{us}_,{vs}_->{''.join(a + b for a, b in zip(us, vs))}_"
+    flat = ext_s.base.mul_einsum(spec, uu, vv).reshape(-1)
     if m == 1:
         flat = (ext_st._phi @ flat) % n
     return flat

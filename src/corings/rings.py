@@ -106,12 +106,14 @@ class FiniteRing:
         result: "ij_,jk_->ik_" composes matrices with entries in the ring.
         Each term multiplies three reduced residues (x, y and a structure
         constant), which the bound in the zmod docstring covers; the result
-        is reduced mod n.
+        is reduced mod n in place, so no second array of its size is made.
         """
         ins, out = spec.split("->")
         a, b = ins.split(",")
         full = f"{a.replace('_', 'U')},{b.replace('_', 'V')},UVW->{out.replace('_', 'W')}"
-        return np.einsum(full, x, y, self.struct.astype(np.int64)) % self.n
+        prods = np.einsum(full, x, y, self.struct.astype(np.int64))
+        prods %= self.n
+        return prods
 
     def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
         """Each row of a batch raised to the power e >= 0, by squaring through mul_rows."""

@@ -19,12 +19,13 @@ expose the column convention (`A @ x`) used by the rest of the package.
 Exactness.  Every result is exact; the package refuses a modulus it cannot
 handle exactly rather than answer from wrapped arithmetic.
 
-- Accepted moduli are 2 <= n <= MAX_MODULUS = 2^14.  The worst int64
-  contraction left in the package multiplies three reduced residues and sums
-  at most DEFAULT_RANK_CAP^2 = 600^2 terms; (2^14 - 1)^3 * 600^2 < 2^63, so
-  it cannot wrap.  FiniteRing.__init__, make_quotient_ring and
-  make_product_ring refuse a larger rank with ValueError before allocating
-  its table; tensor powers raise RingTooLarge.
+- Accepted moduli are 2 <= n <= MAX_MODULUS = 2^14.  The int64
+  contractions of ring products are FiniteRing.mul_einsum and
+  FiniteRing.mulmat.  The worst, mul_einsum, multiplies three reduced
+  residues and sums at most DEFAULT_RANK_CAP^2 = 600^2 terms;
+  (2^14 - 1)^3 * 600^2 < 2^63, so it cannot wrap.  FiniteRing.__init__,
+  make_quotient_ring and make_product_ring refuse a larger rank with
+  ValueError before allocating its table; tensor powers raise RingTooLarge.
 - The rank-1 update of :func:`howell` multiplies a quotient q < n by an
   entry below n, so each product is below n^2 <= 2^28, exact in int64.
 - :func:`matmul_mod`, :func:`bilinear_mod` and :func:`outer_products`, the

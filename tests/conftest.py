@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corings.extensions import Extension, amitsur_rebase
-from corings.rings import RingHom, enumerate_units, make_quotient_ring, zmod_ring
+from corings.rings import FiniteRing, RingHom, enumerate_units, make_quotient_ring, zmod_ring
 
 
 DESK = ["f4_over_f2", "f2x2_over_f2", "z2sq_over_f2", "gr42_over_z4", "gf9_over_f3"]
@@ -21,9 +21,19 @@ def desk_extensions(request):
     return exts + [amitsur_rebase(request.getfixturevalue("f4_over_f2"))]
 
 
-def random_extension(n, poly, rebased):
-    """(Z/n)[x]/(poly) over Z/n, or its Amitsur rebase ((S⊗S)/S)."""
-    ext = simple_extension(zmod_ring(n), make_quotient_ring(n, poly))
+def scaled_zmod(n, c):
+    """Z/n on the basis e_0 = c·1 for a unit c: e_0 e_0 = c·e_0 and 1 = c^(-1)·e_0."""
+    return FiniteRing(n, [[[c]]], [pow(c, -1, n)], name=f"Z/{n}" if c == 1 else f"Z/{n} on {c}·1")
+
+
+def random_extension(n, poly, rebased, c=1):
+    """(Z/n)[x]/(poly) over Z/n on e_0 = c·1, native basis, or its Amitsur rebase ((S⊗S)/S).
+
+    With c = 1 the base equals zmod_ring(n); eta sends e_0 to c·1_S.
+    """
+    base, top = scaled_zmod(n, c), make_quotient_ring(n, poly)
+    eta = RingHom(base, top, np.outer(top.one, [c]) % n)
+    ext = Extension(base, top, eta, np.eye(top.rank, dtype=np.int64))
     return amitsur_rebase(ext) if rebased else ext
 
 

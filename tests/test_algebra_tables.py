@@ -1,13 +1,16 @@
 """Algebras as Z/nZ structure tables, against the per-pair routes they replaced.
 
 The reference functions below are the element-at-a-time definitions: the
-product of two elements by two einsums over the base structure constants,
+restricted-scalars table and the product of two elements, each by two
+einsums over the base structure constants,
 the twisted product as a composition of R-matrices per support term, closure
 of A(u) as one membership test per pair of basis rows, the enveloping map one
 basis element at a time, and the coassociativity tensor from one twisted
 coring per basis element of S^⊗3.  Every batched route must equal them
 exactly.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -32,10 +35,18 @@ from corings.amitsur import TwistElement, compute_h2, delta1, unit_twist
 from corings.classify import _coassoc_difference_tensor
 from corings.coring import twisted_coring
 from corings.rings import InternalCheckError, try_invert, zmod_ring
-from tests.conftest import desk_extensions, random_extension
+from tests.conftest import desk_extensions, random_extension, skewed
 
 
 # -- reference routes -------------------------------------------------------------
+
+
+def ref_table(alg):
+    c_r = alg.base.struct.astype(np.int64)
+    scalars = np.einsum("abp,pqt->abqt", c_r, c_r) % alg.n  # (e_a e_b) e_q
+    table = np.einsum("ijkq,abqt->iajbkt", alg.struct, scalars) % alg.n
+    size = alg.dim * alg.base.rank
+    return table.reshape(size, size, size)
 
 
 def ref_mul(alg, x, y):
@@ -217,7 +228,9 @@ def ref_associative(alg):
 
 
 def check_products(alg, rows=None):
-    """Batched products of every pair of rows (default: the Z/nZ basis) against ref_mul."""
+    """The table against ref_table, then batched products of every pair of rows
+    (default: the Z/nZ basis) against ref_mul."""
+    assert alg.table.dtype == np.int64 and alg.table.tobytes() == ref_table(alg).tobytes()
     size = alg.dim * alg.base.rank
     rows = np.eye(size, dtype=np.int64) if rows is None else rows
     got = alg.products(rows, rows)
@@ -250,9 +263,12 @@ def check_cocycle(ext, tw):
 
 
 def test_tables_match_per_pair_routes_on_every_cocycle(request):
-    """Ambient, descent and both dual algebras, on every Z^2 cocycle of the desk fixtures and (F4⊗F4)/F4."""
+    """Ambient, descent and both dual algebras, on every Z^2 cocycle of the desk fixtures and (F4⊗F4)/F4;
+    the ambient algebra also on a skewed basis."""
+    rng = np.random.default_rng(9)
     for ext in desk_extensions(request):
         check_products(ambient_algebra(ext))
+        check_products(ambient_algebra(skewed(ext, rng)))
         for row in compute_h2(ext).z2:
             check_cocycle(ext, TwistElement(ext, row))
 
@@ -275,14 +291,16 @@ def test_coproducts_match_per_coring_loop(request):
             st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(lambda c: c + [1]),
             st.booleans(),
             st.integers(0, 2**32 - 1),
+            st.sampled_from([c for c in range(1, n) if math.gcd(c, n) == 1]),
         )
     )
 )
 def test_tables_on_random_coboundaries(case):
-    """Hypothesis extensions over n in {4, 6, 9, 12}, twisted by u = delta_1(w) for a random unit w."""
-    n, poly, rebased, seed = case
+    """Hypothesis extensions over n in {4, 6, 9, 12}, base Z/n on e_0 = c·1 for a random
+    unit c, twisted by u = delta_1(w) for a random unit w."""
+    n, poly, rebased, seed, c = case
     try:
-        ext = random_extension(n, poly, rebased)
+        ext = random_extension(n, poly, rebased, c)
     except ValueError:
         assume(False)
     t2 = ext.tensor_power(2)

@@ -1,28 +1,124 @@
 """Tensor rings kept as slot factors: the slot-by-slot product against the
 dense structure table it stands in for, the lazy table, and the caches that
-keep compare jobs from building it."""
+keep compare jobs from building it.
+
+The dense table, the rebased and external extensions are built through
+FiniteRing.mul_einsum and one restricted-scalars routine; the ref_ functions
+below keep the hand-rolled einsums they replaced, compared byte for byte.
+The old tensor-ring table is valid only where a rank-1 base has e_0 = 1.
+"""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corings.amitsur import TwistElement, delta2, is_two_cocycle
+from corings.amitsur import TwistElement, compute_h2, delta2, is_two_cocycle
 from corings.classify import compare_via_refinement
 from corings.coring import twisted_coring
 from corings.extensions import (
     DENSE_TABLE_MAX_RANK,
+    Extension,
     TensorRing,
     _build_tensor_ring,
+    amitsur_rebase,
     external_extension,
 )
-from corings.rings import make_quotient_ring, zmod_ring
-from tests.conftest import DESK, desk_extensions, random_extension, simple_extension
+from corings.rings import FiniteRing, RingHom, make_quotient_ring, zmod_ring
+from tests.conftest import DESK, desk_extensions, random_extension, scaled_zmod, simple_extension, skewed
+
+
+# -- reference routes -------------------------------------------------------------
+
+
+def ref_build_tensor_ring(base, rmults, ones, name):
+    """The hand-rolled dense table; its rank-1 branch assumes e_0 e_0 = e_0."""
+    n = base.n
+    c_r = base.struct.astype(np.int64)
+    acc = rmults[0].astype(np.int64) % n
+    dim = rmults[0].shape[0]
+    for rm in rmults[1:]:
+        acc = np.einsum("IJAr,ijas,rst->IiJjAat", acc, rm.astype(np.int64), c_r) % n
+        dim *= rm.shape[0]
+        acc = acc.reshape(dim, dim, dim, base.rank)
+    if base.rank == 1:
+        struct = acc.reshape(dim, dim, dim)
+    else:
+        full = np.einsum("IJAm,psk,kmt->IpJsAt", acc, c_r, c_r) % n
+        k = dim * base.rank
+        struct = full.reshape(k, k, k)
+    return FiniteRing(n, struct, ref_pure_tensor(base, ones), name=name, check=False)
+
+
+def ref_pure_tensor(base, coords):
+    n = base.n
+    c_r = base.struct.astype(np.int64)
+    acc = coords[0].astype(np.int64) % n
+    for c in coords[1:]:
+        acc = np.einsum("Ir,is,rst->Iit", acc, c.astype(np.int64), c_r).reshape(-1, base.rank) % n
+    return acc.reshape(-1)
+
+
+def ref_rebase(ext, t_ring, rho):
+    """Top ring, eta matrix and basis of (S ⊗_R T)/T from three einsums over T's table."""
+    n = ext.n
+    d, kt = ext.degree, t_ring.rank
+    tt = t_ring.struct.astype(np.int64)
+    rho_r = np.einsum("ijam,wm->ijaw", ext.rmult().astype(np.int64), rho.matrix) % n
+    tmp = np.einsum("ijav,vsw->ijasw", rho_r, tt) % n  # rho(r) * t_s
+    full = np.einsum("ijasw,wtu->isjtau", tmp, tt) % n
+    k = d * kt
+    struct = full.reshape(k, k, k)
+    one_img = np.einsum("am,wm->aw", ext.r_coords(ext.top.one).astype(np.int64), rho.matrix) % n
+    top = FiniteRing(n, struct, one_img.reshape(-1), check=False)
+    eta_mat = np.einsum("av,vsw->aws", one_img, tt).reshape(k, kt) % n
+    return top, eta_mat, np.kron(np.eye(d, dtype=np.int64), t_ring.one)
+
+
+def ref_external_eta(top):
+    base = top.base
+    c_r = base.struct.astype(np.int64)
+    one_top = top.one.reshape(-1, base.rank)
+    return np.einsum("rst,As->Atr", c_r, one_top).reshape(top.rank, base.rank) % base.n
+
+
+def table_is_valid_for_ref(base):
+    return base.rank > 1 or base.struct[0, 0, 0] == 1
+
+
+# -- comparisons ------------------------------------------------------------------
 
 
 def dense_table(ring: TensorRing) -> np.ndarray:
-    """The structure table built from the factors, without touching the ring's cache."""
-    return _build_tensor_ring(ring.base, ring.rmults, ring.ones, "dense").struct
+    """The structure table built from the factors, without touching the ring's cache.
+
+    Where the old route is valid, it must give the same bytes.
+    """
+    table = _build_tensor_ring(ring.base, ring.rmults, ring.ones, "dense").struct
+    if table_is_valid_for_ref(ring.base):
+        ref = ref_build_tensor_ring(ring.base, ring.rmults, ring.ones, "ref").struct
+        assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes()
+    return table
+
+
+def check_rebase(ext):
+    """amitsur_rebase(ext) against the three-einsum route: same table bytes, unit, eta, basis."""
+    new = amitsur_rebase(ext)
+    top, eta_mat, basis = ref_rebase(ext, ext.top, ext.eta)
+    assert new.top.struct.dtype == top.struct.dtype and new.top.struct.tobytes() == top.struct.tobytes()
+    assert (new.top.one == top.one).all()
+    assert (new.eta.matrix == eta_mat).all() and (new.basis == basis).all()
+    assert new.name == f"({ext.top.name}(x){ext.top.name})/{ext.top.name}"
+
+
+def check_external(ext_s, ext_t):
+    """external_extension against the old eta einsum, then its top on every basis pair."""
+    big = external_extension(ext_s, ext_t)
+    assert (big.eta.matrix == ref_external_eta(big.top)).all()
+    assert (big.basis == np.kron(np.eye(big.degree, dtype=np.int64), big.base.one)).all()
+    check_basis_pairs(big.top)
 
 
 def table_product(struct, x, y, n):
@@ -33,24 +129,29 @@ def table_product(struct, x, y, n):
 
 
 def check_basis_pairs(ring):
-    dense = _build_tensor_ring(ring.base, ring.rmults, ring.ones, "dense")
+    struct = dense_table(ring)
     eye = np.eye(ring.rank, dtype=np.int64)
     for i in range(ring.rank):
         for j in range(ring.rank):
-            assert (ring.mul_slots(eye[i], eye[j]) == dense.struct[i, j]).all(), (ring, i, j)
-    assert (ring.one == dense.one).all()
+            assert (ring.mul_slots(eye[i], eye[j]) == struct[i, j]).all(), (ring, i, j)
+    assert (ring.one == ref_pure_tensor(ring.base, ring.ones)).all()
 
 
 def test_slot_product_matches_table_on_basis_pairs(request):
-    """Every basis product e_i e_j at levels 2-4, base rank 1 and 2."""
-    for ext in desk_extensions(request):
+    """Every basis product e_i e_j at levels 2-4, base rank 1 and 2, native and skewed
+    bases; the Amitsur rebase of each against the einsum route."""
+    rng = np.random.default_rng(3)
+    for ext in desk_extensions(request) + [skewed(e, rng) for e in desk_extensions(request)]:
         for m in (2, 3, 4):
             check_basis_pairs(ext.tensor_power(m).ring)
+        check_rebase(ext)
 
 
 def test_slot_product_matches_table_with_distinct_factors(f4_over_f2, f2x2_over_f2):
     """The top F4⊗(F2×F2) of an external extension has two different factors."""
-    check_basis_pairs(external_extension(f4_over_f2, f2x2_over_f2).top)
+    rng = np.random.default_rng(5)
+    for ext_s, ext_t in [(f4_over_f2, f2x2_over_f2), (skewed(f4_over_f2, rng), skewed(f2x2_over_f2, rng))]:
+        check_external(ext_s, ext_t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,13 +164,22 @@ def test_slot_product_matches_table_with_distinct_factors(f4_over_f2, f2x2_over_
             ),
             st.booleans(),
             st.integers(0, 2**32 - 1),
+            st.sampled_from([c for c in range(1, n) if math.gcd(c, n) == 1]),
+            st.booleans(),
         )
     )
 )
 def test_slot_product_matches_table_on_random_extensions(case):
-    n, poly, rebased, seed = case
-    ext = random_extension(n, poly, rebased and len(poly) == 3)
+    """Base Z/n on e_0 = c·1 for a random unit c, native or skewed basis."""
+    n, poly, rebased, seed, c, skew = case
+    ext = random_extension(n, poly, rebased and len(poly) == 3, c)
     rng = np.random.default_rng(seed)
+    if skew:
+        ext = skewed(ext, rng)
+    check_rebase(ext)
+    big = external_extension(ext, ext)
+    assert (big.eta.matrix == ref_external_eta(big.top)).all()
+    dense_table(big.top)
     for m in (2, 3, 4) if len(poly) == 3 else (2, 3):
         ring = ext.tensor_power(m).ring
         table = dense_table(ring)
@@ -83,6 +193,25 @@ def refined_extension():
     f4 = simple_extension(f2, make_quotient_ring(2, [1, 1, 1]))
     f2x2 = simple_extension(f2, make_quotient_ring(2, [0, 1, 1]))
     return f4, f2x2, external_extension(f4, f2x2)
+
+
+def test_rank_one_base_on_a_multiple_of_one():
+    """Z/5 on e_0 = 2·1 under GF(25) = Z/5[x]/(x^2 + 2): e_0 e_0 = 2 e_0, not e_0.
+
+    A dense table that takes the base's only structure constant to be 1
+    breaks the unit law of S^⊗2 and puts B^2 outside Z^2.
+    """
+    base = scaled_zmod(5, 2)
+    assert (base.struct == [[[2]]]).all() and (base.one == [3]).all()
+    top = make_quotient_ring(5, [2, 0, 1])
+    ext = Extension(base, top, RingHom(base, top, np.outer(top.one, [2])), np.eye(2, dtype=np.int64))
+    ext.tensor_power(2).ring.validate()
+    for m in (1, 2, 3):
+        for i in range(1, m + 2):
+            assert ext.face_map(m, i).is_multiplicative()
+        check_basis_pairs(ext.tensor_power(m + 1).ring)
+    h2 = compute_h2(ext)
+    assert len(h2.z2) == len(h2.b2) == 96 and h2.order == 1
 
 
 def test_slot_product_matches_table_in_refined_fourth_power():
