@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from . import zmod
 from .amitsur import TwistElement, delta1, is_two_cocycle, NotACocycleError
 from .coring import NormalBasisCoring, _base_multiples, is_azumaya
 from .extensions import Extension, restrict_scalars
-from .rings import FiniteRing, InternalCheckError, try_invert
+from .rings import FiniteRing, InternalCheckError
 
 
 class WitnessError(ValueError):
@@ -121,21 +120,14 @@ class FiniteAlgebra:
 
     def validate(self) -> None:
         """Unit law and associativity on all basis triples, as identities on the table."""
-        t, n = self.table, self.n
-        size = len(t)
-        eye = np.eye(size, dtype=np.int64)
+        eye = np.eye(len(self.table), dtype=np.int64)
         left_unit = self.products(self.one, eye)[0]
         right_unit = self.products(eye, self.one)[:, 0]
         if (left_unit != eye).any() or (right_unit != eye).any():
             raise ValueError(f"{self.name}: unit law fails")
-        # row (i, j) of pairs is e_i e_j; lhs[(i, j), (k, l)] is (e_i e_j) e_k and
-        # rhs[(j, k), (i, l)] is e_i (e_j e_k)
-        pairs = t.reshape(size * size, size)
-        lhs = zmod.matmul_mod(pairs, t.reshape(size, size * size), n)
-        rhs = zmod.matmul_mod(pairs, t.transpose(1, 0, 2).reshape(size, size * size), n)
-        bad = np.argwhere(lhs.reshape((size,) * 4) != rhs.reshape((size,) * 4).transpose(2, 0, 1, 3))
-        if len(bad):
-            i, j, k = (int(v) // self.base.rank for v in bad[0][:3])
+        bad = zmod.first_nonassociative(self.table, self.n)
+        if bad is not None:
+            i, j, k = (v // self.base.rank for v in bad)
             raise ValueError(f"{self.name}: associativity fails at ({i},{j},{k})")
 
     def __repr__(self):
@@ -181,7 +173,6 @@ class TwistedAlgebra:
         self.ext = ext
         self.twist = tw
         self.side = side
-        self._algebra: Optional[FiniteAlgebra] = None
 
     def product(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """The twisted product of two endomorphisms given as R-matrices."""
@@ -189,40 +180,41 @@ class TwistedAlgebra:
 
     def unit_endo(self) -> np.ndarray:
         """The unit: multiplication by |u|^{-1}."""
-        nrm_inv = try_invert(self.twist.norm)
-        return self.ext.rmulmat(nrm_inv.coeffs)
+        return self.ext.rmulmat(self.twist.norm_inverse.coeffs)
 
     def algebra(self) -> FiniteAlgebra:
-        """Structure constants on the matrix-unit basis (realized lazily).
+        """Structure constants on the matrix-unit basis, built once and kept.
 
         Per support term e·(b_c1 ⊗ b_c2 ⊗ b_c3) of u, with m_c the matrix of
         b_c·, the right product eps_ij * eps_kl is e·(m3 ∘ eps_ij ∘ m2 ∘ eps_kl ∘ m1),
         whose entry [x, y] is e·m3[x,i]·m2[j,k]·m1[l,y]; the left product
         e·(m1 ∘ eps_kl ∘ m2 ∘ eps_ij ∘ m3) mirrors it.
         """
-        if self._algebra is None:
-            ext = self.ext
-            d, kr = ext.degree, ext.base.rank
-            m = d * d
-            slots, scalars = ext.tensor_power(3).support(self.twist.u.coeffs)
-            m1, m2, m3 = _mult_mats(ext)[slots.T]
-            if self.side == "right":
-                factors = ((m3, "xi"), (m2, "jk"), (m1, "ly"))
-            else:
-                factors = ((m1, "xk"), (m2, "li"), (m3, "jy"))
-            (a, sa), (b, sb), (c, sc) = factors
-            mul = ext.base.mul_einsum
-            terms = mul(f"T_,T{sa}_->T{sa}_", scalars, a)
-            terms = mul(f"T{sa}_,T{sb}_->T{sa}{sb}_", terms, b)
-            terms = mul(f"T{sa}{sb}_,T{sc}_->Tijklxy_", terms, c)
-            self._algebra = FiniteAlgebra(
-                ext.base,
-                (terms.sum(axis=0) % ext.n).reshape(m, m, m, kr),
-                self.unit_endo().reshape(m, kr),
-                name=f"End({ext.top.name})_u[{self.side}]",
-                check=False,
-            )
         return self._algebra
+
+    @cached_property
+    def _algebra(self) -> FiniteAlgebra:
+        ext = self.ext
+        d, kr = ext.degree, ext.base.rank
+        m = d * d
+        slots, scalars = ext.tensor_power(3).support(self.twist.u.coeffs)
+        m1, m2, m3 = _mult_mats(ext)[slots.T]
+        if self.side == "right":
+            factors = ((m3, "xi"), (m2, "jk"), (m1, "ly"))
+        else:
+            factors = ((m1, "xk"), (m2, "li"), (m3, "jy"))
+        (a, sa), (b, sb), (c, sc) = factors
+        mul = ext.base.mul_einsum
+        terms = mul(f"T_,T{sa}_->T{sa}_", scalars, a)
+        terms = mul(f"T{sa}_,T{sb}_->T{sa}{sb}_", terms, b)
+        terms = mul(f"T{sa}{sb}_,T{sc}_->Tijklxy_", terms, c)
+        return FiniteAlgebra(
+            ext.base,
+            (terms.sum(axis=0) % ext.n).reshape(m, m, m, kr),
+            self.unit_endo().reshape(m, kr),
+            name=f"End({ext.top.name})_u[{self.side}]",
+            check=False,
+        )
 
 
 def right_dual_algebra(c: NormalBasisCoring) -> TwistedAlgebra:

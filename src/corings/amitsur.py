@@ -17,7 +17,9 @@ B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the cosets of Z^2 and of the
 cosickle monoids never all exist at once.  Next to H^2 live the classical
 identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
 identities, normalization of cocycles, interleaving of cocycles over S⊗S,
-and the base-change coboundary witness over (S⊗S)/(R⊗S).
+and the base-change coboundary witness over (S⊗S)/(R⊗S).  A TwistElement
+decides each fact about its twist once and keeps it; B^2 and the cosickle
+form are kept in the memo of their extension.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class TwistElement:
     """An element u of S^⊗3 with cached classification data.
 
     Invertibility is not required: non-unit twists are legitimate inputs to
-    the normal-basis machinery.  Flags and the norm are computed lazily.
+    the normal-basis machinery.  Verdicts, inverses and the norm are kept.
     """
 
     def __init__(self, ext: Extension, u):
@@ -57,7 +59,6 @@ class TwistElement:
             self.u = u
         else:
             self.u = t3.ring.element(u)
-        self._cocycle: Optional[bool] = None  # is_two_cocycle on a unit
 
     # -- cached classification -------------------------------------------------
 
@@ -83,7 +84,7 @@ class TwistElement:
             self.ext.face_map(level, i).apply_vec(self.u.coeffs) for i in range(1, level + 2)
         ]
 
-    @property
+    @cached_property
     def is_cosickle(self) -> bool:
         """Whether u_1 u_3 = u_2 u_4 in S^⊗4 (no invertibility assumed)."""
         t4 = self.ext.tensor_power(4).ring
@@ -94,13 +95,24 @@ class TwistElement:
     def is_cocycle(self) -> bool:
         return self.is_unit and self.is_cosickle
 
+    @cached_property
+    def is_two_cocycle(self) -> bool:
+        """A unit with delta_2(u) = 1, from the cached inverse; must agree with is_cosickle."""
+        if not self.is_unit:
+            return False
+        d2 = _face_product(self.ext, 3, self.u.coeffs, self.inverse.coeffs)
+        verdict = bool((d2 == self.ext.tensor_power(4).ring.one).all())
+        if verdict != self.is_cosickle:  # pragma: no cover - defensive
+            raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
+        return verdict
+
     def partial_collapses(self) -> tuple[np.ndarray, np.ndarray]:
         """u^1 u^2 ⊗ u^3 and u^1 ⊗ u^2 u^3, as elements of S^⊗2."""
         first = self.ext.merge_map(3, first=True).apply_vec(self.u.coeffs)
         last = self.ext.merge_map(3, first=False).apply_vec(self.u.coeffs)
         return first, last
 
-    @property
+    @cached_property
     def is_almost_invertible(self) -> bool:
         if not self.is_cosickle:
             return False
@@ -113,6 +125,11 @@ class TwistElement:
     @cached_property
     def norm(self) -> RingElement:
         return self.ext.top.element(self.ext.collapse_map(3).apply_vec(self.u.coeffs))
+
+    @cached_property
+    def norm_inverse(self) -> Optional[RingElement]:
+        """|u|^{-1} in S, or None when the norm is not a unit."""
+        return try_invert(self.norm)
 
     def __eq__(self, other):
         return isinstance(other, TwistElement) and self.ext == other.ext and self.u == other.u
@@ -172,11 +189,13 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
     t2 = ext.tensor_power(2).ring
     if t2.size > cap:
         raise RingTooLarge(f"{t2.name} has {t2.size} elements, cap is {cap}")
-    if ext._b2 is None:
+
+    def build():
         units2 = enumerate_units(t2, cap=cap, jobs=jobs, as_array=True)
         inverses = t2.pow_rows(units2, len(units2) - 1)  # Lagrange: v^|U| = 1
-        ext._b2 = zmod.unique_rows(_face_product(ext, 2, units2, inverses))
-    return ext._b2
+        return zmod.unique_rows(_face_product(ext, 2, units2, inverses))
+
+    return ext._cached("b2", build)
 
 
 def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
@@ -206,20 +225,8 @@ def delta2(ext: Extension, u) -> np.ndarray:
 
 
 def is_two_cocycle(tw: TwistElement) -> bool:
-    """Whether u is a unit with u_1 u_2^{-1} u_3 u_4^{-1} = 1; non-units are False.
-
-    delta_2(u) reads the inverse the twist caches, and the verdict is cached
-    on the twist, so one inversion, delta_2 and its cross-check run once.
-    """
-    if tw._cocycle is None and tw.is_unit:
-        t4 = tw.ext.tensor_power(4).ring
-        d2 = _face_product(tw.ext, 3, tw.u.coeffs, tw.inverse.coeffs)
-        verdict = bool((d2 == t4.one).all())
-        # the inversion-free form must agree on units
-        if verdict != tw.is_cosickle:  # pragma: no cover - defensive
-            raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
-        tw._cocycle = verdict
-    return bool(tw._cocycle)
+    """Whether u is a unit with delta_2(u) = 1, decided once per twist (`TwistElement`)."""
+    return tw.is_two_cocycle
 
 
 # -- norms and normalization ------------------------------------------------------
@@ -238,7 +245,7 @@ def check_norm_identities(tw: TwistElement) -> bool:
     if not is_two_cocycle(tw):
         raise NotACocycleError("norm identities are stated for 2-cocycles")
     ext = tw.ext
-    nrm_inv = try_invert(tw.norm)
+    nrm_inv = tw.norm_inverse
     if nrm_inv is None:
         raise NotAUnitError("norm is not invertible")
     t2 = ext.tensor_power(2).ring
@@ -256,8 +263,7 @@ def normalize(tw: TwistElement) -> tuple[TwistElement, np.ndarray]:
     if not is_two_cocycle(tw):
         raise NotACocycleError("normalize is only defined on 2-cocycles")
     ext = tw.ext
-    nrm_inv = try_invert(tw.norm)
-    w = ext.slot_embed(2, 1).apply_vec(nrm_inv.coeffs)
+    w = ext.slot_embed(2, 1).apply_vec(tw.norm_inverse.coeffs)
     t3 = ext.tensor_power(3).ring
     u_new = t3.mul_vec(tw.u.coeffs, delta1(ext, w))
     out = TwistElement(ext, u_new)
@@ -311,8 +317,8 @@ def base_change_witness(tw: TwistElement) -> BaseChangeWitness:
     ok = bool((d1w == pushed).all())
     # the same identity downstairs: u_4 = u_1 u_2^{-1} u_3 in S^⊗4
     t4 = ext.tensor_power(4).ring
-    u1, u2, u3, u4 = tw.faces()
-    u2_inv = try_invert(t4.element(u2)).coeffs
+    u1, _, u3, u4 = tw.faces()
+    u2_inv = ext.face_map(3, 2).apply_vec(tw.inverse.coeffs)  # face maps are ring maps
     ok = ok and (t4.mul_vec(t4.mul_vec(u1, u2_inv), u3) == u4).all()
     ok = ok and ((iso3 @ d1w) % ext.n == u4).all()
     return BaseChangeWitness(reb, w, pushed, bool(ok))
@@ -347,13 +353,15 @@ def cosickle_form(ext: Extension) -> np.ndarray:
     element e_a, so Q[a, b] is the S^⊗4 product of faces of e_a and e_b.
     Built once per extension, cached on it and returned read-only.
     """
-    if ext._cosickle is None:
+
+    def build():
         t4 = ext.tensor_power(4).ring
         h = [ext.face_map(3, i).matrix.T for i in range(1, 5)]
         q = (t4.products(h[0], h[2]) - t4.products(h[1], h[3])) % ext.n
         q.flags.writeable = False
-        ext._cosickle = q
-    return ext._cosickle
+        return q
+
+    return ext._cached("cosickle", build)
 
 
 def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class JobSpecError(ValueError):
 
 
 class MathCheckFailure(Exception):
-    """A verification command found its property false."""
+    """A verification command found its property false; its one argument is the result."""
 
 
 @dataclass
@@ -79,8 +79,6 @@ class JobSpec:
     other_extension: Extension | None = None
     digest: str = ""
     cap: int = DEFAULT_CAP
-    fmt: str = "text"
-    out: str | None = None
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def _run_cocycle_check(spec: JobSpec) -> dict:
         "norm": _vecs([tw.norm.coeffs])[0],
     }
     if not ok:
-        raise MathCheckFailure(json.dumps(out, sort_keys=True))
+        raise MathCheckFailure(out)
     return out
 
 
@@ -336,7 +334,7 @@ def _run_gamma_verify(spec: JobSpec) -> dict:
         "ok": g.ok,
     }
     if not g.ok:
-        raise MathCheckFailure(json.dumps(out, sort_keys=True))
+        raise MathCheckFailure(out)
     return out
 
 
@@ -358,7 +356,7 @@ def _run_azumaya_check(spec: JobSpec) -> dict:
         "azumaya": ok,
     }
     if not ok:
-        raise MathCheckFailure(json.dumps(out, sort_keys=True))
+        raise MathCheckFailure(out)
     return out
 
 
@@ -517,7 +515,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except MathCheckFailure as exc:
-        report = _report(spec, json.loads(str(exc)))
+        report = _report(spec, exc.args[0])
         code = EXIT_MATH
     except (NotACocycleError, NotAUnitError, ValueError) as exc:
         print(f"error: mathematical precondition: {exc}", file=sys.stderr)

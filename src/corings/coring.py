@@ -11,11 +11,12 @@ is equivalent to the element identity u_1 u_3 = u_2 u_4 in S^⊗4, and both
 routes are computed here and required to agree.  The linear map associated
 to Delta_u under the hom-tensor adjunction is multiplication by u on S^⊗3;
 the coring is Azumaya exactly when it is coassociative and that map is
-bijective, i.e. when u is a unit 2-cocycle.
+bijective, i.e. when u is a unit 2-cocycle.  A coring keeps its maps and verdicts.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,14 +24,15 @@ import numpy as np
 from . import zmod
 from .amitsur import TwistElement, _witness_search
 from .extensions import Extension, external_extension, interleave, rebase_extension, rebase_pushforward
-from .rings import DEFAULT_CAP, InternalCheckError, RingHom, try_invert
+from .rings import DEFAULT_CAP, InternalCheckError, RingHom
 
 
 class NormalBasisCoring:
     """S⊗S carrying the comultiplication twisted by an element of S^⊗3.
 
     The twist need not be invertible; the counit exists exactly when the
-    twist is an almost invertible 2-cosickle, and is attached lazily.
+    twist is an almost invertible 2-cosickle.  The structure maps and the
+    verdicts on them are built on first use and kept on the coring.
     """
 
     def __init__(self, ext: Extension, tw: TwistElement):
@@ -38,34 +40,41 @@ class NormalBasisCoring:
             raise ValueError("twist does not live over this extension")
         self.ext = ext
         self.twist = tw
-        self._delta: Optional[np.ndarray] = None
-        self._counit: Optional[np.ndarray] = None
-        self._counit_known = False
-        self._azumaya: Optional[bool] = None  # is_azumaya, kept once decided
 
     # -- structure maps ---------------------------------------------------------
 
-    @property
+    @cached_property
     def comultiplication(self) -> np.ndarray:
         """Matrix of Delta_u: S⊗S -> S^⊗3, the sum of the coproducts of the terms of u."""
-        if self._delta is None:
-            support = self.ext.tensor_power(3).support(self.twist.u.coeffs)
-            self._delta = term_coproducts(self.ext, *support).sum(axis=0) % self.ext.n
-        return self._delta
+        support = self.ext.tensor_power(3).support(self.twist.u.coeffs)
+        return term_coproducts(self.ext, *support).sum(axis=0) % self.ext.n
 
-    @property
+    @cached_property
     def counit(self) -> Optional[np.ndarray]:
         """Matrix of eps: S⊗S -> S, present iff the twist admits a counit."""
-        if not self._counit_known:
-            self._counit_known = True
-            tw = self.twist
-            if tw.is_almost_invertible:
-                nrm_inv = try_invert(tw.norm)
-                if nrm_inv is None:  # pragma: no cover - almost invertible implies unit norm
-                    raise InternalCheckError("almost invertible twist with singular norm")
-                coll = self.ext.collapse_map(2).matrix
-                self._counit = (self.ext.top.mulmat(nrm_inv.coeffs) @ coll) % self.ext.n
-        return self._counit
+        if not self.twist.is_almost_invertible:
+            return None
+        nrm_inv = self.twist.norm_inverse
+        if nrm_inv is None:  # pragma: no cover - almost invertible implies unit norm
+            raise InternalCheckError("almost invertible twist with singular norm")
+        return (self.ext.top.mulmat(nrm_inv.coeffs) @ self.ext.collapse_map(2).matrix) % self.ext.n
+
+    # -- verdicts ---------------------------------------------------------------
+
+    @cached_property
+    def is_coassociative(self) -> bool:
+        """Coassociativity two independent ways, required to agree: the two triple
+        coproducts as matrices S⊗S -> S^⊗4, and u_1 u_3 = u_2 u_4 in S^⊗4.
+        """
+        dm = self.comultiplication[None]
+        direct = not coassoc_difference(self.ext, dm, dm).any()
+        if direct != self.twist.is_cosickle:  # pragma: no cover - defensive
+            raise InternalCheckError("triple-coproduct test disagrees with u_1 u_3 = u_2 u_4")
+        return direct
+
+    @cached_property
+    def is_tilde_delta_bijective(self) -> bool:
+        return zmod.is_invertible(tilde_delta(self), self.ext.n)
 
     def __eq__(self, other):
         return (
@@ -132,18 +141,8 @@ def coassoc_difference(ext: Extension, left: np.ndarray, right: np.ndarray) -> n
 
 
 def check_coassociative(c: NormalBasisCoring) -> bool:
-    """Coassociativity, computed two independent ways.
-
-    (a) the two triple coproducts as matrices S⊗S -> S^⊗4;
-    (b) the element identity u_1 u_3 = u_2 u_4 in S^⊗4.
-    The verdicts must agree; disagreement raises InternalCheckError.
-    """
-    dm = c.comultiplication[None]
-    direct = not coassoc_difference(c.ext, dm, dm).any()
-    element = c.twist.is_cosickle
-    if direct != element:  # pragma: no cover - defensive
-        raise InternalCheckError("triple-coproduct test disagrees with u_1 u_3 = u_2 u_4")
-    return direct
+    """Coassociativity by both routes (`NormalBasisCoring.is_coassociative`)."""
+    return c.is_coassociative
 
 
 def _counit_slot_maps(c: NormalBasisCoring) -> tuple[np.ndarray, np.ndarray]:
@@ -188,12 +187,10 @@ def tilde_delta(c: NormalBasisCoring) -> np.ndarray:
 def is_azumaya(c: NormalBasisCoring) -> bool:
     """Coassociative with bijective tilde-Delta; equals 'unit 2-cocycle twist'.
 
-    The verdict is kept on the coring, so both coassociativity routes and the
-    invertibility test run once per coring.
+    Both verdicts are kept on the coring, so both coassociativity routes and
+    the invertibility test run at most once per coring.
     """
-    if c._azumaya is None:
-        c._azumaya = check_coassociative(c) and zmod.is_invertible(tilde_delta(c), c.ext.n)
-    return c._azumaya
+    return c.is_coassociative and c.is_tilde_delta_bijective
 
 
 def coring_axiom_report(c: NormalBasisCoring) -> dict:
@@ -206,11 +203,11 @@ def coring_axiom_report(c: NormalBasisCoring) -> dict:
         "two_cocycle": tw.is_cocycle,
         "cosickle": tw.is_cosickle,
         "almost_invertible": tw.is_almost_invertible,
-        "coassociative": check_coassociative(c),
+        "coassociative": c.is_coassociative,
         "counit_exists": c.counit is not None,
         "counit_laws": counit_ok,
         "counit_note": counit_why,
-        "tilde_delta_bijective": zmod.is_invertible(tilde_delta(c), c.ext.n),
+        "tilde_delta_bijective": c.is_tilde_delta_bijective,
         "azumaya": is_azumaya(c),
         "norm": [int(v) for v in tw.norm.coeffs],
     }

@@ -23,12 +23,14 @@ Level 1 is S itself in its native basis; the conversion to the formal
 Every product of base-ring coordinates here is one FiniteRing.mul_einsum.
 S^⊗m, the base change (S ⊗_R T)/T and the external product (S ⊗_R T)/R all
 have TensorRing tops, kept as R-valued factor tables; a dense Z/nZ table is
-their product with scalars restricted once (`restrict_scalars`).
+their product with scalars restricted once (`restrict_scalars`).  Everything
+derived from an extension, B^2 and the cosickle form of `amitsur` included,
+is built once and kept in its one memo, `Extension._cached`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .rings import (
     RingElement,
     RingHom,
     RingTooLarge,
+    identity_hom,
 )
 
 # Tensor rings above this rank multiply slot by slot; their dense structure
@@ -69,19 +72,18 @@ class Extension:
             )
         # coordinate isomorphism R^d -> S: column (a, rho) is b_a * eta(e_rho)
         self._phi = top.products(self.basis, eta.matrix.T).reshape(top.rank, top.rank).T
-        if not zmod.is_invertible(self._phi, self.n):
-            raise ValueError("declared basis is not a basis: coordinate map is not bijective")
-        self._phi_inv = zmod.inverse_matrix(self._phi, self.n)
+        try:
+            self._phi_inv = zmod.inverse_matrix(self._phi, self.n)
+        except ValueError:
+            raise ValueError("declared basis is not a basis: coordinate map is not bijective") from None
         self.name = name or f"{top.name}/{base.name}"
-        self._rmult = None
-        self._powers: dict[int, TensorPowerRing] = {}
-        self._face_maps: dict[tuple[int, int], RingHom] = {}
-        self._collapse: dict[int, RingHom] = {}
-        self._merges: dict[tuple[int, bool], RingHom] = {}
-        self._b2: np.ndarray | None = None  # amitsur.b2_rows
-        self._cosickle: np.ndarray | None = None  # amitsur.cosickle_form
-        self._rebased: dict[tuple, Extension] = {}
-        self._external: dict[Extension, Extension] = {}
+        self._cache: dict = {}
+
+    def _cached(self, key, build):
+        """The memo entry under key, made by build() on first use; a failed build stores nothing."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def __eq__(self, other):
         return (
@@ -94,9 +96,7 @@ class Extension:
         )
 
     def __hash__(self):
-        if not hasattr(self, "_hash"):
-            self._hash = hash((self.base, self.top, self.basis.tobytes()))
-        return self._hash
+        return self._cached("hash", lambda: hash((self.base, self.top, self.basis.tobytes())))
 
     def __repr__(self):
         return f"Extension({self.name}, degree={self.degree})"
@@ -110,11 +110,12 @@ class Extension:
 
     def rmult(self) -> np.ndarray:
         """R-valued multiplication tensor of S: b_i b_j = sum_a rmult[i,j,a] b_a."""
-        if self._rmult is None:
-            d = self.degree
-            prods = self.top.products(self.basis, self.basis).reshape(d * d, -1)
-            self._rmult = zmod.matmul_mod(prods, self._phi_inv.T, self.n).reshape(d, d, d, -1)
-        return self._rmult
+        return self._cached("rmult", self._build_rmult)
+
+    def _build_rmult(self) -> np.ndarray:
+        d = self.degree
+        prods = self.top.products(self.basis, self.basis).reshape(d * d, -1)
+        return zmod.matmul_mod(prods, self._phi_inv.T, self.n).reshape(d, d, d, -1)
 
     def rmulmat(self, vec: np.ndarray) -> np.ndarray:
         """R-matrix of multiplication by a top element, in the declared basis."""
@@ -126,23 +127,20 @@ class Extension:
         """The m-fold tensor power S^⊗m over R; level 1 is S itself."""
         if m < 1:
             raise ValueError("tensor power level must be at least 1")
-        if m not in self._powers:
+
+        def build():  # the cap is checked only before the first build
             rank = self.base.rank * self.degree**m
             if rank > rank_cap:
-                raise RingTooLarge(
-                    f"S^⊗{m} over {self.base.name} has rank {rank}, cap is {rank_cap}"
-                )
-            self._powers[m] = TensorPowerRing(self, m)
-        return self._powers[m]
+                raise RingTooLarge(f"S^⊗{m} over {self.base.name} has rank {rank}, cap is {rank_cap}")
+            return TensorPowerRing(self, m)
+
+        return self._cached(("power", m), build)
 
     def face_map(self, m: int, i: int) -> RingHom:
         """eta_i: S^⊗m -> S^⊗(m+1), inserting 1 in slot i (1-based)."""
         if not 1 <= i <= m + 1:
             raise ValueError(f"face index {i} out of range 1..{m + 1}")
-        key = (m, i)
-        if key not in self._face_maps:
-            self._face_maps[key] = self._build_face_map(m, i)
-        return self._face_maps[key]
+        return self._cached(("face", m, i), lambda: self._build_face_map(m, i))
 
     def _build_face_map(self, m: int, i: int) -> RingHom:
         src = self.tensor_power(m)
@@ -158,44 +156,25 @@ class Extension:
 
     def collapse_map(self, m: int) -> RingHom:
         """m: S^⊗m -> S, multiplying all slots."""
-        if m not in self._collapse:
-            src = self.tensor_power(m)
-            if m == 1:
-                self._collapse[m] = RingHom(
-                    src.ring, self.top, np.eye(self.top.rank, dtype=np.int64), check=False
-                )
-            else:
-                mat = self.merge_map(2, first=True).matrix
-                for k in range(3, m + 1):
-                    mat = (mat @ self.merge_map(k, first=True).matrix) % self.n
-                self._collapse[m] = RingHom(src.ring, self.top, mat, check=(src.ring.rank <= 100))
-        return self._collapse[m]
+        return self._cached(("collapse", m), lambda: self._build_collapse_map(m))
+
+    def _build_collapse_map(self, m: int) -> RingHom:
+        mat = np.eye(self.top.rank, dtype=np.int64)
+        for k in range(2, m + 1):
+            mat = (mat @ self.merge_map(k, first=True).matrix) % self.n
+        src = self.tensor_power(m).ring
+        return RingHom(src, self.top, mat, check=(1 < m and src.rank <= 100))
 
     def slot_embed(self, m: int, i: int) -> RingHom:
-        """S -> S^⊗m placing the element in slot i and 1 elsewhere."""
-        hom = None
-        level = 1
-        # insert leading 1s first, then trailing
-        for _ in range(i - 1):
-            step = self.face_map(level, 1)
-            hom = step if hom is None else step.compose(hom)
-            level += 1
-        while level < m:
-            step = self.face_map(level, level + 1)
-            hom = step if hom is None else step.compose(hom)
-            level += 1
-        if hom is None:
-            hom = RingHom(self.top, self.top, np.eye(self.top.rank, dtype=np.int64), check=False)
-        return hom
+        """S -> S^⊗m placing the element in slot i and 1 elsewhere: leading 1s first, then trailing."""
+        steps = [self.face_map(level, 1 if level < i else level + 1) for level in range(1, m)]
+        return reduce(lambda hom, step: step.compose(hom), steps) if steps else identity_hom(self.top)
 
     def merge_map(self, m: int, first: bool) -> RingHom:
         """S^⊗m -> S^⊗(m-1), multiplying the first (or last) two slots."""
         if m < 2:
             raise ValueError("need at least two slots to merge")
-        key = (m, first)
-        if key not in self._merges:
-            self._merges[key] = self._build_merge_map(m, first)
-        return self._merges[key]
+        return self._cached(("merge", m, first), lambda: self._build_merge_map(m, first))
 
     def _build_merge_map(self, m: int, first: bool) -> RingHom:
         src = self.tensor_power(m)
@@ -365,16 +344,13 @@ def rebase_extension(ext: Extension, t_ring: FiniteRing, rho: RingHom) -> Extens
     """
     if rho.source != ext.base or rho.target != t_ring:
         raise ValueError("rho must map the base of the extension to the new base ring")
-    cache_key = (t_ring, rho.matrix.tobytes())
-    if cache_key not in ext._rebased:
-        # S ⊗_R T is free over T on b_i ⊗ 1: b_i b_j = sum_a rho(rmult[i,j,a]) b_a
-        ext._rebased[cache_key] = _tensor_extension(
-            t_ring,
-            [ext.rmult() @ rho.matrix.T],
-            [ext.r_coords(ext.top.one) @ rho.matrix.T],
-            name=f"({ext.top.name}(x){t_ring.name})",
-        )
-    return ext._rebased[cache_key]
+    # S ⊗_R T is free over T on b_i ⊗ 1: b_i b_j = sum_a rho(rmult[i,j,a]) b_a
+    return ext._cached(("rebased", t_ring, rho.matrix.tobytes()), lambda: _tensor_extension(
+        t_ring,
+        [ext.rmult() @ rho.matrix.T],
+        [ext.r_coords(ext.top.one) @ rho.matrix.T],
+        name=f"({ext.top.name}(x){t_ring.name})",
+    ))
 
 
 def rebase_pushforward(ext: Extension, rho: RingHom, m: int) -> np.ndarray:
@@ -413,14 +389,12 @@ def external_extension(ext_s: Extension, ext_t: Extension) -> Extension:
     """The extension (S ⊗_R T) / R from two extensions of the same base."""
     if ext_s.base != ext_t.base:
         raise ValueError("external products need a common base ring")
-    if ext_t not in ext_s._external:
-        ext_s._external[ext_t] = _tensor_extension(
-            ext_s.base,
-            [ext_s.rmult(), ext_t.rmult()],
-            [ext_s.r_coords(ext_s.top.one), ext_t.r_coords(ext_t.top.one)],
-            name=f"({ext_s.top.name}(x){ext_t.top.name})",
-        )
-    return ext_s._external[ext_t]
+    return ext_s._cached(("external", ext_t), lambda: _tensor_extension(
+        ext_s.base,
+        [ext_s.rmult(), ext_t.rmult()],
+        [ext_s.r_coords(ext_s.top.one), ext_t.r_coords(ext_t.top.one)],
+        name=f"({ext_s.top.name}(x){ext_t.top.name})",
+    ))
 
 
 def _tensor_extension(

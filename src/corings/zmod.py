@@ -466,6 +466,27 @@ def outer_products(x, y, table, n: int) -> np.ndarray:
     return out
 
 
+def first_nonassociative(table, n: int) -> Optional[tuple[int, int, int]]:
+    """The lex-first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k) for a table (r, r, r), or None.
+
+    Per block of BLOCK_ENTRIES // r^2 pairs (i, j): one GEMM of the rows table[i, j]
+    against the table as (r, r^2), and one batched GEMM table[j] @ table[i].
+    Transients are a few blocks and one float64 table; the work grows as r^5.
+    """
+    t = np.asarray(table, dtype=np.float64)
+    r = len(t)
+    pair_rows, flat = t.reshape(r * r, r), t.reshape(r, r * r)
+    step = block_rows(r * r)
+    for s in range(0, r * r, step):
+        i, j = np.divmod(np.arange(s, min(s + step, r * r)), r)
+        left = matmul_mod(pair_rows[s : s + step], flat, n).reshape(-1, r, r)
+        bad = np.argwhere(left != matmul_mod(t[j], t[i], n))
+        if len(bad):
+            p, k = bad[0][:2]
+            return int(i[p]), int(j[p]), int(k)
+    return None
+
+
 class ResidueFields(NamedTuple):
     """Linear maps onto the residue fields of a finite commutative Z/nZ-algebra.
 

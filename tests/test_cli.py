@@ -189,6 +189,50 @@ def test_compare_empty_witness_is_empty_array(tmp_path):
     assert "witness" in json.loads(out)["result"]
 
 
+F2XF2_EXT = {
+    "base": "F2",
+    "top": {"modulus": 2, "kind": "product", "factors": ["F2", "F2"]},
+    "eta": [[1, 1]],
+    "basis": [[1, 0], [0, 1]],
+}
+
+
+def test_product_ring_kind(tmp_path):
+    """(F2×F2)/F2 from a "product" definition: |H^2| = 1, and S⊗S = F2^4 has one unit."""
+    code, out = run_cli(tmp_path, job({"name": "h2"}, extension=F2XF2_EXT), "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["result"]
+    assert (res["z2_order"], res["b2_order"], res["h2_order"]) == (1, 1, 1)
+    code, out = run_cli(tmp_path, job({"name": "units", "level": 2}, extension=F2XF2_EXT), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["count"] == 1
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [["F2"], ["F2", {"modulus": 3, "kind": "quotient", "poly": [0, 1]}]],
+    ids=["one-factor", "moduli-2-and-3"],
+)
+def test_bad_product_factors_are_input_errors(tmp_path, capsys, factors):
+    top = dict(F2XF2_EXT["top"], factors=factors)
+    code, out = run_cli(tmp_path, job({"name": "h2"}, extension=dict(F2XF2_EXT, top=top)))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert "error: extension.top.factors:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_out_writes_the_bytes_stdout_gets(tmp_path, fmt):
+    """A passing h2 job and a failing cocycle check (exit 1 still writes its report)."""
+    bad = {"name": "cocycle-check", "twist": [0, 1, 0, 0, 0, 0, 0, 0]}
+    for doc, want in ((job({"name": "h2"}), EXIT_OK), (job(bad), EXIT_MATH)):
+        code, expected = run_cli(tmp_path, doc, "--format", fmt)
+        target = tmp_path / "report.out"
+        code_out, stdout = run_cli(tmp_path, doc, "--format", fmt, "--out", str(target))
+        assert code == code_out == want and stdout == b""
+        assert target.read_bytes() == expected and expected
+
+
 def test_cap_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, job({"name": "h2"}), "--cap", "2")
     assert code == EXIT_CAP

@@ -8,8 +8,10 @@ multiplication of an `Extension` are batched products; the per-pair loops
 that built them are kept as oracles too.  `is_two_cocycle`
 builds delta_2(u) from the inverse its twist caches; it is compared with
 delta_2(u) = 1 on units and with the batched `cocycle_mask`.  The guards
-count Howell solves on the Brauer-class path and check that a census keeps
-its rows unbuilt until they are read.
+count Howell solves on the Brauer-class path, in building an `Extension`,
+in one coring axiom report and in a base-change witness, count the verdicts
+a coring decides, and check that a census keeps its rows unbuilt until they
+are read.
 """
 
 from unittest import mock
@@ -20,10 +22,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corings import classify, zmod
-from corings.amitsur import TwistElement, b2_rows, cocycle_mask, compute_h2, delta2, is_two_cocycle, sorted_cosets
+from corings.amitsur import (
+    TwistElement,
+    b2_rows,
+    base_change_witness,
+    cocycle_mask,
+    compute_h2,
+    delta2,
+    is_two_cocycle,
+    sorted_cosets,
+)
 from corings.classify import BrauerClass, classify_all, monoid_quotient
-from corings.extensions import amitsur_rebase, external_extension
-from corings.rings import Grid, InternalCheckError, make_product_ring, make_quotient_ring, zmod_ring
+from corings.extensions import Extension, amitsur_rebase, external_extension
+from corings.rings import Grid, InternalCheckError, make_product_ring, make_quotient_ring, try_invert, zmod_ring
 from tests.conftest import DESK, desk_extensions, random_extension, skewed
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, zmod.MAX_MODULUS]
@@ -214,7 +225,7 @@ def test_cross_check_still_raises_when_the_routes_disagree(gr42_over_z4, monkeyp
     units = units[zmod.batch_is_unit(units, t3.residue_fields)]
     cocycle = compute_h2(ext).z2[1]
     non_cocycle = units[~cocycle_mask(ext, units)][0]
-    honest = TwistElement.is_cosickle.fget
+    honest = TwistElement.is_cosickle.func
     monkeypatch.setattr(TwistElement, "is_cosickle", property(lambda tw: not honest(tw)))
     for row in (cocycle, non_cocycle):
         with pytest.raises(InternalCheckError):
@@ -259,12 +270,73 @@ def test_azumaya_verdict_is_decided_once_per_coring(f4_over_f2, f2x2_over_f2):
 
     c = twisted_coring(f4_over_f2, compute_h2(f4_over_f2).z2[-1])
     d = canonical_coring(f2x2_over_f2)
-    with mock.patch.object(coring, "check_coassociative", wraps=coring.check_coassociative) as coassoc:
+    with mock.patch.object(coring, "coassoc_difference", wraps=coring.coassoc_difference) as direct:
         assert compare_via_refinement(c, d).equivalent
         assert is_azumaya(c) and is_azumaya(d)
-    assert coassoc.call_count == 6
+    assert direct.call_count == 6
     not_unit = twisted_coring(f2x2_over_f2, np.zeros(8, dtype=np.int64))
     assert not is_azumaya(not_unit) and not is_azumaya(not_unit)
+
+
+def test_building_an_extension_runs_one_howell(request):
+    """The coordinate map is inverted once; its ValueError keeps the old message."""
+    rng = np.random.default_rng(5)
+    for ext in desk_extensions(request):
+        for src in (ext, skewed(ext, rng)):
+            with mock.patch.object(zmod, "howell", wraps=zmod.howell) as howell:
+                Extension(src.base, src.top, src.eta, src.basis)
+            assert howell.call_count == 1
+    ext = desk_extensions(request)[0]
+    with pytest.raises(ValueError, match="declared basis is not a basis"):
+        Extension(ext.base, ext.top, ext.eta, np.vstack([ext.basis[:1], ext.basis[:1]]))
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap a method so that its calls are counted; returns the list of calls."""
+    calls, method = [], getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["f4_over_f2", "gr42_over_z4"])
+def test_coring_axiom_report_decides_each_verdict_once(request, name, monkeypatch):
+    """One face computation (u_1 u_3 = u_2 u_4) and three Howell forms: u^{-1},
+    |u|^{-1} and the bijectivity of tilde-Delta, each decided once."""
+    from corings.coring import coring_axiom_report, twisted_coring
+
+    ext = request.getfixturevalue(name)
+    z2 = compute_h2(ext).z2
+    coring_axiom_report(twisted_coring(ext, z2[0]))  # builds the maps and residue fields once
+    c = twisted_coring(ext, z2[-1])
+    faces = count_calls(monkeypatch, TwistElement, "faces")
+    with mock.patch.object(zmod, "howell", wraps=zmod.howell) as howell:
+        report = coring_axiom_report(c)
+    assert len(faces) == 1 and howell.call_count == 3
+    assert report["azumaya"] and report["two_cocycle"] and report["counit_laws"]
+
+
+@pytest.mark.parametrize("name", ["f4_over_f2", "gr42_over_z4"])
+def test_base_change_witness_reads_the_cached_inverse(request, name):
+    """u_2^{-1} is the face of u^{-1}: two Howell forms are left, the inverse of
+    the rebase isomorphism and the inversion inside delta_1 over (S⊗S)/S."""
+    ext = request.getfixturevalue(name)
+    z2 = compute_h2(ext).z2
+    base_change_witness(TwistElement(ext, z2[0]))  # builds the rebased extension once
+    for row in z2[1:4]:
+        tw = TwistElement(ext, row)
+        assert is_two_cocycle(tw)  # caches u^{-1}
+        with mock.patch.object(zmod, "howell", wraps=zmod.howell) as howell:
+            assert base_change_witness(tw).verified
+        assert howell.call_count == 2
+        # the replaced route: u_2 inverted in S^⊗4 by a fresh solve
+        t4 = ext.tensor_power(4).ring
+        u2 = ext.face_map(3, 2).apply_vec(tw.u.coeffs)
+        assert (try_invert(t4.element(u2)).coeffs == ext.face_map(3, 2).apply_vec(tw.inverse.coeffs)).all()
 
 
 def test_census_rows_are_built_only_when_read(f4_over_f2):

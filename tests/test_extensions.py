@@ -124,8 +124,16 @@ def test_slot_embed(gr42_over_z4):
 
 
 def test_rank_cap(f4_over_f2):
+    """The cap is checked before the first build of a level only."""
     with pytest.raises(RingTooLarge):
         f4_over_f2.tensor_power(30)
+    from corings.extensions import Extension
+
+    ext = Extension(f4_over_f2.base, f4_over_f2.top, f4_over_f2.eta, f4_over_f2.basis)
+    built = ext.tensor_power(2)  # rank 4
+    assert ext.tensor_power(2, rank_cap=1) is built
+    with pytest.raises(RingTooLarge):
+        ext.tensor_power(3, rank_cap=4)
 
 
 def test_extension_rejects_non_basis(f2, f4):
