@@ -17,9 +17,11 @@ B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the cosets of Z^2 and of the
 cosickle monoids never all exist at once.  Next to H^2 live the classical
 identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
 identities, normalization of cocycles, interleaving of cocycles over S⊗S,
-and the base-change coboundary witness over (S⊗S)/(R⊗S).  A TwistElement
-decides each fact about its twist once and keeps it; B^2 and the cosickle
-form are kept in the memo of their extension.
+and the base-change coboundary witness over (S⊗S)/(R⊗S).  The lex-first
+unit w of S^⊗2 with u·w_2 = v·w_1·w_3 (`_witness_search`) is found from one
+linear map and one quadratic form fixed by u and v.  A TwistElement decides
+each fact about its twist once and keeps it; B^2 and the cosickle form are
+kept in the memo of their extension.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import numpy as np
 from . import zmod
 from .extensions import Extension, amitsur_rebase, external_extension, interleave, rebase_iso, rebase_pushforward
 from .rings import DEFAULT_CAP, Grid, InternalCheckError, RingElement, RingTooLarge, enumerate_units, try_invert
+
+COSICKLE_CONDITION = "u1*u3 == u2*u4"
 
 
 class NotAUnitError(ValueError):
@@ -78,11 +82,9 @@ class TwistElement:
     def is_unit(self) -> bool:
         return self.inverse is not None
 
-    def faces(self, level: int = 3) -> list[np.ndarray]:
-        """u_1, ..., u_{level+1} in S^⊗(level+1)."""
-        return [
-            self.ext.face_map(level, i).apply_vec(self.u.coeffs) for i in range(1, level + 2)
-        ]
+    def faces(self) -> list[np.ndarray]:
+        """u_1, ..., u_4 in S^⊗4."""
+        return [self.ext.face_map(3, i).apply_vec(self.u.coeffs) for i in range(1, 5)]
 
     @cached_property
     def is_cosickle(self) -> bool:
@@ -308,9 +310,9 @@ def base_change_witness(tw: TwistElement) -> BaseChangeWitness:
         raise NotACocycleError("base-change witness is stated for 2-cocycles")
     ext = tw.ext
     reb = amitsur_rebase(ext)
-    iso2 = rebase_iso(ext, 2)
     iso3 = rebase_iso(ext, 3)
-    w = (zmod.inverse_matrix(iso2, ext.n) @ tw.u.coeffs) % ext.n
+    # rebase_iso(ext, 2) is kron(I, phi^{-1}), so its inverse is kron(I, phi)
+    w = (tw.u.coeffs.reshape(-1, ext.top.rank) @ ext._phi.T % ext.n).reshape(-1)
     pushed = (rebase_pushforward(ext, ext.eta, 3) @ tw.u.coeffs) % ext.n
     # primed coboundary of the witness
     d1w = delta1(reb, w)
@@ -409,9 +411,11 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     """First (lex) unit w of S^⊗2 with u · w_2 = v · w_1 · w_3, or None.
 
     The equation is the inversion-free form of u = v · delta_1(w); equal
-    inputs short-circuit to the identity witness.  The units come from one
-    grid unit mask; they are tried in lex-ordered chunks of elements,
-    stopping at the first chunk with a hit.
+    inputs short-circuit to the identity witness.  The sides are the linear
+    map A = eta_2 · mu_u (r2 × r3) and the quadratic form
+    F[a, b] = eta_1(e_a) · eta_3(e_b) · v (r2 × r2 × r3), built once; the
+    units of one grid unit mask are tried in lex-ordered blocks, one
+    `matmul_mod` and one `bilinear_mod` each, up to the first hit.
     """
     t2 = ext.tensor_power(2).ring
     t3 = ext.tensor_power(3).ring
@@ -420,22 +424,15 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     if (u_vec == v_vec).all():
         return ext.tensor_power(2).one_vec()
     grid = Grid.of(t2, cap)
-    is_unit = grid.unit_mask(t2.residue_fields)
-    h1 = ext.face_map(2, 1).matrix.T
-    h2 = ext.face_map(2, 2).matrix.T
-    h3 = ext.face_map(2, 3).matrix.T
-    mu_u = t3.mulmat(u_vec).T
-    mu_v = t3.mulmat(v_vec).T
-    chunk = 1 << 9
-    for start in range(0, grid.size, chunk):
-        w = grid.rows_at(start + np.flatnonzero(is_unit[start : start + chunk]))
-        if not len(w):
-            continue
-        lhs = zmod.matmul_mod(zmod.matmul_mod(w, h2, ext.n), mu_u, ext.n)
-        w1 = zmod.matmul_mod(w, h1, ext.n)
-        w3 = zmod.matmul_mod(w, h3, ext.n)
-        rhs = zmod.matmul_mod(t3.mul_rows(w1, w3), mu_v, ext.n)
-        hits = (lhs == rhs).all(axis=1)
+    units = np.flatnonzero(grid.unit_mask(t2.residue_fields))
+    h1, h2, h3 = (ext.face_map(2, i).matrix.T for i in (1, 2, 3))
+    lin = zmod.matmul_mod(h2, t3.mulmat(u_vec).T, ext.n)
+    h13 = t3.products(h1, h3).reshape(t2.rank * t2.rank, t3.rank)
+    form = zmod.matmul_mod(h13, t3.mulmat(v_vec).T, ext.n).reshape(t2.rank, t2.rank, t3.rank)
+    step = zmod.block_rows(t2.rank * t3.rank)
+    for start in range(0, len(units), step):
+        w = grid.rows_at(units[start : start + step])
+        hits = (zmod.matmul_mod(w, lin, ext.n) == zmod.bilinear_mod(w, w, form, ext.n)).all(axis=1)
         if hits.any():
             return w[int(np.argmax(hits))]
     return None

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import zmod
-from .amitsur import TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets, unit_twist
+from .amitsur import (
+    COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets, unit_twist
+)
 from .coring import NormalBasisCoring, coassoc_difference, external_product, is_azumaya, term_coproducts
 from .extensions import Extension
 from .rings import DEFAULT_CAP, Grid, InternalCheckError
-
-COSICKLE_CONDITION = "u1*u3 == u2*u4"
 
 
 def is_cosickle(ext: Extension, u) -> bool:
@@ -87,7 +87,7 @@ class CosickleClassification:
     is_almost_invertible: np.ndarray = field(repr=False)
     is_coassociative: np.ndarray = field(repr=False)
     counit_solvable: Optional[np.ndarray] = field(repr=False, default=None)
-    condition: str = COSICKLE_CONDITION
+    condition: ClassVar[str] = COSICKLE_CONDITION
 
     def __post_init__(self):
         chain = (

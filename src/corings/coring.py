@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import zmod
-from .amitsur import TwistElement, _witness_search
+from .amitsur import COSICKLE_CONDITION, TwistElement, _witness_search
 from .extensions import Extension, external_extension, interleave, rebase_extension, rebase_pushforward
 from .rings import DEFAULT_CAP, InternalCheckError, RingHom
 
@@ -198,7 +198,7 @@ def coring_axiom_report(c: NormalBasisCoring) -> dict:
     tw = c.twist
     counit_ok, counit_why = counit_report(c)
     return {
-        "cosickle_condition": "u1*u3 == u2*u4",
+        "cosickle_condition": COSICKLE_CONDITION,
         "unit": tw.is_unit,
         "two_cocycle": tw.is_cocycle,
         "cosickle": tw.is_cosickle,

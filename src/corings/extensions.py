@@ -123,15 +123,15 @@ class Extension:
 
     # -- tensor powers ----------------------------------------------------------
 
-    def tensor_power(self, m: int, rank_cap: int = DEFAULT_RANK_CAP) -> "TensorPowerRing":
-        """The m-fold tensor power S^⊗m over R; level 1 is S itself."""
+    def tensor_power(self, m: int) -> "TensorPowerRing":
+        """The m-fold tensor power S^⊗m over R, refused above DEFAULT_RANK_CAP; level 1 is S itself."""
         if m < 1:
             raise ValueError("tensor power level must be at least 1")
 
-        def build():  # the cap is checked only before the first build
+        def build():
             rank = self.base.rank * self.degree**m
-            if rank > rank_cap:
-                raise RingTooLarge(f"S^⊗{m} over {self.base.name} has rank {rank}, cap is {rank_cap}")
+            if rank > DEFAULT_RANK_CAP:
+                raise RingTooLarge(f"S^⊗{m} over {self.base.name} has rank {rank}, cap is {DEFAULT_RANK_CAP}")
             return TensorPowerRing(self, m)
 
         return self._cached(("power", m), build)
@@ -234,14 +234,8 @@ class TensorPowerRing:
         return _pure_tensor(self.ext.base, [self.ext.r_coords(f) for f in factors])
 
     def one_vec(self) -> np.ndarray:
-        """Coefficients of 1⊗...⊗1, built once and read-only."""
-        return self._one
-
-    @cached_property
-    def _one(self) -> np.ndarray:
-        one = self.embed_pure([self.ext.top.one] * self.level)
-        one.flags.writeable = False
-        return one
+        """Coefficients of 1⊗...⊗1: the ring's own read-only unit."""
+        return self.ring.one
 
     def element(self, coeffs) -> RingElement:
         return self.ring.element(coeffs)

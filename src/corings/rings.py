@@ -51,11 +51,13 @@ class FiniteRing:
         if not 2 <= modulus <= zmod.MAX_MODULUS:
             raise ValueError(f"modulus must be between 2 and {zmod.MAX_MODULUS}, got {modulus}")
         _check_rank(max(np.shape(structure), default=0))
-        c = np.asarray(structure, dtype=np.int64) % modulus
+        c = np.array(structure, dtype=np.int64)
+        c %= modulus
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[1] != c.shape[2]:
             raise ValueError("structure constants must form an (r, r, r) array")
         self._set_header(modulus, c.shape[0], one, name)
         self.struct = c.astype(_struct_dtype(self.n))
+        del c  # the int64 copy goes before validate() makes its float64 one
         if check:
             self.validate()
 
@@ -66,6 +68,7 @@ class FiniteRing:
         self.one = np.asarray(one, dtype=np.int64) % self.n
         if self.one.shape != (self.rank,):
             raise ValueError("unit coefficient vector has wrong length")
+        self.one.flags.writeable = False
         self.name = name or f"ring(n={self.n},r={self.rank})"
 
     # -- arithmetic on raw coefficient vectors ------------------------------
@@ -407,20 +410,14 @@ def make_quotient_ring(n: int, poly: Iterable[int]) -> FiniteRing:
     f = [(c * lead_inv) % n for c in f]
     deg = len(f) - 1
     _check_rank(deg)
-    # powers of x up to x^(2 deg - 2), reduced mod f
+    # x^k mod f for k <= 2 deg - 2: x^(k-1) times the companion matrix of f
+    companion = np.eye(deg, k=1, dtype=np.int64)  # x^i -> x^(i+1)
+    companion[-1] = [-c % n for c in f[:deg]]  # x^(deg-1) -> x^deg = -(f[0] + ... + f[deg-1] x^(deg-1))
     powers = np.zeros((2 * deg - 1, deg), dtype=np.int64)
     powers[0, 0] = 1
     for k in range(1, 2 * deg - 1):
-        prev = powers[k - 1]
-        shifted = np.zeros(deg + 1, dtype=np.int64)
-        shifted[1:] = prev
-        # reduce the x^deg coefficient via x^deg = -(f[0] + ... + f[deg-1] x^(deg-1))
-        top = shifted[deg]
-        red = shifted[:deg].copy()
-        if top:
-            red = (red - top * np.array(f[:deg], dtype=np.int64)) % n
-        powers[k] = red % n
-    struct = powers[np.add.outer(range(deg), range(deg))]
+        powers[k] = powers[k - 1] @ companion % n
+    struct = powers.astype(_struct_dtype(n))[np.add.outer(range(deg), range(deg))]
     one = np.zeros(deg, dtype=np.int64)
     one[0] = 1
     return FiniteRing(n, struct, one, name=f"Z/{n}[x]/({_poly_name(f)})")

@@ -115,13 +115,6 @@ def stab_unit(a: int, n: int) -> int:
     return modinv(c, n)
 
 
-def annihilator(a: int, n: int) -> int:
-    """Generator of the annihilator ideal of a in Z/nZ: n // gcd(a, n) mod n."""
-    if a % n == 0:
-        return 1 % n
-    return (n // gcd(a, n)) % n
-
-
 class HowellForm(NamedTuple):
     """Howell form of the row span of a matrix A over Z/nZ.
 
@@ -242,13 +235,12 @@ def kernel_right(a, n: int) -> np.ndarray:
 
 
 def is_invertible(a, n: int) -> bool:
-    """Whether a square matrix is invertible over Z/nZ."""
-    a = np.atleast_2d(_as_mod_array(a, n))
-    m = a.shape[0]
-    if a.shape[0] != a.shape[1]:
+    """Whether a square matrix is invertible over Z/nZ (`inverse_matrix` succeeds)."""
+    try:
+        inverse_matrix(a, n)
+    except ValueError:
         return False
-    h = howell(a, n).h
-    return h.shape == (m, m) and bool((h == np.eye(m, dtype=np.int64)).all())
+    return True
 
 
 def inverse_matrix(a, n: int) -> np.ndarray:

@@ -322,8 +322,9 @@ def test_coring_axiom_report_decides_each_verdict_once(request, name, monkeypatc
 
 @pytest.mark.parametrize("name", ["f4_over_f2", "gr42_over_z4"])
 def test_base_change_witness_reads_the_cached_inverse(request, name):
-    """u_2^{-1} is the face of u^{-1}: two Howell forms are left, the inverse of
-    the rebase isomorphism and the inversion inside delta_1 over (S⊗S)/S."""
+    """u_2^{-1} is the face of u^{-1}, and the witness is read through
+    kron(I, phi), the known inverse of the rebase isomorphism: one Howell form
+    is left, the inversion inside delta_1 over (S⊗S)/S."""
     ext = request.getfixturevalue(name)
     z2 = compute_h2(ext).z2
     base_change_witness(TwistElement(ext, z2[0]))  # builds the rebased extension once
@@ -332,7 +333,7 @@ def test_base_change_witness_reads_the_cached_inverse(request, name):
         assert is_two_cocycle(tw)  # caches u^{-1}
         with mock.patch.object(zmod, "howell", wraps=zmod.howell) as howell:
             assert base_change_witness(tw).verified
-        assert howell.call_count == 2
+        assert howell.call_count == 1
         # the replaced route: u_2 inverted in S^⊗4 by a fresh solve
         t4 = ext.tensor_power(4).ring
         u2 = ext.face_map(3, 2).apply_vec(tw.u.coeffs)

@@ -124,16 +124,15 @@ def test_slot_embed(gr42_over_z4):
 
 
 def test_rank_cap(f4_over_f2):
-    """The cap is checked before the first build of a level only."""
-    with pytest.raises(RingTooLarge):
-        f4_over_f2.tensor_power(30)
+    """A level above DEFAULT_RANK_CAP is refused before it is built; a built level is returned."""
     from corings.extensions import Extension
 
     ext = Extension(f4_over_f2.base, f4_over_f2.top, f4_over_f2.eta, f4_over_f2.basis)
-    built = ext.tensor_power(2)  # rank 4
-    assert ext.tensor_power(2, rank_cap=1) is built
     with pytest.raises(RingTooLarge):
-        ext.tensor_power(3, rank_cap=4)
+        ext.tensor_power(30)
+    assert ("power", 30) not in ext._cache
+    built = ext.tensor_power(2)  # rank 4
+    assert ext.tensor_power(2) is built
 
 
 def test_extension_rejects_non_basis(f2, f4):

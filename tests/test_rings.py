@@ -164,7 +164,7 @@ def test_rank_cap_refuses_before_allocating(f4_over_f2):
         FiniteRing(2, np.broadcast_to(np.int8(0), (r, r, r)), np.zeros(r, dtype=np.int64))
     with pytest.raises(ValueError, match="rank cap"):
         make_quotient_ring(2, [1] + [0] * (r - 1) + [1])
-    big = f4_over_f2.tensor_power(9, rank_cap=2**9).ring  # rank 512
+    big = f4_over_f2.tensor_power(9).ring  # rank 512
     with pytest.raises(ValueError, match="rank cap"):
         make_product_ring(big, big)
     assert "struct" not in vars(big)
@@ -232,3 +232,20 @@ def test_quotient_ring_validation_peak_memory():
     finally:
         tracemalloc.stop()
     assert ring.rank == 48 and peak <= 16
+
+
+def test_quotient_ring_holds_one_wide_table():
+    """At degree 80 (512000 table entries) building and validating Z/4[x]/(f)
+    holds one 8-byte table at a time: the small-integer table is indexed from
+    the powers of x, and the int64 copy in FiniteRing goes before validation
+    makes its float64 one (18.0 MB traced when all three were alive)."""
+    import tracemalloc
+
+    coeffs = np.random.default_rng(80).integers(0, 4, 80).tolist() + [1]
+    tracemalloc.start()
+    try:
+        ring = make_quotient_ring(4, coeffs)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert ring.rank == 80 and peak <= 12
