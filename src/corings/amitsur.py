@@ -10,7 +10,7 @@ u_1 u_2^{-1} u_3 u_4^{-1} = 1; a 2-coboundary is delta_1(v) = v_1 v_2^{-1} v_3
 for a unit v of S^⊗2.  H^2 = Z^2/B^2 is computed here by exhaustive
 enumeration at desk scale: Z^2 is one grid sweep of S^⊗3 (`rings.Grid`,
 the cosickle form on the units), B^2 is delta_1 of all units of S^⊗2 at
-once (inverses by Lagrange, v^{-1} = v^(|U|-1)), and every class is named
+once (inverses by powers, v^{-1} = v^(L-1)), and every class is named
 by the lex-least member of its coset u·B^2, found for whole batches of rows
 by `sorted_cosets`: one `zmod.outer_products` of a block of rows against
 B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the cosets of Z^2 and of the
@@ -185,6 +185,12 @@ def _face_product(ext: Extension, level: int, v, v_inv) -> np.ndarray:
 def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
     """B^2 = {delta_1(v) : v a unit of S^⊗2} as lex-sorted rows, cached on ext.
 
+    The units are inverted in one batch, v^{-1} = v^(L-1) with L the unit
+    exponent of S^⊗2 (`FiniteRing.unit_exponent`; |U| by Lagrange when that
+    is None).  Their count is checked against |U| = n^r · prod(1 - 1/q_i)
+    over the residue fields F_(q_i) that the enumeration built, and the
+    inverses by one batched product v·v^(L-1) = 1; a mismatch of either
+    raises InternalCheckError.
     The cap is checked on every call, so a cached B^2 is refused exactly
     when a fresh one would be.
     """
@@ -194,7 +200,15 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
 
     def build():
         units2 = enumerate_units(t2, cap=cap, jobs=jobs, as_array=True)
-        inverses = t2.pow_rows(units2, len(units2) - 1)  # Lagrange: v^|U| = 1
+        expected = t2.size
+        for p, start, stop in t2.residue_fields.fields:
+            q = p ** (stop - start)
+            expected = expected // q * (q - 1)
+        if len(units2) != expected:
+            raise InternalCheckError(f"{len(units2)} units enumerated in {t2.name}, {expected} by residue fields")
+        inverses = t2.pow_rows(units2, (t2.unit_exponent or len(units2)) - 1)
+        if not (t2.mul_rows(units2, inverses) == t2.one).all():
+            raise InternalCheckError(f"v·v^(L-1) != 1 for a unit v of {t2.name}")
         return zmod.unique_rows(_face_product(ext, 2, units2, inverses))
 
     return ext._cached("b2", build)

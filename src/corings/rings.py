@@ -14,6 +14,7 @@ halves and evaluates unit masks and quadratic forms on small half tables.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -23,6 +24,11 @@ from . import zmod
 
 DEFAULT_CAP = 2**20  # elements, for exhaustive enumeration
 DEFAULT_RANK_CAP = 600  # structure tensors are rank^3 entries
+# Longest unit exponent L that try_invert raises to.  x^(L-1) takes one
+# mulmat squaring per bit, and a Howell solve costs about 4 (rank 1) to 18
+# (rank 16-64) of them, so the power route is at most a few times slower
+# than a solve on any ring; a ring with a longer L is inverted by a solve.
+POWER_BITS = 24
 
 
 class RingTooLarge(Exception):
@@ -120,15 +126,15 @@ class FiniteRing:
 
     def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
         """Each row of a batch raised to the power e >= 0, by squaring through mul_rows."""
-        out = np.tile(self.one, (len(x), 1))
+        out = None  # 1, never multiplied by
         base = np.asarray(x, dtype=np.int64) % self.n
         while e:
             if e & 1:
-                out = self.mul_rows(out, base)
+                out = base if out is None else self.mul_rows(out, base)
             e >>= 1
             if e:
                 base = self.mul_rows(base, base)
-        return out
+        return np.tile(self.one, (len(base), 1)) if out is None else out
 
     def mulmat(self, x: np.ndarray) -> np.ndarray:
         """Matrix of multiplication by a reduced x in the module basis: column j is x·e_j.
@@ -145,8 +151,64 @@ class FiniteRing:
         return mx.reshape(r, r).T
 
     def pow_vec(self, x: np.ndarray, e: int) -> np.ndarray:
-        """x^e for one element, as a batch of one row of pow_rows."""
-        return self.pow_rows(np.asarray(x)[None, :], e)[0]
+        """x^e for one element, e >= 0, by squaring: one mulmat per bit of e.
+
+        The first set bit takes the power as it is, and the last product is
+        mulmat(out) @ base, so a sparse x (a basis element) squares and
+        multiplies cheaply while its powers stay sparse.
+        """
+        out = None  # 1, never multiplied by
+        base = np.asarray(x, dtype=np.int64) % self.n
+        while e > 1:
+            mat = self.mulmat(base)
+            if e & 1:
+                out = base if out is None else (mat @ out) % self.n
+            base = (mat @ base) % self.n
+            e >>= 1
+        if not e:
+            return self.one.copy()
+        return base if out is None else self.mul_vec(out, base)
+
+    @cached_property
+    def _frobenius(self) -> dict[int, np.ndarray]:
+        """For each prime p | n, the Frobenius matrix of A/pA over F_p.
+
+        Row j is e_j^p (pow_vec, so from the small-integer table; no float64
+        table is built), and x^p = x @ frob in A/pA.  residue_fields and
+        unit_exponent both read it.
+        """
+        basis = np.eye(self.rank, dtype=np.int64)
+        return {p: np.array([self.pow_vec(e, p) for e in basis]) % p for p in zmod.prime_factors(self.n)}
+
+    @cached_property
+    def unit_exponent(self) -> Optional[int]:
+        """A multiple L of the exponent of the unit group (u^L = 1 for every unit u),
+        or None when L would have more than POWER_BITS bits.
+
+        For p^k ‖ n let Φ be the Frobenius of A/pA, with Φ^(s+F) = Φ^s for
+        the least s and the least F >= 1 (`_frobenius_period`).  Every x in
+        A/pA then has x^(p^(s+F)) = x^(p^s), so the image of a unit has
+        order dividing p^s (p^F - 1); the units 1 + pA that reduce to 1 have
+        exponent dividing p^(k-1), since (1 + p^j a)^p lies in 1 + p^(j+1) A.
+        So L_p = (p^F - 1) p^(s+k-1), and L is the lcm of the L_p over the
+        primes p | n (CRT).  No Howell form or residue field is needed.
+
+        F is the lcm of the residue degrees, which can be exponential in the
+        rank (Z/2[x]/(f) with f a product of irreducibles of degrees 2, 3,
+        5, 7, ...), and the walk that finds F and the power x^(L-1) both
+        grow with it.  p^F - 1 has at least F (bit_length(p) - 1) bits, so
+        the walk stops after POWER_BITS // (bit_length(p) - 1) steps, and a
+        ring whose L is longer gets None: its units are inverted by a solve.
+        """
+        out = 1
+        for p, frob in self._frobenius.items():
+            found = _frobenius_period(frob, p, POWER_BITS // (p.bit_length() - 1))
+            if found is None:
+                return None
+            s, period = found
+            p_k = math.gcd(self.n, p**self.n.bit_length())  # p^k ‖ n
+            out = math.lcm(out, (p**period - 1) * p**s * (p_k // p))
+        return out if out.bit_length() <= POWER_BITS else None
 
     @cached_property
     def residue_fields(self) -> zmod.ResidueFields:
@@ -155,8 +217,8 @@ class FiniteRing:
         Feeds zmod.batch_is_unit and Grid.unit_mask.
         """
         blocks, fields, width = [], [], 0
-        for p in zmod.prime_factors(self.n):
-            for proj in _residue_projections(FiniteRing(p, self.struct, self.one, check=False)):
+        for p, frob in self._frobenius.items():
+            for proj in _residue_projections(FiniteRing(p, self.struct, self.one, check=False), frob):
                 blocks.append(proj)
                 fields.append((p, width, width + proj.shape[1]))
                 width += proj.shape[1]
@@ -240,19 +302,48 @@ def _values(a: FiniteRing, y: np.ndarray, t: int) -> np.ndarray:
     return np.nonzero(value == 0)[0]
 
 
-def _residue_projections(a: FiniteRing) -> list[np.ndarray]:
+def _frobenius_period(frob: np.ndarray, p: int, max_period: int) -> Optional[tuple[int, int]]:
+    """The least s and the least F >= 1 with Φ^(s+F) = Φ^s, for Φ = frob over F_p,
+    or None when F > max_period.
+
+    x^(p^t) = 0 on the radical once p^t >= rank, so s <= t for that t: the
+    walk Φ^t, Φ^(t+1), ... returns to Φ^t after F steps, and s is the least
+    i <= t with Φ^i Φ^F = Φ^i, Φ^F by squaring.  F is the lcm of the residue
+    degrees.  Every product is an exact zmod.matmul_mod.
+    """
+    r = len(frob)
+    powers = [np.eye(r, dtype=np.int64)]  # Φ^0, ..., Φ^t
+    while p ** (len(powers) - 1) < r:
+        powers.append(zmod.matmul_mod(powers[-1], frob, p))
+    walk, period = zmod.matmul_mod(powers[-1], frob, p), 1
+    while (walk != powers[-1]).any():
+        if period == max_period:
+            return None
+        walk, period = zmod.matmul_mod(walk, frob, p), period + 1
+    shift, square, e = powers[0], frob, period  # shift becomes Φ^F
+    while e:
+        if e & 1:
+            shift = zmod.matmul_mod(shift, square, p)
+        e >>= 1
+        if e:
+            square = zmod.matmul_mod(square, square, p)
+    s = next(i for i, m in enumerate(powers) if (zmod.matmul_mod(m, shift, p) == m).all())
+    return s, period
+
+
+def _residue_projections(a: FiniteRing, frob: np.ndarray) -> list[np.ndarray]:
     """One matrix per residue field of a ring a over F_p (Berlekamp, Ronyai).
 
-    With F the Frobenius x -> x^p and p^k >= rank, F^k kills exactly the
-    radical J.  The Berlekamp subalgebra ker(F - I) is F_p^t, one factor per
-    residue field; its primitive idempotents e come from splitting by
-    1 - (y - c)^(p-1) over a basis y and the values c of y.  The matrix for
-    e holds independent columns of x -> (x e)^(p^k), which is zero exactly
-    when x e lies in J, i.e. when x lies in the maximal ideal of e.
+    frob is the Frobenius x -> x^p (row j is e_j^p, so x^p = x @ frob).
+    With p^k >= rank, frob^k kills exactly the radical J.  The Berlekamp
+    subalgebra ker(frob - I) is F_p^t, one factor per residue field; its
+    primitive idempotents e come from splitting by 1 - (y - c)^(p-1) over a
+    basis y and the values c of y.  The matrix for e holds independent
+    columns of x -> (x e)^(p^k), which is zero exactly when x e lies in J,
+    i.e. when x lies in the maximal ideal of e.
     """
     p, r = a.n, a.rank
     eye = np.eye(r, dtype=np.int64)
-    frob = a.pow_rows(eye, p)  # row j is e_j^p, so x^p = x @ frob
     frob_k, q = frob, p
     while q < r:
         frob_k = zmod.matmul_mod(frob_k, frob, p)
@@ -446,12 +537,26 @@ def zmod_ring(n: int) -> FiniteRing:
 
 
 def try_invert(x: RingElement) -> Optional[RingElement]:
-    """The inverse of x when it exists (unique in a commutative ring)."""
+    """The inverse of x when it exists (unique in a commutative ring).
+
+    y = x^(L-1) with L = FiniteRing.unit_exponent, kept only when x·y = 1:
+    a unit has x^L = 1, and a non-unit never does, so it gets None.  The
+    power is one mulmat per bit of L - 1; no Howell form is solved.  A ring
+    whose L is longer than POWER_BITS (unit_exponent is None) solves
+    mulmat(x) y = 1 instead, one Howell form.
+
+    >>> z27 = zmod_ring(27)
+    >>> z27.unit_exponent, try_invert(z27.element([4])).key(), try_invert(z27.element([3]))
+    (18, (7,), None)
+    """
     ring = x.ring
-    sol = zmod.solve_right(ring.mulmat(x.coeffs), ring.one, ring.n)
-    if sol is None:
+    if ring.unit_exponent is None:
+        sol = zmod.solve_right(ring.mulmat(x.coeffs), ring.one, ring.n)
+        return None if sol is None else ring.element(sol)
+    y = ring.pow_vec(x.coeffs, ring.unit_exponent - 1)
+    if not (ring.mul_vec(x.coeffs, y) == ring.one).all():
         return None
-    return ring.element(sol)
+    return ring.element(y)
 
 
 class Grid:

@@ -46,7 +46,12 @@ handle exactly rather than answer from wrapped arithmetic.
   S/m is nonzero.  :class:`ResidueFields` holds, for each prime p | n and
   each primitive idempotent e of S/pS, the linear map x -> (x e)^(p^k)
   that vanishes exactly on the maximal ideal belonging to e, so the unit
-  test of a batch is one matrix product (:func:`batch_is_unit`).
+  test of a batch is one matrix product (:func:`batch_is_unit`).  Units
+  are inverted by a power, not by a solve: x^(-1) = x^(L-1) with L a
+  multiple of the exponent of the unit group, read from the Frobenius
+  x -> x^p of each S/pS (FiniteRing.unit_exponent); rings.try_invert keeps
+  the power only when x·x^(L-1) = 1, so a non-unit gets None.  A ring
+  whose L is longer than rings.POWER_BITS inverts by :func:`solve_right`.
 """
 
 from __future__ import annotations
