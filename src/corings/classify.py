@@ -64,6 +64,32 @@ def counit_solution(ext: Extension, u) -> Optional[np.ndarray]:
     return zmod.solve_right(sys_mat, rhs, ext.n)
 
 
+def counit_solvable(ext: Extension, rows: np.ndarray) -> np.ndarray:
+    """Whether `counit_solution(ext, u)` finds a v, for every row u of a batch.
+
+    The system matrix A(u) = [mulmat(μ₁u)·e₁ ; mulmat(μ₂u)·e₂] of
+    `counit_solution` is linear in u: column s of its upper block is the
+    product μ₁(u)·e₁(b_s) in S^⊗2.  So one `products` per half builds the
+    tensor T (r₃, 2 r₂, rank S) with A(u) = Σ_t u_t T[t], and the systems of
+    a block of rows are one `zmod.matmul_mod` against T, solved against
+    (1⊗1, 1⊗1) by one `zmod.solvable_right_batch`.
+    """
+    t2 = ext.tensor_power(2).ring
+    halves = [
+        t2.products(ext.merge_map(3, first=first).matrix.T, ext.slot_embed(2, slot).matrix.T)
+        for first, slot in ((True, 1), (False, 2))
+    ]
+    systems = np.concatenate(halves, axis=2).transpose(0, 2, 1)
+    flat = systems.reshape(len(systems), -1)
+    rhs = np.concatenate([t2.one, t2.one])
+    out = np.empty(len(rows), dtype=bool)
+    step = zmod.block_rows(flat.shape[1])
+    for s in range(0, len(rows), step):
+        stack = zmod.matmul_mod(rows[s : s + step], flat, ext.n).reshape(-1, *systems.shape[1:])
+        out[s : s + step] = zmod.solvable_right_batch(stack, rhs, ext.n)
+    return out
+
+
 def _coassoc_difference_tensor(ext: Extension) -> np.ndarray:
     """D with vec((Delta_u⊗id)Delta_u - (id⊗Delta_u)Delta_u) = sum u_i u_j D[i,j,:].
 
@@ -97,6 +123,9 @@ class CosickleClassification:
         )
         if not chain:  # pragma: no cover - the implication chain is definitional
             raise InternalCheckError("tag implication chain violated in census")
+        # counital twisted corings are exactly the almost invertible cosickles
+        if self.counit_solvable is not None and (self.admits_counit != self.is_almost_invertible).any():
+            raise InternalCheckError("counit oracle disagrees with almost invertibility in census")
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -138,9 +167,11 @@ def classify_all(
     coassociativity tags are zero sets of quadratic forms.  The
     coassociativity tag is computed by the direct two-triple-coproduct test
     (via its bilinear tensor), independently of the cosickle identity; the
-    two must agree.  The counit-solvability oracle runs per element and is
-    enabled automatically for sweeps of at most 4096 elements.  The census
-    builds its rows only when `elements` is read.  `jobs` changes nothing.
+    two must agree.  The counit-solvability oracle (`counit_solvable`, one
+    GEMM and one batched Howell elimination per block of the grid) is enabled
+    automatically for sweeps of at most 4096 elements, and its verdict must
+    equal almost invertibility.  The census builds its rows only when
+    `elements` is read.  `jobs` changes nothing.
     """
     t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)
@@ -156,11 +187,7 @@ def classify_all(
     both_units &= grid.unit_mask(residue2, via=ext.merge_map(3, first=False).matrix.T)
     almost = cosickle & both_units
     cocycle = unit_mask & cosickle
-    solvable = None
-    if counit_oracle:
-        solvable = np.array(
-            [counit_solution(ext, row) is not None for row in grid.rows()], dtype=bool
-        )
+    solvable = counit_solvable(ext, grid.rows()) if counit_oracle else None
     return CosickleClassification(
         ext, grid, unit_mask, cocycle, cosickle, almost, coassoc, solvable
     )

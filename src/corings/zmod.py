@@ -11,6 +11,11 @@ generates the column's ideal), is scaled to a divisor b of n, and clears
 every other row in one rank-1 update; when b > 1, (n/b)·pivot row is
 appended.  h and the pivots are canonical; the transform t and the kernel
 rows k are one valid choice, read only through unique values or spans.
+Its batched twin :func:`howell_batch` runs the same elimination on a stack
+of equal-shape systems with the batch as the leading axis (no transform);
+a system that needs a merge is finished by :func:`howell` alone, which a
+prime power n never does.  :func:`solvable_right_batch` reduces against it
+as :func:`solve_right` does against :func:`howell`.
 
 Conventions: matrices are numpy int64 arrays with entries reduced into
 [0, n).  Row convention for the core (`x @ A`); the `*_right` wrappers
@@ -26,8 +31,9 @@ handle exactly rather than answer from wrapped arithmetic.
   (2^14 - 1)^3 * 600^2 < 2^63, so it cannot wrap.  FiniteRing.__init__,
   make_quotient_ring and make_product_ring refuse a larger rank with
   ValueError before allocating its table; tensor powers raise RingTooLarge.
-- The rank-1 update of :func:`howell` multiplies a quotient q < n by an
-  entry below n, so each product is below n^2 <= 2^28, exact in int64.
+- The rank-1 updates of :func:`howell` and :func:`howell_batch` multiply a
+  quotient q < n by an entry below n, so each product is below
+  n^2 <= 2^28, exact in int64.
 - :func:`matmul_mod`, :func:`bilinear_mod` and :func:`outer_products`, the
   sweep kernels, run on float64 BLAS (Dumas, Giorgi and Pernet,
   FFLAS-FFPACK, ACM TOMS 2008).  A contraction of length k over entries in
@@ -195,6 +201,114 @@ def howell(a, n: int) -> HowellForm:
     r = len(pivots)
     k = w[r:m, ncols:]
     return HowellForm(w[:r, :ncols].copy(), w[:r, ncols:].copy(), k[k.any(axis=1)], tuple(pivots))
+
+
+class HowellBatch(NamedTuple):
+    """Howell rows of a stack of matrices over Z/nZ, padded to a common shape.
+
+    h: (B, k, k); the Howell rows of system i are h[i, :rank_i], the rows
+    below are zero.  pivots: (B, k); the pivot column of each Howell row,
+    -1 from rank_i on.
+    """
+
+    h: np.ndarray
+    pivots: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _stab_table(n: int) -> np.ndarray:
+    return np.array([stab_unit(a, n) for a in range(n)], dtype=np.int64)
+
+
+def howell_batch(a, n: int) -> HowellBatch:
+    """The Howell rows and pivots of :func:`howell` for every matrix of a stack (B, m, k).
+
+    The same elimination with the batch as the leading axis.  Per column,
+    each system takes as pivot its row of least gcd with n at or below its
+    own rank r, scales it to b = gcd(pivot, n) by the unit stab_unit(pivot, n),
+    and one batched rank-1 update clears the column.  The row (n/b)·pivot row
+    is always appended, into the slot of the column; for b = 1 it is zero.
+    A system without a pivot in the column gets b = n, so its update is zero.
+    A system whose column needs a unimodular merge (n with two or more prime
+    factors, no single entry generating the column's ideal) is redone by the
+    scalar :func:`howell`, one call each; for a prime power n that never
+    happens.  The stack is eliminated at once; :func:`solvable_right_batch`
+    takes its systems in blocks.
+
+    >>> hb = howell_batch([[[2, 1]], [[3, 0]]], 4)
+    >>> hb.h[0].tolist(), hb.pivots[0].tolist(), hb.pivots[1].tolist()
+    ([[2, 1], [0, 2]], [0, 1], [0, -1])
+    """
+    a = _as_mod_array(a, n)
+    bsz, m, k = a.shape
+    w = np.zeros((bsz, m + k, k), dtype=np.int64)
+    w[:, :m] = a
+    pivots = np.full((bsz, k), -1, dtype=np.int64)
+    systems = np.arange(bsz)
+    below = np.arange(m + k)
+    r = np.zeros(bsz, dtype=np.int64)
+    merge = np.zeros(bsz, dtype=bool)
+    composite = len(prime_factors(n)) > 1
+    stab = _stab_table(n)
+    for c in range(k):
+        g = np.gcd(w[:, :, c], n)
+        g[below < r[:, None]] = n
+        j = g.argmin(axis=1)
+        b = g[systems, j]
+        live = b < n
+        if not live.any():
+            continue
+        if composite:
+            merge |= (g % b[:, None]).any(axis=1)
+        j = np.where(live, j, r)
+        pivot = w[systems, j]
+        w[systems, j] = w[systems, r]
+        pivot = (stab[pivot[:, c]][:, None] * pivot) % n
+        w[systems, r] = pivot
+        q = w[:, :, c] // b[:, None]
+        q[systems, r] = 0
+        w[:, :, c:] -= q[:, :, None] * pivot[:, None, c:]
+        w[:, :, c:] %= n
+        w[:, m + c, c:] = (np.where(live, n // b, 0)[:, None] * pivot[:, c:]) % n
+        pivots[systems[live], r[live]] = c
+        r += live
+    h = w[:, :k].copy()
+    for i in np.flatnonzero(merge):
+        hf = howell(a[i], n)
+        h[i] = 0
+        h[i, : len(hf.h)] = hf.h
+        pivots[i] = -1
+        pivots[i, : len(hf.pivots)] = hf.pivots
+    return HowellBatch(h, pivots)
+
+
+def solvable_right_batch(a, b, n: int) -> np.ndarray:
+    """Mask of the systems A_i @ x == b_i mod n that have a solution, for a stack a (B, m, k).
+
+    b is one right-hand side of length m or one per system (B, m).  The
+    batched `solve_right(a_i, b_i, n) is not None`: b_i is reduced against
+    the Howell rows of A_i^T from :func:`howell_batch` as in
+    :func:`reduce_against`, and is solvable when nothing is left.  Systems
+    are taken in blocks of BLOCK_ENTRIES working entries of the elimination.
+
+    >>> solvable_right_batch([[[2], [1]], [[3], [3]]], [1, 1], 4).tolist()
+    [False, True]
+    """
+    a = np.asarray(a, dtype=np.int64)
+    _, m, k = a.shape
+    v = np.array(np.broadcast_to(_as_mod_array(b, n), a.shape[:2]))
+    step = block_rows((k + m) * m)
+    for s in range(0, len(a), step):
+        hb = howell_batch(a[s : s + step].transpose(0, 2, 1), n)
+        rest = v[s : s + step]
+        systems = np.arange(len(rest))
+        for i in range(m):
+            p = np.maximum(hb.pivots[:, i], 0)
+            # floor division clears a pivot entry exactly when b_i can be reduced there;
+            # below the rank the Howell row is zero and subtracts nothing
+            rest -= (rest[systems, p] // np.maximum(hb.h[systems, i, p], 1))[:, None] * hb.h[:, i]
+            rest %= n
+    return ~v.any(axis=1)
 
 
 def reduce_against(hf: HowellForm, v, n: int) -> tuple[np.ndarray, np.ndarray]:
