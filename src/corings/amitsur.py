@@ -359,7 +359,8 @@ class CohomologyGroup:
     def class_of(self, u: np.ndarray) -> tuple:
         """Lex-least element of the coset u·B^2."""
         u = np.asarray(u, dtype=np.int64)[None, :] % self.ext.n
-        return tuple(map(int, next(sorted_cosets(self.ext, u, self.b2))[0, 0]))
+        coset = self.ext.tensor_power(3).ring.products(u, self.b2)[0]
+        return tuple(map(int, zmod.unique_rows(coset)[0]))
 
 
 def cosickle_form(ext: Extension) -> np.ndarray:

@@ -70,9 +70,10 @@ def counit_solvable(ext: Extension, rows: np.ndarray) -> np.ndarray:
     The system matrix A(u) = [mulmat(μ₁u)·e₁ ; mulmat(μ₂u)·e₂] of
     `counit_solution` is linear in u: column s of its upper block is the
     product μ₁(u)·e₁(b_s) in S^⊗2.  So one `products` per half builds the
-    tensor T (r₃, 2 r₂, rank S) with A(u) = Σ_t u_t T[t], and the systems of
-    a block of rows are one `zmod.matmul_mod` against T, solved against
-    (1⊗1, 1⊗1) by one `zmod.solvable_right_batch`.
+    tensor T (r₃, 2 r₂, rank S) with A(u) = Σ_t u_t T[t]; the systems of a
+    block of rows are one `zmod.matmul_mod` against T, decided against
+    (1⊗1, 1⊗1) by `zmod.solvable_right_batch`: one batched elimination per
+    prime power of n, with no scalar Howell call.
     """
     t2 = ext.tensor_power(2).ring
     halves = [
@@ -167,11 +168,11 @@ def classify_all(
     coassociativity tags are zero sets of quadratic forms.  The
     coassociativity tag is computed by the direct two-triple-coproduct test
     (via its bilinear tensor), independently of the cosickle identity; the
-    two must agree.  The counit-solvability oracle (`counit_solvable`, one
-    GEMM and one batched Howell elimination per block of the grid) is enabled
-    automatically for sweeps of at most 4096 elements, and its verdict must
-    equal almost invertibility.  The census builds its rows only when
-    `elements` is read.  `jobs` changes nothing.
+    two must agree.  The counit-solvability oracle (`counit_solvable`: per
+    block of the grid one GEMM, then one batched elimination per prime power
+    of n) is on by default for sweeps of at most 4096 elements, and its
+    verdict must equal almost invertibility.  The census builds its rows
+    only when `elements` is read.  `jobs` changes nothing.
     """
     t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)

@@ -201,12 +201,11 @@ class FiniteRing:
         ring whose L is longer gets None: its units are inverted by a solve.
         """
         out = 1
-        for p, frob in self._frobenius.items():
+        for (p, frob), p_k in zip(self._frobenius.items(), zmod.prime_powers(self.n)):
             found = _frobenius_period(frob, p, POWER_BITS // (p.bit_length() - 1))
             if found is None:
                 return None
             s, period = found
-            p_k = math.gcd(self.n, p**self.n.bit_length())  # p^k ‖ n
             out = math.lcm(out, (p**period - 1) * p**s * (p_k // p))
         return out if out.bit_length() <= POWER_BITS else None
 

@@ -3,19 +3,17 @@
 Z/nZ is not a field for composite n, so plain Gaussian elimination does not
 give canonical forms, kernels or solvability tests.  The Howell form does:
 it is the unique row-echelon-like canonical form of the row span of a matrix
-over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  Every solver here reads
-one routine, :func:`howell`, which eliminates one pivot column at a time on
-the augmented rows [h | t]: the row of least gcd with n becomes the pivot
-(merged first with other rows when n is composite and no single entry
-generates the column's ideal), is scaled to a divisor b of n, and clears
-every other row in one rank-1 update; when b > 1, (n/b)·pivot row is
-appended.  h and the pivots are canonical; the transform t and the kernel
-rows k are one valid choice, read only through unique values or spans.
-Its batched twin :func:`howell_batch` runs the same elimination on a stack
-of equal-shape systems with the batch as the leading axis (no transform);
-a system that needs a merge is finished by :func:`howell` alone, which a
-prime power n never does.  :func:`solvable_right_batch` reduces against it
-as :func:`solve_right` does against :func:`howell`.
+over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  There are two
+eliminations, one pivot column at a time: the row of least gcd is the pivot,
+scaled to a divisor b of the modulus, one rank-1 update clears the column,
+and (modulus/b)·pivot row joins the rows.  The scalar :func:`howell` works over
+Z/n on [h | t], merging rows when no single entry generates a column's
+ideal (n composite); the solvers of one system read its canonical h and
+pivots, or t and kernel rows k (one valid choice, read only through unique
+values or spans).  The batched :func:`_eliminate` works on a stack over a
+prime power, where the pivot alone generates the column's ideal; composite
+n splits into prime powers by CRT (:func:`prime_powers`), and
+:func:`solvable_right_batch` and :func:`batch_nonsingular` read its pivots.
 
 Conventions: matrices are numpy int64 arrays with entries reduced into
 [0, n).  Row convention for the core (`x @ A`); the `*_right` wrappers
@@ -31,8 +29,8 @@ handle exactly rather than answer from wrapped arithmetic.
   (2^14 - 1)^3 * 600^2 < 2^63, so it cannot wrap.  FiniteRing.__init__,
   make_quotient_ring and make_product_ring refuse a larger rank with
   ValueError before allocating its table; tensor powers raise RingTooLarge.
-- The rank-1 updates of :func:`howell` and :func:`howell_batch` multiply a
-  quotient q < n by an entry below n, so each product is below
+- The rank-1 updates of :func:`howell` and :func:`_eliminate` multiply a
+  quotient below n by an entry below n, so each product is below
   n^2 <= 2^28, exact in int64.
 - :func:`matmul_mod`, :func:`bilinear_mod` and :func:`outer_products`, the
   sweep kernels, run on float64 BLAS (Dumas, Giorgi and Pernet,
@@ -203,112 +201,74 @@ def howell(a, n: int) -> HowellForm:
     return HowellForm(w[:r, :ncols].copy(), w[:r, ncols:].copy(), k[k.any(axis=1)], tuple(pivots))
 
 
-class HowellBatch(NamedTuple):
-    """Howell rows of a stack of matrices over Z/nZ, padded to a common shape.
-
-    h: (B, k, k); the Howell rows of system i are h[i, :rank_i], the rows
-    below are zero.  pivots: (B, k); the pivot column of each Howell row,
-    -1 from rank_i on.
-    """
-
-    h: np.ndarray
-    pivots: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def _stab_table(n: int) -> np.ndarray:
     return np.array([stab_unit(a, n) for a in range(n)], dtype=np.int64)
 
 
-def howell_batch(a, n: int) -> HowellBatch:
-    """The Howell rows and pivots of :func:`howell` for every matrix of a stack (B, m, k).
+def _eliminate(w: np.ndarray, q: int, ncols: int) -> np.ndarray:
+    """Eliminate the first ncols columns of each system of a stack w (B, rows, width)
+    over a prime power q, in place, and return each system's rank r.
 
-    The same elimination with the batch as the leading axis.  Per column,
-    each system takes as pivot its row of least gcd with n at or below its
-    own rank r, scales it to b = gcd(pivot, n) by the unit stab_unit(pivot, n),
-    and one batched rank-1 update clears the column.  The row (n/b)·pivot row
-    is always appended, into the slot of the column; for b = 1 it is zero.
-    A system without a pivot in the column gets b = n, so its update is zero.
-    A system whose column needs a unimodular merge (n with two or more prime
-    factors, no single entry generating the column's ideal) is redone by the
-    scalar :func:`howell`, one call each; for a prime power n that never
-    happens.  The stack is eliminated at once; :func:`solvable_right_batch`
-    takes its systems in blocks.
-
-    >>> hb = howell_batch([[[2, 1]], [[3, 0]]], 4)
-    >>> hb.h[0].tolist(), hb.pivots[0].tolist(), hb.pivots[1].tolist()
-    ([[2, 1], [0, 2]], [0, 1], [0, -1])
+    The last ncols rows of w are zero slots, one per column.  Per column the
+    row of least gcd with q at or below r generates the column's ideal; it is
+    scaled to b = gcd(pivot, q), one rank-1 update clears the column, and
+    (q/b)·pivot row fills the column's slot (the Howell property), so rows r
+    and below span the row span's vectors that vanish on the first ncols columns.
     """
-    a = _as_mod_array(a, n)
-    bsz, m, k = a.shape
-    w = np.zeros((bsz, m + k, k), dtype=np.int64)
-    w[:, :m] = a
-    pivots = np.full((bsz, k), -1, dtype=np.int64)
+    bsz, rows, _ = w.shape
     systems = np.arange(bsz)
-    below = np.arange(m + k)
+    below = np.arange(rows)
     r = np.zeros(bsz, dtype=np.int64)
-    merge = np.zeros(bsz, dtype=bool)
-    composite = len(prime_factors(n)) > 1
-    stab = _stab_table(n)
-    for c in range(k):
-        g = np.gcd(w[:, :, c], n)
-        g[below < r[:, None]] = n
+    for c in range(ncols):
+        g = np.gcd(w[:, :, c], q)
+        g[below < r[:, None]] = q + 1  # so a system without a pivot picks row r
         j = g.argmin(axis=1)
         b = g[systems, j]
-        live = b < n
+        live = b < q
         if not live.any():
             continue
-        if composite:
-            merge |= (g % b[:, None]).any(axis=1)
-        j = np.where(live, j, r)
         pivot = w[systems, j]
         w[systems, j] = w[systems, r]
-        pivot = (stab[pivot[:, c]][:, None] * pivot) % n
-        w[systems, r] = pivot
-        q = w[:, :, c] // b[:, None]
-        q[systems, r] = 0
-        w[:, :, c:] -= q[:, :, None] * pivot[:, None, c:]
-        w[:, :, c:] %= n
-        w[:, m + c, c:] = (np.where(live, n // b, 0)[:, None] * pivot[:, c:]) % n
-        pivots[systems[live], r[live]] = c
+        w[systems, r] = pivot = (_stab_table(q)[pivot[:, c]][:, None] * pivot) % q
+        f = w[:, :, c] // b[:, None]
+        f[systems, r] = 0
+        w[:, :, c:] -= f[:, :, None] * pivot[:, None, c:]
+        w[:, :, c:] %= q
+        w[:, rows - ncols + c, c:] = (np.where(live, q // b, 0)[:, None] * pivot[:, c:]) % q
         r += live
-    h = w[:, :k].copy()
-    for i in np.flatnonzero(merge):
-        hf = howell(a[i], n)
-        h[i] = 0
-        h[i, : len(hf.h)] = hf.h
-        pivots[i] = -1
-        pivots[i, : len(hf.pivots)] = hf.pivots
-    return HowellBatch(h, pivots)
+    return r
 
 
 def solvable_right_batch(a, b, n: int) -> np.ndarray:
     """Mask of the systems A_i @ x == b_i mod n that have a solution, for a stack a (B, m, k).
 
     b is one right-hand side of length m or one per system (B, m).  The
-    batched `solve_right(a_i, b_i, n) is not None`: b_i is reduced against
-    the Howell rows of A_i^T from :func:`howell_batch` as in
-    :func:`reduce_against`, and is solvable when nothing is left.  Systems
-    are taken in blocks of BLOCK_ENTRIES working entries of the elimination.
+    batched `solve_right(a_i, b_i, n) is not None`, per prime power q ‖ n
+    (CRT): over q, A_i x = b_i is solvable iff (0, 1) is in the row span of
+    [A_i^T | 0] and [b_i | 1], i.e. iff after :func:`_eliminate` a row at or
+    past the rank ends in a unit.  Systems go in blocks of BLOCK_ENTRIES
+    working entries; one refuted over a prime power is not eliminated again.
 
     >>> solvable_right_batch([[[2], [1]], [[3], [3]]], [1, 1], 4).tolist()
     [False, True]
     """
     a = np.asarray(a, dtype=np.int64)
-    _, m, k = a.shape
-    v = np.array(np.broadcast_to(_as_mod_array(b, n), a.shape[:2]))
-    step = block_rows((k + m) * m)
-    for s in range(0, len(a), step):
-        hb = howell_batch(a[s : s + step].transpose(0, 2, 1), n)
-        rest = v[s : s + step]
-        systems = np.arange(len(rest))
-        for i in range(m):
-            p = np.maximum(hb.pivots[:, i], 0)
-            # floor division clears a pivot entry exactly when b_i can be reduced there;
-            # below the rank the Howell row is zero and subtracts nothing
-            rest -= (rest[systems, p] // np.maximum(hb.h[systems, i, p], 1))[:, None] * hb.h[:, i]
-            rest %= n
-    return ~v.any(axis=1)
+    bsz, m, k = a.shape
+    rhs = np.broadcast_to(np.asarray(b, dtype=np.int64), (bsz, m))
+    rows = k + 1 + m
+    out = np.ones(bsz, dtype=bool)
+    step = block_rows(rows * (m + 1))
+    for s in range(0, bsz, step):
+        for q in prime_powers(n):
+            live = s + np.flatnonzero(out[s : s + step])  # systems not yet refuted
+            w = np.zeros((len(live), rows, m + 1), dtype=np.int64)
+            w[:, :k, :m] = a[live].transpose(0, 2, 1) % q
+            w[:, k, :m] = rhs[live] % q
+            w[:, k, m] = 1
+            rest = np.arange(rows) >= _eliminate(w, q, m)[:, None]
+            out[live] = (rest & (np.gcd(w[:, :, m], q) == 1)).any(axis=1)
+    return out
 
 
 def reduce_against(hf: HowellForm, v, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,44 +394,22 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(ps)
 
 
-def _inv_table(p: int) -> np.ndarray:
-    t = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        t[a] = pow(a, p - 2, p)
-    return t
+@lru_cache(maxsize=None)
+def prime_powers(n: int) -> tuple[int, ...]:
+    """The prime powers p^k ‖ n, one per prime factor, in increasing order of p.
+
+    >>> prime_powers(36)
+    (4, 9)
+    """
+    return tuple(gcd(n, p ** n.bit_length()) for p in prime_factors(n))
 
 
 def batch_nonsingular(mats: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized nonsingularity test over F_p for a batch of square matrices.
-
-    mats: (B, k, k) int array.  Returns a boolean mask of length B.
-    """
-    m = (np.asarray(mats, dtype=np.int64) % p).copy()
-    bsz, k, _ = m.shape
-    ok = np.ones(bsz, dtype=bool)
-    inv = _inv_table(p)
-    rows = np.arange(bsz)
-    for c in range(k):
-        sub = m[:, c:, c]
-        nz = sub != 0
-        has = nz.any(axis=1)
-        ok &= has
-        piv = np.argmax(nz, axis=1) + c
-        piv[~has] = c  # keep indices valid for the dead batches
-        swap = piv != c
-        if swap.any():
-            w = rows[swap]
-            pv = piv[swap]
-            tmp = m[w, c, :].copy()
-            m[w, c, :] = m[w, pv, :]
-            m[w, pv, :] = tmp
-        pivval = m[:, c, c].copy()
-        pivval[pivval == 0] = 1
-        m[:, c, :] = (m[:, c, :] * inv[pivval][:, None]) % p
-        if c + 1 < k:
-            factors = m[:, c + 1 :, c]
-            m[:, c + 1 :, :] = (m[:, c + 1 :, :] - factors[:, :, None] * m[:, c : c + 1, :]) % p
-    return ok
+    """Nonsingularity mask over F_p of a stack of square matrices (B, k, k):
+    rank k under :func:`_eliminate`."""
+    mats = np.asarray(mats, dtype=np.int64) % p
+    k = mats.shape[-1]
+    return _eliminate(np.concatenate([mats, np.zeros_like(mats)], axis=1), p, k) == k
 
 
 def _reduce(c: np.ndarray, n: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""The batched Howell elimination and the counit census against their scalar oracles.
+"""The batched elimination of `zmod` and the counit census against their oracles.
 
-`zmod.howell_batch` must return, for every system of a stack, exactly the
-Howell rows and pivots of the scalar `zmod.howell`, and
-`zmod.solvable_right_batch` exactly the verdict `solve_right(...) is not
-None`.  `classify.counit_solvable` builds the counit systems of a whole batch
-by one GEMM; it must agree with the per-element `counit_solution`.
+`zmod.solvable_right_batch` must give exactly the verdict `solve_right(...)
+is not None` for every system of a stack, over prime powers and composite
+moduli alike, without a call of the scalar `zmod.howell`.
+`zmod.batch_nonsingular` must agree with a plain field elimination.
+`classify.counit_solvable` builds the counit systems of a whole batch by one
+GEMM; it must agree with the per-element `counit_solution`.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corings import classify, zmod
@@ -24,16 +25,12 @@ from corings.extensions import amitsur_rebase
 from corings.rings import Grid, InternalCheckError, try_invert
 from tests.conftest import random_extension, skewed
 
-MODULI = [2, 3, 4, 6, 8, 9, 12, 27, 64]
+MODULI = [2, 3, 4, 6, 8, 9, 12, 27, 30, 36, 64, 1 << 14]
 
 
 @lru_cache(maxsize=None)
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _prime_power(n):
-    return len(zmod.prime_factors(n)) == 1
 
 
 @contextmanager
@@ -43,26 +40,14 @@ def scalar_calls():
         yield spy
 
 
-def check_batch(a, n):
-    """howell_batch against howell, system by system; prime powers never fall back."""
-    with scalar_calls() as spy:
-        hb = zmod.howell_batch(a, n)
-    if _prime_power(n):
-        assert spy.call_count == 0
-    bsz, _, k = a.shape
-    assert hb.h.shape == (bsz, k, k) and hb.pivots.shape == (bsz, k)
-    for i in range(bsz):
-        hf = zmod.howell(a[i], n)
-        r = len(hf.h)
-        assert hb.h.dtype == np.int64 and (hb.h[i, :r] == hf.h).all() and not hb.h[i, r:].any()
-        assert tuple(hb.pivots[i, :r]) == hf.pivots and (hb.pivots[i, r:] == -1).all()
-
-
 def check_solvable(a, rhs, n):
-    got = zmod.solvable_right_batch(a, rhs, n)
+    """solvable_right_batch against solve_right, system by system; no scalar call."""
+    with scalar_calls() as spy:
+        got = zmod.solvable_right_batch(a, rhs, n)
+    assert spy.call_count == 0
     each = np.broadcast_to(rhs, a.shape[:2])
     want = [zmod.solve_right(a[i], each[i], n) is not None for i in range(len(a))]
-    assert got.tolist() == want
+    assert got.dtype == bool and got.tolist() == want
 
 
 @st.composite
@@ -82,13 +67,6 @@ def stacks(draw, moduli=MODULI):
     return n, a % n
 
 
-@settings(max_examples=250, deadline=None)
-@given(stacks())
-def test_howell_batch_matches_scalar(case):
-    n, a = case
-    check_batch(a, n)
-
-
 @settings(max_examples=150, deadline=None)
 @given(stacks(), st.integers(0, 2**32 - 1))
 def test_solvable_matches_solve_right(case, seed):
@@ -103,41 +81,84 @@ def test_solvable_matches_solve_right(case, seed):
     check_solvable(a, rhs[0], n)  # one right-hand side for the whole stack
 
 
-@pytest.mark.parametrize("n", MODULI)
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 27, 30, 36, 64])
 def test_one_by_one_systems(n):
     """Every 1×1 system a·x = b over Z/n, in one stack."""
     a, b = np.divmod(np.arange(n * n), n)
-    check_batch(a[:, None, None], n)
     check_solvable(a[:, None, None], b[:, None], n)
 
 
 @pytest.mark.parametrize("n", [6, 12, 64])
 def test_zero_and_single_systems(n):
-    check_batch(np.zeros((3, 2, 4), dtype=np.int64), n)
-    hb = zmod.howell_batch(np.zeros((3, 2, 4)), n)
-    assert not hb.h.any() and (hb.pivots == -1).all()
-    check_batch(np.array([[[2, 1, 0], [0, 3, 1]]]), n)
-    assert zmod.howell_batch(np.zeros((0, 2, 3)), n).h.shape == (0, 3, 3)
     check_solvable(np.zeros((2, 3, 2), dtype=np.int64), np.array([[0, 0, 0], [0, 1, 0]]), n)
+    check_solvable(np.array([[[2, 1, 0], [0, 3, 1]]]), np.array([1, 1]), n)
+    assert zmod.solvable_right_batch(np.zeros((0, 2, 3)), [1, 0], n).shape == (0,)
 
 
 @pytest.mark.parametrize(
     "column, n",
     [([2, 3], 6), ([3, 2], 6), ([4, 6, 9], 36), ([9, 6, 4], 36), ([6, 10, 15], 30), ([0, 6, 10, 15], 30)],
 )
-def test_merge_systems_fall_back_alone(column, n):
-    """In a mixed stack only the systems whose column needs a merge go to the scalar kernel."""
+def test_merge_columns_need_no_scalar_call(column, n):
+    """Columns that no single entry generates over Z/n are decided prime power by prime power."""
     rng = np.random.default_rng(n + len(column))
     merge = np.hstack([np.array(column)[:, None], rng.integers(0, n, (len(column), 2))])
     plain = np.zeros_like(merge)
     plain[0] = [1, 2, 3]
-    a = np.stack([plain, merge, np.zeros_like(merge), merge, plain])
-    with scalar_calls() as spy:
-        hb = zmod.howell_batch(a, n)
-    assert spy.call_count == 2 and (hb.h[1, 0, 0], hb.pivots[1, 0]) == (1, 0)
-    check_batch(a, n)
-    # as systems A x = b the merge column is a row of A^T
-    check_solvable(a.transpose(0, 2, 1), rng.integers(0, n, (len(a), 3)), n)
+    a = np.stack([plain, merge, np.zeros_like(merge), merge, plain]).transpose(0, 2, 1)
+    # as systems A x = b the merge column is a row of A; b = 1 in that row needs the merge
+    rhs = rng.integers(0, n, (len(a), 3))
+    rhs[1::2, 0] = 1
+    check_solvable(a, rhs, n)
+    # together the entries generate Z/n, so column · x = 1 has a solution
+    assert zmod.solvable_right_batch(np.array(column)[None, None, :], [1], n).tolist() == [True]
+
+
+def ref_batch_nonsingular(mats, p):
+    """The field-only elimination `zmod.batch_nonsingular` ran before the batched
+    kernel: row swaps, pivots scaled by inverses mod p, updates below the pivot."""
+    m = (np.asarray(mats, dtype=np.int64) % p).copy()
+    bsz, k, _ = m.shape
+    ok = np.ones(bsz, dtype=bool)
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    rows = np.arange(bsz)
+    for c in range(k):
+        nz = m[:, c:, c] != 0
+        has = nz.any(axis=1)
+        ok &= has
+        piv = np.argmax(nz, axis=1) + c
+        piv[~has] = c  # keep indices valid for the dead batches
+        swap = piv != c
+        if swap.any():
+            w, pv = rows[swap], piv[swap]
+            tmp = m[w, c, :].copy()
+            m[w, c, :] = m[w, pv, :]
+            m[w, pv, :] = tmp
+        pivval = m[:, c, c].copy()
+        pivval[pivval == 0] = 1
+        m[:, c, :] = (m[:, c, :] * inv[pivval][:, None]) % p
+        if c + 1 < k:
+            factors = m[:, c + 1 :, c]
+            m[:, c + 1 :, :] = (m[:, c + 1 :, :] - factors[:, :, None] * m[:, c : c + 1, :]) % p
+    return ok
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 64), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(2, 0, 1, 0)
+@example(5, 0, 4, 0)
+@example(7, 9, 1, 0)
+def test_batch_nonsingular_matches_field_elimination(p, bsz, k, seed):
+    """Stacks with many singular matrices: sparse entries, dependent rows and zero rows."""
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, (bsz, k, k))
+    mats[rng.random((bsz, k, k)) < rng.choice([0.0, 0.5, 0.8])] = 0
+    if k > 1:
+        deficient = rng.random(bsz) < 0.3
+        mats[deficient, -1] = (mats[deficient, 0] * rng.integers(0, p)) % p
+    mats[rng.random(bsz) < 0.1, rng.integers(0, k)] = 0
+    got = zmod.batch_nonsingular(mats, p)
+    assert got.shape == (bsz,) and got.tolist() == ref_batch_nonsingular(mats, p).tolist()
 
 
 # -- the counit census -----------------------------------------------------------------
@@ -166,6 +187,20 @@ def test_counit_route_on_samples(request, name):
     rng = np.random.default_rng(2048)
     rows = np.vstack([grid.rows_at(np.sort(rng.choice(grid.size, 2048, replace=False))), b2_rows(ext)])
     assert check_counit_route(ext, rows)[-1]
+
+
+def test_counit_route_on_composite_sample():
+    """A seeded sample of S^⊗3 and B^2 over Z/6[x]/(x²+x+1)/Z6, whose columns need a merge
+    over Z/6, decided over Z/2 and Z/3 with no scalar Howell call."""
+    ext = random_extension(6, [1, 1, 1], rebased=False)
+    t3 = ext.tensor_power(3).ring
+    rng = np.random.default_rng(6)
+    rows = np.vstack([rng.integers(0, 6, (1024, t3.rank)), b2_rows(ext)[::8]])
+    with scalar_calls() as spy:
+        got = counit_solvable(ext, rows)
+    assert spy.call_count == 0
+    assert got.tolist() == [counit_solution(ext, u) is not None for u in rows]
+    assert got[1024:].all()
 
 
 @settings(max_examples=12, deadline=None)
