@@ -148,8 +148,9 @@ class Extension:
         d, eye = self.degree, np.eye(self.base.rank, dtype=np.int64)
         # e[rho, a, tau]: coefficients of e_rho times the a-th R-coordinate of 1_S
         e = self.base.mul_einsum("r_,a_->ra_", eye, self.r_coords(self.top.one))
-        pre, post = np.eye(d ** (i - 1), dtype=np.int64), np.eye(d ** (m - i + 1), dtype=np.int64)
-        mat = np.einsum("pP,qQ,rat->paqtPQr", pre, post, e).reshape(tgt.ring.rank, src.ring.rank)
+        # identity on the slots before i and after it: (a, q, t) rows, (Q, r) columns
+        post = np.einsum("qQ,rat->aqtQr", np.eye(d ** (m - i + 1), dtype=np.int64), e)
+        mat = np.kron(np.eye(d ** (i - 1), dtype=np.int64), post.reshape(-1, d ** (m - i + 1) * len(eye)))
         if m == 1:
             mat = (mat @ self._phi_inv) % self.n
         return RingHom(src.ring, tgt.ring, mat, check=(tgt.ring.rank <= 100))
@@ -302,7 +303,9 @@ def _build_tensor_ring(
     for rm in rmults[1:]:
         dim = len(acc) * len(rm)
         acc = base.mul_einsum("IJA_,ija_->IiJjAa_", acc, rm).reshape(dim, dim, dim, base.rank)
-    acc = restrict_scalars(base, acc)  # frees the R-valued table before FiniteRing copies it
+    # the small-integer table (the base's dtype, same modulus) frees the R-valued
+    # table and the int64 one before FiniteRing makes its own int64 copy
+    acc = restrict_scalars(base, acc).astype(base.struct.dtype)
     return FiniteRing(base.n, acc, _pure_tensor(base, ones), name=name, check=False)
 
 

@@ -29,6 +29,11 @@ DEFAULT_RANK_CAP = 600  # structure tensors are rank^3 entries
 # (rank 16-64) of them, so the power route is at most a few times slower
 # than a solve on any ring; a ring with a longer L is inverted by a solve.
 POWER_BITS = 24
+# mul_einsum hands a product of at most EINSUM_TERMS terms to np.einsum, whose
+# loop costs a few microseconds on it; a larger one goes to np.matmul, whose
+# result is written SLAB_ENTRIES int64 entries (64 KB) at a time.
+EINSUM_TERMS = 1 << 11
+SLAB_ENTRIES = 1 << 13
 
 
 class RingTooLarge(Exception):
@@ -113,16 +118,33 @@ class FiniteRing:
 
         In spec, "_" marks the coordinate axis of each operand and of the
         result: "ij_,jk_->ik_" composes matrices with entries in the ring.
-        Each term multiplies three reduced residues (x, y and a structure
-        constant), which the bound in the zmod docstring covers; the result
-        is reduced mod n in place, so no second array of its size is made.
+        Two contractions, each reduced mod n: the table with the smaller
+        operand over its coordinate axis (r terms; over a rank-1 base a
+        scaling by the one structure constant), then one two-operand
+        product (:func:`_contract`) with the other operand.  The second is
+        the longer sum, r·K terms with K the length of the letters summed
+        between the operands (K = d in "...ij_,...jk_->...ik_", where d·r
+        is the rank of a top ring).  Every term is a product of two reduced
+        residues, below (n-1)^2; the zmod docstring bounds the sums.  The
+        result is int64 and C-contiguous, so a caller's reshape is a view.
         """
-        ins, out = spec.split("->")
-        a, b = ins.split(",")
-        full = f"{a.replace('_', 'U')},{b.replace('_', 'V')},UVW->{out.replace('_', 'W')}"
-        prods = np.einsum(full, x, y, self.struct.astype(np.int64))
-        prods %= self.n
-        return prods
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        a, b, out = _explicit(spec, x.ndim, y.ndim)
+        n = self.n
+        swap = x.size > y.size  # x becomes the smaller operand, the one the table meets
+        if swap:
+            a, b, x, y = b, a, y, x
+        if self.rank == 1:
+            # e_0 e_0 = c e_0: the table is a scaling, and the axis of length 1 stays
+            c = int(self.struct[0, 0, 0])
+            x = x if c == 1 else x * c % n
+            return _contract(b.replace("_", "U"), y, a.replace("_", "U"), x, out.replace("_", "U"), n)
+        table = self.struct.astype(np.int64)
+        rest = a.replace("_", "")
+        half = np.einsum(f"{a.replace('_', 'U')},{'VUW' if swap else 'UVW'}->{rest}VW", x, table)
+        half %= n
+        return _contract(b.replace("_", "V"), y, f"{rest}VW", half, out.replace("_", "W"), n)
 
     def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
         """Each row of a batch raised to the power e >= 0, by squaring through mul_rows."""
@@ -278,6 +300,62 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.name})"
+
+
+def _explicit(spec: str, xdim: int, ydim: int) -> tuple[str, str, str]:
+    """The two operand specs and the result spec of spec, with "..." spelled out.
+
+    The ellipsis of each operand becomes its last fresh letters, aligned on
+    the right as numpy broadcasts, and that of the result all of them.
+    """
+    ins, out = spec.split("->")
+    a, b = ins.split(",")
+    if "..." not in spec:
+        return a, b, out
+    fresh = "".join(c for c in "ABCDEFGHIJKLMNOPQRSTXYZ" if c not in spec)  # not U, V, W
+    ea = xdim - len(a) + 3 if "..." in a else 0
+    eb = ydim - len(b) + 3 if "..." in b else 0
+    dots = fresh[: max(ea, eb)]
+    return a.replace("...", dots[len(dots) - ea :]), b.replace("...", dots[len(dots) - eb :]), out.replace("...", dots)
+
+
+def _contract(sa: str, a: np.ndarray, sb: str, b: np.ndarray, so: str, n: int) -> np.ndarray:
+    """The einsum sa,sb->so of two int64 operands, a the larger, reduced mod n.
+
+    At most EINSUM_TERMS products go to one np.einsum.  Above that it is
+    np.matmul: letters of both operands and of the result are batch axes
+    (broadcast), letters of both operands only are summed, and those of
+    one operand are its rows or columns.  The product is written into the
+    C-contiguous result in slabs of the first row letter of a, each of
+    about SLAB_ENTRIES entries or one index of that letter, so no second
+    array of the result's size is made.
+    """
+    if a.size * b.size <= EINSUM_TERMS:
+        out = np.einsum(f"{sa},{sb}->{so}", a, b, order="C")
+        out %= n
+        return out
+    batch = [c for c in so if c in sa and c in sb]
+    summed = [c for c in sa if c in sb and c not in so]
+    rows = [c for c in sa if c in so and c not in sb]
+    cols = [c for c in sb if c in so and c not in sa]
+    dims = dict(zip(sa, a.shape))
+    dims.update((c, max(dims.get(c, 1), k)) for c, k in zip(sb, b.shape))
+    nb = len(batch)
+    left = np.einsum(f"{sa}->{''.join(batch + rows + summed)}", a)
+    left = left.reshape(left.shape[:nb] + (math.prod(dims[c] for c in rows), -1))
+    right = np.einsum(f"{sb}->{''.join(batch + summed + cols)}", b)
+    right = right.reshape(right.shape[:nb] + (left.shape[-1], -1))
+    out = np.empty(tuple(dims[c] for c in so), dtype=np.int64)
+    view = np.einsum(f"{so}->{''.join(batch + rows + cols)}", out)
+    first = dims[rows[0]] if rows else 1
+    per = left.shape[-2] // first  # rows of left per index of the first row letter
+    step = max(1, SLAB_ENTRIES * first // out.size)
+    for t in range(0, first, step):
+        slab = view[(slice(None),) * nb + (slice(t, t + step),)] if rows else view
+        prod = np.matmul(left[..., t * per : (t + step) * per, :], right)
+        prod %= n
+        slab[...] = prod.reshape(slab.shape)
+    return out
 
 
 def _values(a: FiniteRing, y: np.ndarray, t: int) -> np.ndarray:

@@ -23,12 +23,18 @@ Exactness.  Every result is exact; the package refuses a modulus it cannot
 handle exactly rather than answer from wrapped arithmetic.
 
 - Accepted moduli are 2 <= n <= MAX_MODULUS = 2^14.  The int64
-  contractions of ring products are FiniteRing.mul_einsum and
-  FiniteRing.mulmat.  The worst, mul_einsum, multiplies three reduced
-  residues and sums at most DEFAULT_RANK_CAP^2 = 600^2 terms;
-  (2^14 - 1)^3 * 600^2 < 2^63, so it cannot wrap.  FiniteRing.__init__,
-  make_quotient_ring and make_product_ring refuse a larger rank with
-  ValueError before allocating its table; tensor powers raise RingTooLarge.
+  contractions of ring products are FiniteRing.mulmat (r terms),
+  FiniteRing.mul_einsum and TensorRing.mul_slots, and each term is a
+  product of two reduced residues, below (n-1)^2 < 2^28.  mul_einsum
+  contracts the base table with one operand (r terms), then takes one
+  product with the other; that product is the worst: r·K terms, K the
+  length of the letters summed between the operands, at most d·r <=
+  DEFAULT_RANK_CAP = 600 for the composition of R-matrices
+  "...ij_,...jk_->...ik_" (K = d).  Any sum of at most 600^2 terms
+  (mul_slots: d^2·r) stays below 600^2 * (2^14 - 1)^2 < 2^47 < 2^63, so
+  none can wrap.  FiniteRing.__init__, make_quotient_ring and
+  make_product_ring refuse a larger rank with ValueError before
+  allocating its table; tensor powers raise RingTooLarge.
 - The rank-1 updates of :func:`howell` and :func:`_eliminate` multiply a
   quotient below n by an entry below n, so each product is below
   n^2 <= 2^28, exact in int64.
@@ -206,17 +212,30 @@ def _stab_table(n: int) -> np.ndarray:
     return np.array([stab_unit(a, n) for a in range(n)], dtype=np.int64)
 
 
+def _stack_rows(q: int, rows: int, ncols: int) -> int:
+    """Rows of a stack that :func:`_eliminate` runs on over q, for systems of
+    `rows` rows and ncols eliminated columns: below the systems' rows, one
+    zero slot row per column over a proper prime power, and over a prime
+    only zero rows up to ncols, so that no rank reaches the row count while
+    a column is left."""
+    return rows + ncols if prime_factors(q)[0] != q else max(rows, ncols)
+
+
 def _eliminate(w: np.ndarray, q: int, ncols: int) -> np.ndarray:
     """Eliminate the first ncols columns of each system of a stack w (B, rows, width)
     over a prime power q, in place, and return each system's rank r.
 
-    The last ncols rows of w are zero slots, one per column.  Per column the
-    row of least gcd with q at or below r generates the column's ideal; it is
-    scaled to b = gcd(pivot, q), one rank-1 update clears the column, and
-    (q/b)·pivot row fills the column's slot (the Howell property), so rows r
-    and below span the row span's vectors that vanish on the first ncols columns.
+    Per column the row of least gcd with q at or below r generates the
+    column's ideal; it is scaled to b = gcd(pivot, q) and one rank-1 update
+    clears the column.  Over a proper prime power the last ncols rows of w
+    are zero slots, one per column, and (q/b)·pivot row fills the column's
+    slot (the Howell property).  Over a prime every pivot is a unit (b = 1),
+    that row is zero, and w has no slots (:func:`_stack_rows`).  Rows r and
+    below then span the row span's vectors that vanish on the first ncols
+    columns.
     """
     bsz, rows, _ = w.shape
+    slots = prime_factors(q)[0] != q
     systems = np.arange(bsz)
     below = np.arange(rows)
     r = np.zeros(bsz, dtype=np.int64)
@@ -235,7 +254,8 @@ def _eliminate(w: np.ndarray, q: int, ncols: int) -> np.ndarray:
         f[systems, r] = 0
         w[:, :, c:] -= f[:, :, None] * pivot[:, None, c:]
         w[:, :, c:] %= q
-        w[:, rows - ncols + c, c:] = (np.where(live, q // b, 0)[:, None] * pivot[:, c:]) % q
+        if slots:
+            w[:, rows - ncols + c, c:] = (np.where(live, q // b, 0)[:, None] * pivot[:, c:]) % q
         r += live
     return r
 
@@ -256,17 +276,16 @@ def solvable_right_batch(a, b, n: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     bsz, m, k = a.shape
     rhs = np.broadcast_to(np.asarray(b, dtype=np.int64), (bsz, m))
-    rows = k + 1 + m
     out = np.ones(bsz, dtype=bool)
-    step = block_rows(rows * (m + 1))
+    step = block_rows((k + 1 + m) * (m + 1))
     for s in range(0, bsz, step):
         for q in prime_powers(n):
             live = s + np.flatnonzero(out[s : s + step])  # systems not yet refuted
-            w = np.zeros((len(live), rows, m + 1), dtype=np.int64)
+            w = np.zeros((len(live), _stack_rows(q, k + 1, m), m + 1), dtype=np.int64)
             w[:, :k, :m] = a[live].transpose(0, 2, 1) % q
             w[:, k, :m] = rhs[live] % q
             w[:, k, m] = 1
-            rest = np.arange(rows) >= _eliminate(w, q, m)[:, None]
+            rest = np.arange(w.shape[1]) >= _eliminate(w, q, m)[:, None]
             out[live] = (rest & (np.gcd(w[:, :, m], q) == 1)).any(axis=1)
     return out
 
@@ -407,9 +426,10 @@ def prime_powers(n: int) -> tuple[int, ...]:
 def batch_nonsingular(mats: np.ndarray, p: int) -> np.ndarray:
     """Nonsingularity mask over F_p of a stack of square matrices (B, k, k):
     rank k under :func:`_eliminate`."""
-    mats = np.asarray(mats, dtype=np.int64) % p
-    k = mats.shape[-1]
-    return _eliminate(np.concatenate([mats, np.zeros_like(mats)], axis=1), p, k) == k
+    k = np.shape(mats)[-1]
+    w = np.zeros((len(mats), _stack_rows(p, k, k), k), dtype=np.int64)
+    w[:, :k] = np.asarray(mats, dtype=np.int64) % p
+    return _eliminate(w, p, k) == k
 
 
 def _reduce(c: np.ndarray, n: int) -> np.ndarray:

@@ -144,6 +144,26 @@ def test_batch_nonsingular_matches_scalar():
             assert ok == (det != 0)
 
 
+def test_prime_stacks_have_no_slot_rows():
+    """Over a prime the stack is the systems' rows, padded with zero rows up to
+    the eliminated columns; over a proper prime power one slot row per column.
+
+    System 0 reaches full row rank (2 rows: A^T and [b | 1]) after column 1
+    while system 1 still has pivots in columns 2 and 3."""
+    assert zmod._stack_rows(3, 2, 4) == 4 and zmod._stack_rows(3, 5, 4) == 5
+    assert zmod._stack_rows(9, 2, 4) == 6 and zmod._stack_rows(2, 8, 8) == 8
+    a = np.zeros((2, 4, 1), dtype=np.int64)
+    a[0, 0, 0] = a[1, 2, 0] = 1
+    rhs = np.array([[0, 1, 0, 0], [0, 0, 0, 1]])
+    assert zmod.solvable_right_batch(a, rhs, 3).tolist() == [False, False]
+    assert zmod.solvable_right_batch(a, [1, 0, 0, 0], 3).tolist() == [True, False]
+    for n in (3, 9):
+        mixed = np.concatenate([a, a * 2 % n])
+        each = np.vstack([rhs, rhs])
+        want = [zmod.solve_right(mixed[i], each[i], n) is not None for i in range(4)]
+        assert zmod.solvable_right_batch(mixed, each, n).tolist() == want
+
+
 def test_stab_unit():
     from math import gcd
 
