@@ -148,9 +148,9 @@ class Extension:
         d, eye = self.degree, np.eye(self.base.rank, dtype=np.int64)
         # e[rho, a, tau]: coefficients of e_rho times the a-th R-coordinate of 1_S
         e = self.base.mul_einsum("r_,a_->ra_", eye, self.r_coords(self.top.one))
-        # identity on the slots before i and after it: (a, q, t) rows, (Q, r) columns
-        post = np.einsum("qQ,rat->aqtQr", np.eye(d ** (m - i + 1), dtype=np.int64), e)
-        mat = np.kron(np.eye(d ** (i - 1), dtype=np.int64), post.reshape(-1, d ** (m - i + 1) * len(eye)))
+        pre, post = np.eye(d ** (i - 1), dtype=np.int64), np.eye(d ** (m - i + 1), dtype=np.int64)
+        mat = np.einsum("pP,aqtQr->paqtPQr", pre, np.einsum("qQ,rat->aqtQr", post, e))
+        mat = mat.reshape(tgt.ring.rank, src.ring.rank)
         if m == 1:
             mat = (mat @ self._phi_inv) % self.n
         return RingHom(src.ring, tgt.ring, mat, check=(tgt.ring.rank <= 100))

@@ -119,30 +119,36 @@ class FiniteRing:
         In spec, "_" marks the coordinate axis of each operand and of the
         result: "ij_,jk_->ik_" composes matrices with entries in the ring.
         Two contractions, each reduced mod n: the table with the smaller
-        operand over its coordinate axis (r terms; over a rank-1 base a
-        scaling by the one structure constant), then one two-operand
+        operand over its coordinate axis (r terms), then one two-operand
         product (:func:`_contract`) with the other operand.  The second is
         the longer sum, r·K terms with K the length of the letters summed
         between the operands (K = d in "...ij_,...jk_->...ik_", where d·r
-        is the rank of a top ring).  Every term is a product of two reduced
-        residues, below (n-1)^2; the zmod docstring bounds the sums.  The
-        result is int64 and C-contiguous, so a caller's reshape is a view.
+        is the rank of a top ring).  Over a rank-1 base the table is a
+        scaling by its one constant, and the call is one two-operand
+        np.einsum.  Every term is a product of two reduced residues, below
+        (n-1)^2; the zmod docstring bounds the sums.  The result is int64
+        and C-contiguous, so a caller's reshape is a view.
         """
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        a, b, out = _explicit(spec, x.ndim, y.ndim)
         n = self.n
+        if self.rank == 1:
+            # e_0 e_0 = c e_0: scale the smaller operand; the axis of length 1 stays
+            c = int(self.struct[0, 0, 0])
+            if c != 1 and x.size <= y.size:
+                x = x * c % n
+            elif c != 1:
+                y = y * c % n
+            prods = np.einsum(spec.replace("_", "U"), x, y, order="C")
+            prods %= n
+            return prods
+        a, b, out = _explicit(spec, x.ndim, y.ndim)
         swap = x.size > y.size  # x becomes the smaller operand, the one the table meets
         if swap:
             a, b, x, y = b, a, y, x
-        if self.rank == 1:
-            # e_0 e_0 = c e_0: the table is a scaling, and the axis of length 1 stays
-            c = int(self.struct[0, 0, 0])
-            x = x if c == 1 else x * c % n
-            return _contract(b.replace("_", "U"), y, a.replace("_", "U"), x, out.replace("_", "U"), n)
-        table = self.struct.astype(np.int64)
         rest = a.replace("_", "")
-        half = np.einsum(f"{a.replace('_', 'U')},{'VUW' if swap else 'UVW'}->{rest}VW", x, table)
+        table = "VUW" if swap else "UVW"
+        half = np.einsum(f"{a.replace('_', 'U')},{table}->{rest}VW", x, self.struct.astype(np.int64))
         half %= n
         return _contract(b.replace("_", "V"), y, f"{rest}VW", half, out.replace("_", "W"), n)
 
