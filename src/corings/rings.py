@@ -29,9 +29,10 @@ DEFAULT_RANK_CAP = 600  # structure tensors are rank^3 entries
 # (rank 16-64) of them, so the power route is at most a few times slower
 # than a solve on any ring; a ring with a longer L is inverted by a solve.
 POWER_BITS = 24
-# mul_einsum hands a product of at most EINSUM_TERMS terms to np.einsum, whose
-# loop costs a few microseconds on it; a larger one goes to np.matmul, whose
-# result is written SLAB_ENTRIES int64 entries (64 KB) at a time.
+# mul_einsum hands a product of at most EINSUM_TERMS terms to np.einsum, which
+# is cheapest on small products but steps through a large one term by term; a
+# larger product goes to np.matmul (a higher fixed cost), whose result is
+# written SLAB_ENTRIES int64 entries (64 KB) at a time.
 EINSUM_TERMS = 1 << 11
 SLAB_ENTRIES = 1 << 13
 

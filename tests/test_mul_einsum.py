@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corings import zmod
 from corings.extensions import amitsur_rebase
 from corings.rings import make_product_ring, make_quotient_ring, zmod_ring
 from tests.conftest import scaled_zmod, simple_extension
@@ -92,6 +91,8 @@ def check(ring, spec, x, y):
 @example("Z/16381 on 3·1", "IJA_,ija_->IiJjAa_", {**dict.fromkeys("IJA", 8), **dict.fromkeys("ija", 4)}, ((), ()), "top", 3)
 @example("GR(4,2)", "TpiA_,TjB_->TAB_ijp", {"T": 32, **dict.fromkeys("piAjB", 3)}, ((), ()), "uniform", 4)
 @example("Z/16381[x]/(x^3+5x+7)", "...ij_,...jk_->...ik_", dict.fromkeys("ijk", 4), ((16, 1), (1, 16)), "top", 5)
+@example("Z/16381[x]/(x^3+5x+7)", "ij_,jk_->ik_", dict.fromkeys("ijk", 9), ((), ()), "top", 6)
+@example("Z/16381[x]/(x^3+5x+7)", "ab_,ij_->iajb_", dict.fromkeys("abij", 9), ((), ()), "top", 7)
 def test_mul_einsum_matches_three_operand_einsum(name, spec, sizes, lead, fill, seed):
     """Byte-identical results, int64 and C-contiguous: letters of length 0-4,
     broadcast ellipses, and residues all n - 1 ("top") for the largest sums.
@@ -155,14 +156,3 @@ def test_dense_table_memory_over_rank_two_base():
         tracemalloc.stop()
     assert table.shape == (32, 32, 32) and peak <= 0.56
 
-
-def test_einsum_terms_and_slabs_are_exact_at_the_largest_modulus():
-    """Both routes of the two-operand product, a single np.einsum and the
-    matmul slabs, on all-(n-1) operands at n = MAX_MODULUS - 3."""
-    ring = BASES["Z/16381[x]/(x^3+5x+7)"]
-    assert zmod.MAX_MODULUS - 3 == ring.n
-    for d in (1, 2, 5, 9):
-        x = np.full((d, d, 3), ring.n - 1)
-        y = np.full((d, d, 3), ring.n - 1)
-        check(ring, "ij_,jk_->ik_", x, y)
-        check(ring, "ab_,ij_->iajb_", x, y)
