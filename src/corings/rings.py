@@ -29,12 +29,14 @@ DEFAULT_RANK_CAP = 600  # structure tensors are rank^3 entries
 # (rank 16-64) of them, so the power route is at most a few times slower
 # than a solve on any ring; a ring with a longer L is inverted by a solve.
 POWER_BITS = 24
-# mul_einsum hands a product of at most EINSUM_TERMS terms to np.einsum, which
-# is cheapest on small products but steps through a large one term by term; a
-# larger product goes to np.matmul (a higher fixed cost), whose result is
-# written SLAB_ENTRIES int64 entries (64 KB) at a time.
-EINSUM_TERMS = 1 << 11
-SLAB_ENTRIES = 1 << 13
+# mul_einsum hands a product of fewer than EINSUM_TERMS terms (the product of
+# the lengths of its distinct letters) to np.einsum and a longer one to
+# np.matmul (`_contract`).  On the rank-2 calls of a rebased-sweep pass
+# (numpy 2.4, 2-core Xeon VM) np.einsum takes 4-17 us up to 256 terms, where
+# np.matmul takes 12-24 us; at 512 terms the two are level (18-27 against
+# 18-19 us), and at 2^16 terms np.einsum takes 2.4 ms against 0.27 ms, since
+# it steps through the product term by term.
+EINSUM_TERMS = 1 << 9
 
 
 class RingTooLarge(Exception):
@@ -327,41 +329,37 @@ def _explicit(spec: str, xdim: int, ydim: int) -> tuple[str, str, str]:
 
 
 def _contract(sa: str, a: np.ndarray, sb: str, b: np.ndarray, so: str, n: int) -> np.ndarray:
-    """The einsum sa,sb->so of two int64 operands, a the larger, reduced mod n.
+    """The einsum sa,sb->so of two int64 operands, reduced mod n; b carries a
+    letter of the result that a lacks.
 
-    At most EINSUM_TERMS products go to one np.einsum.  Above that it is
-    np.matmul: letters of both operands and of the result are batch axes
-    (broadcast), letters of both operands only are summed, and those of
-    one operand are its rows or columns.  The product is written into the
-    C-contiguous result in slabs of the first row letter of a, each of
-    about SLAB_ENTRIES entries or one index of that letter, so no second
-    array of the result's size is made.
+    Fewer than EINSUM_TERMS terms go to one np.einsum.  Otherwise it is one
+    np.matmul written into the C-contiguous result through a strided view,
+    so no second array of the result's size is made.  Letters of both
+    operands and of the result are batch axes (broadcast), letters of both
+    operands only are summed, and those of one operand are its rows or
+    columns: the last row and the last column letter span the matrix
+    product, and the other row and column letters are broadcast axes.
     """
-    if a.size * b.size <= EINSUM_TERMS:
+    dims = dict(zip(sb, b.shape))
+    dims.update((c, max(dims.get(c, 1), k)) for c, k in zip(sa, a.shape))
+    if math.prod(dims.values()) < EINSUM_TERMS:
         out = np.einsum(f"{sa},{sb}->{so}", a, b, order="C")
         out %= n
         return out
+    rows = [c for c in so if c not in sb]
+    cols = [c for c in so if c not in sa]
     batch = [c for c in so if c in sa and c in sb]
-    summed = [c for c in sa if c in sb and c not in so]
-    rows = [c for c in sa if c in so and c not in sb]
-    cols = [c for c in sb if c in so and c not in sa]
-    dims = dict(zip(sa, a.shape))
-    dims.update((c, max(dims.get(c, 1), k)) for c, k in zip(sb, b.shape))
-    nb = len(batch)
-    left = np.einsum(f"{sa}->{''.join(batch + rows + summed)}", a)
-    left = left.reshape(left.shape[:nb] + (math.prod(dims[c] for c in rows), -1))
-    right = np.einsum(f"{sb}->{''.join(batch + summed + cols)}", b)
-    right = right.reshape(right.shape[:nb] + (left.shape[-1], -1))
-    out = np.empty(tuple(dims[c] for c in so), dtype=np.int64)
-    view = np.einsum(f"{so}->{''.join(batch + rows + cols)}", out)
-    first = dims[rows[0]] if rows else 1
-    per = left.shape[-2] // first  # rows of left per index of the first row letter
-    step = max(1, SLAB_ENTRIES * first // out.size)
-    for t in range(0, first, step):
-        slab = view[(slice(None),) * nb + (slice(t, t + step),)] if rows else view
-        prod = np.matmul(left[..., t * per : (t + step) * per, :], right)
-        prod %= n
-        slab[...] = prod.reshape(slab.shape)
+    summed = [c for c in sa if c not in so]
+    out = np.empty([dims[c] for c in so], dtype=np.int64)
+    nb, r0, c0 = len(batch), rows[:-1], cols[:-1]
+    k = math.prod(dims[c] for c in summed)
+    left = a.transpose([sa.index(c) for c in batch + rows + summed])
+    left = left.reshape(left.shape[: nb + len(r0)] + (1,) * len(c0) + (-1, k))
+    right = b.transpose([sb.index(c) for c in batch + c0 + summed + cols[-1:]])
+    right = right.reshape(right.shape[:nb] + (1,) * len(r0) + right.shape[nb : nb + len(c0)] + (k, -1))
+    view = out.transpose([so.index(c) for c in batch + r0 + c0 + rows[-1:] + cols[-1:]])
+    np.matmul(left, right, out=view if rows else view[..., None, :])
+    out %= n
     return out
 
 

@@ -212,32 +212,26 @@ def _stab_table(n: int) -> np.ndarray:
     return np.array([stab_unit(a, n) for a in range(n)], dtype=np.int64)
 
 
-def _stack_rows(q: int, rows: int, ncols: int) -> int:
-    """Rows of a stack that :func:`_eliminate` runs on over q, for systems of
-    `rows` rows and ncols eliminated columns: below the systems' rows, one
-    zero slot row per column over a proper prime power, and over a prime
-    only zero rows up to ncols, so that no rank reaches the row count while
-    a column is left."""
-    return rows + ncols if prime_factors(q)[0] != q else max(rows, ncols)
+def _eliminate(stack: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the first ncols columns of each system of a stack (B, rows, width)
+    over a prime power q; return the eliminated stack w and each system's rank r.
 
-
-def _eliminate(w: np.ndarray, q: int, ncols: int) -> np.ndarray:
-    """Eliminate the first ncols columns of each system of a stack w (B, rows, width)
-    over a prime power q, in place, and return each system's rank r.
-
-    Per column the row of least gcd with q at or below r generates the
-    column's ideal; it is scaled to b = gcd(pivot, q) and one rank-1 update
-    clears the column.  Over a proper prime power the last ncols rows of w
-    are zero slots, one per column, and (q/b)·pivot row fills the column's
-    slot (the Howell property).  Over a prime every pivot is a unit (b = 1),
-    that row is zero, and w has no slots (:func:`_stack_rows`).  Rows r and
-    below then span the row span's vectors that vanish on the first ncols
-    columns.
+    w is the systems reduced mod q with zero rows below them.  Per column the
+    row of least gcd with q at or below r generates the column's ideal; it is
+    scaled to b = gcd(pivot, q) and one rank-1 update clears the column.
+    Over a proper prime power w has one slot row per column, and
+    (q/b)·pivot row fills the column's slot (the Howell property).  Over a
+    prime every pivot is a unit (b = 1), that row would be zero, and w has
+    no slots, only zero rows up to ncols, so no rank reaches the row count
+    while a column is left.  Rows r and below of w then span the row span's
+    vectors that vanish on the first ncols columns.
     """
-    bsz, rows, _ = w.shape
+    bsz, rows, width = stack.shape
     slots = prime_factors(q)[0] != q
+    w = np.zeros((bsz, rows + ncols if slots else max(rows, ncols), width), dtype=np.int64)
+    w[:, :rows] = stack % q
     systems = np.arange(bsz)
-    below = np.arange(rows)
+    below = np.arange(w.shape[1])
     r = np.zeros(bsz, dtype=np.int64)
     for c in range(ncols):
         g = np.gcd(w[:, :, c], q)
@@ -255,9 +249,9 @@ def _eliminate(w: np.ndarray, q: int, ncols: int) -> np.ndarray:
         w[:, :, c:] -= f[:, :, None] * pivot[:, None, c:]
         w[:, :, c:] %= q
         if slots:
-            w[:, rows - ncols + c, c:] = (np.where(live, q // b, 0)[:, None] * pivot[:, c:]) % q
+            w[:, rows + c, c:] = (np.where(live, q // b, 0)[:, None] * pivot[:, c:]) % q
         r += live
-    return r
+    return w, r
 
 
 def solvable_right_batch(a, b, n: int) -> np.ndarray:
@@ -281,11 +275,12 @@ def solvable_right_batch(a, b, n: int) -> np.ndarray:
     for s in range(0, bsz, step):
         for q in prime_powers(n):
             live = s + np.flatnonzero(out[s : s + step])  # systems not yet refuted
-            w = np.zeros((len(live), _stack_rows(q, k + 1, m), m + 1), dtype=np.int64)
-            w[:, :k, :m] = a[live].transpose(0, 2, 1) % q
-            w[:, k, :m] = rhs[live] % q
-            w[:, k, m] = 1
-            rest = np.arange(w.shape[1]) >= _eliminate(w, q, m)[:, None]
+            block = np.zeros((len(live), k + 1, m + 1), dtype=np.int64)
+            block[:, :k, :m] = a[live].transpose(0, 2, 1)
+            block[:, k, :m] = rhs[live]
+            block[:, k, m] = 1
+            w, rank = _eliminate(block, q, m)
+            rest = np.arange(w.shape[1]) >= rank[:, None]
             out[live] = (rest & (np.gcd(w[:, :, m], q) == 1)).any(axis=1)
     return out
 
@@ -427,9 +422,7 @@ def batch_nonsingular(mats: np.ndarray, p: int) -> np.ndarray:
     """Nonsingularity mask over F_p of a stack of square matrices (B, k, k):
     rank k under :func:`_eliminate`."""
     k = np.shape(mats)[-1]
-    w = np.zeros((len(mats), _stack_rows(p, k, k), k), dtype=np.int64)
-    w[:, :k] = np.asarray(mats, dtype=np.int64) % p
-    return _eliminate(w, p, k) == k
+    return _eliminate(np.asarray(mats, dtype=np.int64), p, k)[1] == k
 
 
 def _reduce(c: np.ndarray, n: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def check(ring, spec, x, y):
 def test_mul_einsum_matches_three_operand_einsum(name, spec, sizes, lead, fill, seed):
     """Byte-identical results, int64 and C-contiguous: letters of length 0-4,
     broadcast ellipses, and residues all n - 1 ("top") for the largest sums.
-    The explicit examples are large enough to be written in several slabs."""
+    The explicit examples are large enough for the np.matmul route."""
     ring = BASES[name]
     dims = {c: sizes.get(c, 2) for c in "TijklxyraQLPKcpRABIJdefbtq"}
     xs, ys = operand_shapes(spec, ring.rank, dims, lead)
@@ -117,6 +117,17 @@ def test_mul_einsum_takes_small_integer_tables(name):
     rtable = np.random.default_rng(7).integers(0, ring.n, (6, 6, 6, ring.rank))
     check(ring, "ab_,ijk_->iajbk_", ring.struct, rtable)
     check(ring, "ab_,ijk_->iajbk_", ring.struct, rtable.astype(ring.struct.dtype))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_broadcast_products_without_row_letters(name):
+    """Every product x_i y_j by broadcasting: the larger operand has no letter
+    that the other lacks, so the matrix product has one row."""
+    ring = BASES[name]
+    rng = np.random.default_rng(11)
+    x, y = rng.integers(0, ring.n, (32, 1, 2, ring.rank)), rng.integers(0, ring.n, (1, 32, 2, ring.rank))
+    check(ring, "...i_,...i_->...i_", x, y)
+    check(ring, "..._,..._->..._", x[:, :, 0], y[:, :, 0])
 
 
 def rebased_f4():
@@ -145,8 +156,9 @@ def test_tables_and_face_maps_pass_two_operands_to_einsum():
 def test_dense_table_memory_over_rank_two_base():
     """Building the S^⊗4 table of (F4⊗F4)/F4 (32^3 entries, 256 KB as int64)
     peaks at no more than the three-operand route did: 0.559 MB traced with
-    numpy 2.4.  The product is written into its result one slab at a time,
-    and the int64 table goes before FiniteRing makes its own int64 copy."""
+    numpy 2.4.  np.matmul writes the product into its result through a
+    strided view, and the int64 table goes before FiniteRing makes its own
+    int64 copy."""
     ring = rebased_f4().tensor_power(4).ring
     tracemalloc.start()
     try:

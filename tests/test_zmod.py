@@ -150,8 +150,9 @@ def test_prime_stacks_have_no_slot_rows():
 
     System 0 reaches full row rank (2 rows: A^T and [b | 1]) after column 1
     while system 1 still has pivots in columns 2 and 3."""
-    assert zmod._stack_rows(3, 2, 4) == 4 and zmod._stack_rows(3, 5, 4) == 5
-    assert zmod._stack_rows(9, 2, 4) == 6 and zmod._stack_rows(2, 8, 8) == 8
+    for q, rows, ncols, want in ((3, 2, 4, 4), (3, 5, 4, 5), (9, 2, 4, 6), (2, 8, 8, 8)):
+        w, rank = zmod._eliminate(np.zeros((1, rows, ncols + 1), dtype=np.int64), q, ncols)
+        assert w.shape == (1, want, ncols + 1) and rank.tolist() == [0]
     a = np.zeros((2, 4, 1), dtype=np.int64)
     a[0, 0, 0] = a[1, 2, 0] = 1
     rhs = np.array([[0, 1, 0, 0], [0, 0, 0, 1]])
