@@ -229,7 +229,7 @@ def _eliminate(stack: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, np.nd
     bsz, rows, width = stack.shape
     slots = prime_factors(q)[0] != q
     w = np.zeros((bsz, rows + ncols if slots else max(rows, ncols), width), dtype=np.int64)
-    w[:, :rows] = stack % q
+    np.remainder(stack, q, out=w[:, :rows])
     systems = np.arange(bsz)
     below = np.arange(w.shape[1])
     r = np.zeros(bsz, dtype=np.int64)
