@@ -20,8 +20,8 @@ identities, normalization of cocycles, interleaving of cocycles over S⊗S,
 and the base-change coboundary witness over (S⊗S)/(R⊗S).  The lex-first
 unit w of S^⊗2 with u·w_2 = v·w_1·w_3 (`_witness_search`) is found from one
 linear map and one quadratic form fixed by u and v.  A TwistElement decides
-each fact about its twist once and keeps it; B^2 and the cosickle form are
-kept in the memo of their extension.
+each fact about its twist once and keeps it; B^2, the cosickle form and
+its zero set are kept in the memo of their extension.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import zmod
 from .extensions import Extension, amitsur_rebase, external_extension, interleave, rebase_iso, rebase_pushforward
-from .rings import DEFAULT_CAP, Grid, InternalCheckError, RingElement, RingTooLarge, enumerate_units, try_invert
+from .rings import DEFAULT_CAP, Grid, InternalCheckError, RingElement, check_cap, enumerate_units, try_invert
 
 COSICKLE_CONDITION = "u1*u3 == u2*u4"
 
@@ -195,8 +195,7 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
     when a fresh one would be.
     """
     t2 = ext.tensor_power(2).ring
-    if t2.size > cap:
-        raise RingTooLarge(f"{t2.name} has {t2.size} elements, cap is {cap}")
+    check_cap(t2, cap)
 
     def build():
         units2 = enumerate_units(t2, cap=cap, jobs=jobs, as_array=True)
@@ -381,6 +380,25 @@ def cosickle_form(ext: Extension) -> np.ndarray:
     return ext._cached("cosickle", build)
 
 
+def cosickle_zeros(ext: Extension, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Mask of the cosickles among all of S^⊗3, lex order: the zero set of
+    the cosickle form, read-only.
+
+    One `Grid.zero_mask` sweep per extension, kept in its memo next to
+    `cosickle_form`; compute_h2 and classify_all both read it.  The cap is
+    checked on every call, so a kept mask is refused exactly when a fresh
+    sweep would be.
+    """
+    grid = Grid.of(ext.tensor_power(3).ring, cap)
+
+    def build():
+        mask = grid.zero_mask(cosickle_form(ext))
+        mask.flags.writeable = False
+        return mask
+
+    return ext._cached("cosickle_zeros", build)
+
+
 def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:
     """Boolean mask of the 2-cocycle condition over rows of units of S^⊗3."""
     return ~zmod.bilinear_mod(units3, units3, cosickle_form(ext), ext.n).any(axis=1)
@@ -389,13 +407,13 @@ def cocycle_mask(ext: Extension, units3: np.ndarray) -> np.ndarray:
 def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> CohomologyGroup:
     """Exhaustive H^2: kernel of delta_2 on units(S^⊗3) over image of delta_1.
 
-    Z^2 is one grid pass over S^⊗3 (`rings.Grid`): the cosickle form
-    evaluated on the units only, rows in lex order.
+    Z^2 = cosickles ∧ units, rows in lex order, from the two masks of S^⊗3
+    kept on the extension and its ring (`cosickle_zeros`,
+    `FiniteRing.unit_mask`).
     """
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
     t3 = ext.tensor_power(3).ring
-    grid = Grid.of(t3, cap)
-    z2 = grid.rows(grid.zero_mask(cosickle_form(ext), alive=grid.unit_mask(t3.residue_fields)))
+    z2 = Grid.of(t3, cap).rows(cosickle_zeros(ext, cap) & t3.unit_mask(cap))
     # B^2 ⊆ Z^2 (delta∘delta = 1): the rows of Z^2 are distinct, so B^2 adds none
     if len(zmod.unique_rows(np.vstack([z2, b2]))) != len(z2):  # pragma: no cover
         raise InternalCheckError("B^2 is not contained in Z^2")
@@ -439,7 +457,7 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     if (u_vec == v_vec).all():
         return ext.tensor_power(2).one_vec()
     grid = Grid.of(t2, cap)
-    units = np.flatnonzero(grid.unit_mask(t2.residue_fields))
+    units = np.flatnonzero(t2.unit_mask(cap))
     h1, h2, h3 = (ext.face_map(2, i).matrix.T for i in (1, 2, 3))
     lin = zmod.matmul_mod(h2, t3.mulmat(u_vec).T, ext.n)
     h13 = t3.products(h1, h3).reshape(t2.rank * t2.rank, t3.rank)

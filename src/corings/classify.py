@@ -24,7 +24,7 @@ import numpy as np
 
 from . import zmod
 from .amitsur import (
-    COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_form, is_two_cocycle, sorted_cosets, unit_twist
+    COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_zeros, is_two_cocycle, sorted_cosets, unit_twist
 )
 from .coring import NormalBasisCoring, coassoc_difference, external_product, is_azumaya, term_coproducts
 from .extensions import Extension
@@ -165,22 +165,25 @@ def classify_all(
 
     The sweep is one `rings.Grid` over S^⊗3: the unit mask and both partial-
     collapse masks are residue-field tests on half images, the cosickle and
-    coassociativity tags are zero sets of quadratic forms.  The
-    coassociativity tag is computed by the direct two-triple-coproduct test
-    (via its bilinear tensor), independently of the cosickle identity; the
-    two must agree.  The counit-solvability oracle (`counit_solvable`: per
-    block of the grid one GEMM, then one batched elimination per prime power
-    of n) is on by default for sweeps of at most 4096 elements, and its
-    verdict must equal almost invertibility.  The census builds its rows
-    only when `elements` is read.  `jobs` changes nothing.
+    coassociativity tags are zero sets of quadratic forms.  The unit mask
+    and the cosickle tag are the ones kept on S^⊗3 and on the extension
+    (`FiniteRing.unit_mask`, `amitsur.cosickle_zeros`), which compute_h2
+    reads too.  The coassociativity tag is swept here by the direct
+    two-triple-coproduct test (via its bilinear tensor), independently of
+    the cosickle identity; the two must agree.  The counit-solvability
+    oracle (`counit_solvable`: per block of the grid one GEMM, then one
+    batched elimination per prime power of n) is on by default for sweeps
+    of at most 4096 elements, and its verdict must equal almost
+    invertibility.  The census builds its rows only when `elements` is
+    read.  `jobs` changes nothing.
     """
     t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)
     grid = Grid.of(t3.ring, cap)
     if counit_oracle is None:
         counit_oracle = grid.size <= 4096
-    unit_mask = grid.unit_mask(t3.ring.residue_fields)
-    cosickle = grid.zero_mask(cosickle_form(ext))
+    unit_mask = t3.ring.unit_mask(cap)
+    cosickle = cosickle_zeros(ext, cap)
     coassoc = grid.zero_mask(_coassoc_difference_tensor(ext))
     # almost invertible: both partial collapses are units of S^⊗2
     residue2 = t2.ring.residue_fields

@@ -129,15 +129,22 @@ def term_coproducts(ext: Extension, slots: np.ndarray, scalars: np.ndarray) -> n
 def coassoc_difference(ext: Extension, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """(Delta_l ⊗ id) Delta_r - (id ⊗ Delta_l) Delta_r for stacks of comultiplication matrices.
 
-    left (I, k3, k2) and right (J, k3, k2) give shape (I, J, k4 * k2), reduced mod n.
+    left (I, k3, k2) and right (J, k3, k2), entries reduced, give shape
+    (I, J, k4 * k2), reduced mod n.  Delta_l applied to the first two slots
+    of Delta_r, and to the last two, is one exact `zmod.matmul_mod` each:
+    the rows of Delta_l, [a, b, c, t] <- (b_x ⊗ b_y, e_r), against Delta_r
+    with the two slots and the base coordinate it contracts as rows.
     """
     d, kr = ext.degree, ext.base.rank
-    dl = left.reshape(len(left), d, d, d, kr, d, d, kr)  # [a, b, c, t] <- (b_x ⊗ b_y, e_r)
-    dr = right.reshape(len(right), d, d, d, kr, -1)
-    # Delta_l applied to the first two slots, then to the last two (int64 tensordot)
-    first = np.einsum("iabctxyr,jxylrC->ijabcltC", dl, dr, optimize=True)
-    last = np.einsum("iabctyzr,jxyzrC->ijxabctC", dl, dr, optimize=True)
-    return ((first - last) % ext.n).reshape(len(left), len(right), -1)
+    nl, nr = len(left), len(right)
+    rows = left.reshape(nl * d**3 * kr, d * d * kr)
+    dr = right.reshape(nr, d, d, d, kr, -1)  # [j, x, y, z, r, C]
+    cols = dr.shape[-1]
+    first = zmod.matmul_mod(rows, dr.transpose(1, 2, 4, 0, 3, 5).reshape(d * d * kr, -1), ext.n)
+    last = zmod.matmul_mod(rows, dr.transpose(2, 3, 4, 0, 1, 5).reshape(d * d * kr, -1), ext.n)
+    first = first.reshape(nl, d, d, d, kr, nr, d, cols).transpose(0, 5, 1, 2, 3, 6, 4, 7)  # [i, j, a, b, c, z, t, C]
+    last = last.reshape(nl, d, d, d, kr, nr, d, cols).transpose(0, 5, 6, 1, 2, 3, 4, 7)  # [i, j, x, a, b, c, t, C]
+    return ((first - last) % ext.n).reshape(nl, nr, -1)
 
 
 def check_coassociative(c: NormalBasisCoring) -> bool:

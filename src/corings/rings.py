@@ -255,6 +255,22 @@ class FiniteRing:
         proj = np.hstack(blocks) if blocks else np.zeros((self.rank, 0), dtype=np.int64)
         return zmod.ResidueFields(self.n, proj, tuple(fields))
 
+    def unit_mask(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """The unit mask of every element in lex order (`Grid.unit_mask`), read-only.
+
+        Swept on first use and kept on the ring.  The cap is checked on
+        every call, so a kept mask is refused exactly when a fresh sweep
+        would be.
+        """
+        check_cap(self, cap)
+        return self._unit_mask
+
+    @cached_property
+    def _unit_mask(self) -> np.ndarray:
+        mask = Grid(self.n, self.rank).unit_mask(self.residue_fields)
+        mask.flags.writeable = False
+        return mask
+
     # -- elements ------------------------------------------------------------
 
     def element(self, coeffs) -> "RingElement":
@@ -641,6 +657,14 @@ def try_invert(x: RingElement) -> Optional[RingElement]:
     return ring.element(y)
 
 
+def check_cap(ring: FiniteRing, cap: int) -> None:
+    """Refuse, with RingTooLarge, a sweep of a ring of more than cap elements."""
+    if ring.size > cap:
+        raise RingTooLarge(f"{ring.name} has {ring.size} elements, cap is {cap}")
+    if ring.size > 2**62:
+        raise RingTooLarge("enumeration beyond 2^62 elements is unsupported")
+
+
 class Grid:
     """Every element of a rank-r ring over Z/nZ, as a product of two digit halves.
 
@@ -674,10 +698,7 @@ class Grid:
     @classmethod
     def of(cls, ring: FiniteRing, cap: int = DEFAULT_CAP) -> "Grid":
         """The grid of a ring, refused when the ring has more than cap elements."""
-        if ring.size > cap:
-            raise RingTooLarge(f"{ring.name} has {ring.size} elements, cap is {cap}")
-        if ring.size > 2**62:
-            raise RingTooLarge("enumeration beyond 2^62 elements is unsupported")
+        check_cap(ring, cap)
         return cls(ring.n, ring.rank)
 
     def rows(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
@@ -712,16 +733,19 @@ class Grid:
     def zero_mask(self, form: np.ndarray, alive: Optional[np.ndarray] = None) -> np.ndarray:
         """Elements x (of alive, default all) with sum_ij x_i x_j form[i, j, :] = 0 mod n.
 
-        Zero and repeated output columns are dropped; the rest are taken in
-        turn over the whole grid, one GEMM [H C_k | Q_aa,k | 1]·[L^T; 1; Q_bb,k]
-        each, while many elements survive.  Once 8 · rank · survivors <= n^r
-        the remaining columns run on the survivors alone, from the same half
-        tables.  The cross terms H C_k are formed one block of columns at a
-        time, of at most zmod.BLOCK_ENTRIES entries, and the switch to the
-        survivors is tested before every column of a block.
+        The output columns swept are a generating set of the form's column
+        module (`_column_basis`), which has the same zero set: x is a zero
+        of every column exactly when it is a zero of every combination of
+        them.  They are taken in turn over the whole grid, one GEMM
+        [H C_k | Q_aa,k | 1]·[L^T; 1; Q_bb,k] each, while many elements
+        survive.  Once 8 · rank · survivors <= n^r the remaining columns
+        run on the survivors alone, from the same half tables.  The cross
+        terms H C_k are formed one block of columns at a time, of at most
+        zmod.BLOCK_ENTRIES entries, and the switch to the survivors is
+        tested before every column of a block.
         """
         n, a, b = self.n, self.a, self.b
-        form = _distinct_columns(form, self.rank, n)
+        form = _column_basis(form, self.rank, n)
         alive = np.ones(self.size, dtype=bool) if alive is None else alive.copy()
         high_q = zmod.bilinear_mod(self.high, self.high, form[:a, :a], n)
         low_q = zmod.bilinear_mod(self.low, self.low, form[a:, a:], n)
@@ -765,14 +789,34 @@ class Grid:
             table &= np.floor(q) == q
 
 
-def _distinct_columns(form: np.ndarray, rank: int, n: int) -> np.ndarray:
-    """The nonzero distinct output columns of a (rank, rank, K) form mod n, in first-seen order.
+def _column_basis(form: np.ndarray, rank: int, n: int) -> np.ndarray:
+    """Output columns spanning the column module of a (rank, rank, K) form mod n.
 
-    A function of its own so that the flattened copy is freed before the sweep.
+    The columns are `zmod.column_basis` of the form's distinct rows and
+    distinct columns, with each row copied back to every (i, j) that has
+    it: copying coordinates is injective and linear, so it carries a
+    generating set of the smaller module onto one of the form's.  A
+    function of its own so that the flattened copies are freed before the
+    sweep.
     """
     flat = np.asarray(form, dtype=np.int64).reshape(rank * rank, -1) % n
-    cols = np.sort(zmod.unique_rows(flat.T, return_index=True)[1])
-    return flat[:, cols[flat[:, cols].any(axis=0)]].reshape(rank, rank, -1)
+    rows, where = _first_seen(flat)
+    distinct = flat[rows]
+    basis = zmod.column_basis(distinct[:, _first_seen(distinct.T)[0]], n)
+    return basis[where].reshape(rank, rank, -1)
+
+
+def _first_seen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first occurrence of each distinct row of a 2-d array,
+    in order, and for every row the position of its first occurrence in that list."""
+    seen: dict = {}
+    first, where = [], []
+    for i, row in enumerate(a):
+        k = seen.setdefault(row.tobytes(), len(first))
+        if k == len(first):
+            first.append(i)
+        where.append(k)
+    return np.array(first, dtype=np.int64), np.array(where, dtype=np.int64)
 
 
 def _digit_rows(n: int, k: int) -> np.ndarray:
@@ -786,12 +830,11 @@ def enumerate_units(
 ):
     """All invertible elements, in lexicographic coefficient order.
 
-    One `Grid.unit_mask` over the whole ring.  `jobs` is accepted for
-    compatibility; the sweep has one code path and the result never depends
-    on it.
+    The rows of the ring's kept unit mask (`FiniteRing.unit_mask`).  `jobs`
+    is accepted for compatibility; the sweep has one code path and the
+    result never depends on it.
     """
-    grid = Grid.of(ring, cap)
-    units = grid.rows(grid.unit_mask(ring.residue_fields))
+    units = Grid.of(ring, cap).rows(ring.unit_mask(cap))
     if as_array:
         return units
     return [ring.element(v) for v in units]

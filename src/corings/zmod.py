@@ -6,14 +6,20 @@ it is the unique row-echelon-like canonical form of the row span of a matrix
 over Z/nZ (Howell 1986; Storjohann-Mulders 1998).  There are two
 eliminations, one pivot column at a time: the row of least gcd is the pivot,
 scaled to a divisor b of the modulus, one rank-1 update clears the column,
-and (modulus/b)·pivot row joins the rows.  The scalar :func:`howell` works over
-Z/n on [h | t], merging rows when no single entry generates a column's
-ideal (n composite); the solvers of one system read its canonical h and
-pivots, or t and kernel rows k (one valid choice, read only through unique
-values or spans).  The batched :func:`_eliminate` works on a stack over a
-prime power, where the pivot alone generates the column's ideal; composite
-n splits into prime powers by CRT (:func:`prime_powers`), and
-:func:`solvable_right_batch` and :func:`batch_nonsingular` read its pivots.
+and (modulus/b)·pivot row joins the rows.  Over a prime every nonzero entry
+is a unit, so the pivot is the first nonzero entry, b = 1, and neither
+elimination takes a gcd.  The scalar :func:`howell` works over Z/n on
+[h | t], merging rows when no single entry generates a column's ideal (n
+composite); its rank-1 update touches only the rows with a nonzero
+multiplier, it skips columns that are zero in every row, and it stops once
+the rows below the pivots are zero.  The solvers of one system read its
+canonical h and pivots, or t and kernel rows k (one valid choice, read only
+through unique values or spans); :func:`column_basis` and
+:func:`is_invertible` read the rows alone and carry no t.  The batched
+:func:`_eliminate` works on a stack over a prime power, where the pivot
+alone generates the column's ideal; composite n splits into prime powers
+by CRT (:func:`prime_powers`), and :func:`solvable_right_batch` and
+:func:`batch_nonsingular` read its pivots.
 
 Conventions: matrices are numpy int64 arrays with entries reduced into
 [0, n).  Row convention for the core (`x @ A`); the `*_right` wrappers
@@ -47,7 +53,10 @@ handle exactly rather than answer from wrapped arithmetic.
   rounding ever happens and neither the summation order nor the number of
   BLAS threads can change a result.  :func:`outer_products` is two such
   contractions of length r, each term below (n-1)^2: r (n-1)^2 < 2^53 for
-  r <= DEFAULT_RANK_CAP, so each is one GEMM.
+  r <= DEFAULT_RANK_CAP, so each is one GEMM.  coring.coassoc_difference
+  applies a comultiplication to two slots of another with one
+  :func:`matmul_mod` each: d^2·kr terms below (n-1)^2 (d the degree, kr
+  the base rank, d^2·kr <= DEFAULT_RANK_CAP), far below 2^53.
 - Batched kernels take their rows, and `Grid.zero_mask` its output columns,
   in blocks of at most BLOCK_ENTRIES = 2^17 float64 entries (about 1 MB),
   so their transients do not grow with the batch.
@@ -166,19 +175,52 @@ def howell(a, n: int) -> HowellForm:
     w = np.zeros((nrows + ncols, ncols + nrows), dtype=np.int64)
     w[:nrows, :ncols] = a
     w[:nrows, ncols:] = np.eye(nrows, dtype=np.int64)
+    m, pivots = _howell_eliminate(w, n, ncols, nrows)
+    r = len(pivots)
+    k = w[r:m, ncols:]
+    return HowellForm(w[:r, :ncols].copy(), w[:r, ncols:].copy(), k[k.any(axis=1)], pivots)
+
+
+def _howell_rows(a, n: int) -> np.ndarray:
+    """The Howell rows of a alone (`howell(a, n).h`), with no transform to carry."""
+    a = np.atleast_2d(_as_mod_array(a, n))
+    nrows, ncols = a.shape
+    w = np.zeros((nrows + ncols, ncols), dtype=np.int64)
+    w[:nrows] = a
+    _, pivots = _howell_eliminate(w, n, ncols, nrows)
+    return w[: len(pivots)]
+
+
+def _howell_eliminate(w: np.ndarray, n: int, ncols: int, m: int) -> tuple[int, tuple]:
+    """Bring the first ncols columns of the rows w[:m] into Howell form, in place.
+
+    Columns from ncols on ride along (the transform of :func:`howell`), and
+    w has ncols spare rows below m for the extra Howell rows.  Returns the
+    final row count and the pivot columns.  A column that is zero in every
+    row stays zero, so it is skipped; once the rows below the pivots are
+    zero no column can give a pivot, so the loop stops.
+    """
+    prime = prime_factors(n) == (n,)
     composite = len(prime_factors(n)) > 1
-    m = nrows
     pivots = []
-    for c in range(ncols):
+    for c in np.flatnonzero(w[:m, :ncols].any(axis=0)).tolist():
         r = len(pivots)
         if r == m:
             break
-        g = np.gcd(w[r:m, c], n)
-        j = r + int(g.argmin())
-        if g[j - r] == n:
+        if prime:  # every nonzero entry is a unit, so the first one is the pivot
+            nonzero = np.flatnonzero(w[r:m, c])
+            j = r + int(nonzero[0]) if len(nonzero) else -1
+        else:  # the row of least gcd with n
+            g = np.gcd(w[r:m, c], n)
+            j = r + int(g.argmin())
+            if g[j - r] == n:
+                j = -1
+        if j < 0:
+            if not w[r:m, c:ncols].any():
+                break
             continue
         if j > r:
-            w[[r, j]] = w[[j, r]]
+            w[r], w[j] = w[j], w[r].copy()
         # merge rows until the pivot alone generates the column's ideal; each
         # unimodular 2x2 step leaves gcd(hr, hi) in the pivot and 0 in row i
         if composite and (g % g[j - r]).any():
@@ -192,19 +234,20 @@ def howell(a, n: int) -> HowellForm:
         if n % b:
             w[r, c:] = (stab_unit(b, n) * w[r, c:]) % n
             b = int(w[r, c])
-        # one rank-1 update: rows below go to 0 in column c, rows above into [0, b)
-        q = w[:m, c] // b
-        q[r] = 0
-        w[:m, c:] = (w[:m, c:] - np.multiply.outer(q, w[r, c:])) % n
+        # one rank-1 update on the rows it changes, those with an entry of at
+        # least b: rows below go to 0 in column c, rows above into [0, b)
+        col = w[:m, c].copy()
+        col[r] = 0
+        rows = np.flatnonzero(col >= b)
+        if len(rows):
+            q = col[rows] // b if b > 1 else col[rows]
+            w[rows, c:] = (w[rows, c:] - np.multiply.outer(q, w[r, c:])) % n
         # a zero-divisor pivot contributes an extra span row (Howell property)
         if b > 1:
             w[m, c:] = ((n // b) * w[r, c:]) % n
             m += 1
         pivots.append(c)
-
-    r = len(pivots)
-    k = w[r:m, ncols:]
-    return HowellForm(w[:r, :ncols].copy(), w[:r, ncols:].copy(), k[k.any(axis=1)], tuple(pivots))
+    return m, tuple(pivots)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +264,8 @@ def _eliminate(stack: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, np.nd
     scaled to b = gcd(pivot, q) and one rank-1 update clears the column.
     Over a proper prime power w has one slot row per column, and
     (q/b)·pivot row fills the column's slot (the Howell property).  Over a
-    prime every pivot is a unit (b = 1), that row would be zero, and w has
+    prime every pivot is a unit (b = 1), so it is the first nonzero entry
+    at or below r and no gcd is taken; that row would be zero, and w has
     no slots, only zero rows up to ncols, so no rank reaches the row count
     while a column is left.  Rows r and below of w then span the row span's
     vectors that vanish on the first ncols columns.
@@ -234,24 +278,40 @@ def _eliminate(stack: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, np.nd
     below = np.arange(w.shape[1])
     r = np.zeros(bsz, dtype=np.int64)
     for c in range(ncols):
-        g = np.gcd(w[:, :, c], q)
-        g[below < r[:, None]] = q + 1  # so a system without a pivot picks row r
-        j = g.argmin(axis=1)
-        b = g[systems, j]
-        live = b < q
+        if slots:
+            g = np.gcd(w[:, :, c], q)
+            g[below < r[:, None]] = q + 1  # so a system without a pivot picks row r
+            j = g.argmin(axis=1)
+            b = g[systems, j]
+            live = b < q
+        else:  # over a prime every nonzero entry is a unit pivot, and b = 1
+            nonzero = w[:, :, c] != 0
+            nonzero[below < r[:, None]] = False
+            j = nonzero.argmax(axis=1)
+            live = nonzero[systems, j]
+            j[~live] = r[~live]  # a system without a pivot keeps row r in place
         if not live.any():
             continue
         pivot = w[systems, j]
         w[systems, j] = w[systems, r]
-        w[systems, r] = pivot = (_stab_table(q)[pivot[:, c]][:, None] * pivot) % q
-        f = w[:, :, c] // b[:, None]
+        w[systems, r] = pivot = _mod(_stab_table(q)[pivot[:, c]][:, None] * pivot, q)
+        # rows of a system without a pivot are left as they are: b = q, f = 0
+        f = w[:, :, c] // b[:, None] if slots else w[:, :, c] * live[:, None]
         f[systems, r] = 0
         w[:, :, c:] -= f[:, :, None] * pivot[:, None, c:]
-        w[:, :, c:] %= q
+        _mod(w[:, :, c:], q)
         if slots:
             w[:, rows + c, c:] = (np.where(live, q // b, 0)[:, None] * pivot[:, c:]) % q
         r += live
     return w, r
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, for an int64 array: numpy divides an integer array by a
+    scalar several times faster than it takes the remainder (about 3.5x on a
+    (4096, 8, 5) array), so this is x - (x // q)·q."""
+    x -= (x // q) * q
+    return x
 
 
 def solvable_right_batch(a, b, n: int) -> np.ndarray:
@@ -328,12 +388,12 @@ def kernel_right(a, n: int) -> np.ndarray:
 
 
 def is_invertible(a, n: int) -> bool:
-    """Whether a square matrix is invertible over Z/nZ (`inverse_matrix` succeeds)."""
-    try:
-        inverse_matrix(a, n)
-    except ValueError:
-        return False
-    return True
+    """Whether a square matrix is invertible over Z/nZ (`inverse_matrix` succeeds):
+    its Howell rows are the identity."""
+    a = np.atleast_2d(_as_mod_array(a, n))
+    m = a.shape[0]
+    h = _howell_rows(a, n)
+    return h.shape == (m, m) and bool((h == np.eye(m, dtype=np.int64)).all())
 
 
 def inverse_matrix(a, n: int) -> np.ndarray:
@@ -360,7 +420,7 @@ def column_basis(a, n: int) -> np.ndarray:
     x @ a == 0 exactly when x @ column_basis(a, n) == 0, usually with far
     fewer columns.
     """
-    return howell(np.asarray(a).T, n).h.T
+    return _howell_rows(np.asarray(a).T, n).T
 
 
 def same_row_span(a, b, n: int) -> bool:

@@ -37,6 +37,21 @@ def random_extension(n, poly, rebased, c=1):
     return amitsur_rebase(ext) if rebased else ext
 
 
+def refined_compare_corings():
+    """Both refined corings of the compare job (`perfbench/jobs/compare.json`):
+    F4/F2 twisted by e_2 and F2[x]/(x²+x)/F2 by 1, each refined by external
+    product with the other side's canonical coring, over (F4⊗F2[x]/(x²+x))/F2
+    (S^⊗3 of rank 64)."""
+    from corings.coring import canonical_coring, external_product, twisted_coring
+
+    f2 = zmod_ring(2)
+    f4_ext = simple_extension(f2, make_quotient_ring(2, [1, 1, 1]))
+    split_ext = simple_extension(f2, make_quotient_ring(2, [0, 1, 1]))
+    c = twisted_coring(f4_ext, [0, 0, 1, 0, 0, 0, 0, 0])
+    d = twisted_coring(split_ext, [1, 0, 0, 0, 0, 0, 0, 0])
+    return external_product(c, canonical_coring(split_ext)), external_product(canonical_coring(f4_ext), d)
+
+
 def skewed(ext, rng):
     """The same extension on a random unit upper-triangular change of basis,
     each new basis element scaled by a random unit of R."""

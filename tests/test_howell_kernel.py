@@ -6,6 +6,12 @@ canonical, so `zmod.howell` must return them exactly; the transform and
 kernel rows may be another valid choice, so they are checked through what
 they promise (t·a = h, k·a = 0, the kernel's span) and through every solver
 that reads them.
+
+`prev_howell` is the column-at-a-time kernel as it was before its rank-1
+update touched only the rows it changes and before a prime modulus took the
+first nonzero entry as the pivot: `zmod.howell` must return its h, t, k and
+pivots byte for byte, and the rows-only elimination behind `column_basis`
+and `is_invertible` its h.
 """
 
 from contextlib import contextmanager
@@ -18,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corings import zmod
+from corings.coring import tilde_delta
+from tests.conftest import refined_compare_corings
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, 30, 36, 1 << 14]
 
@@ -75,10 +83,53 @@ def ref_howell(a, n):
     return zmod.HowellForm(hn, tn, k, pivots)
 
 
+def prev_howell(a, n):
+    """zmod.howell before the touched-rows update and the prime pivot."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64) % n)
+    nrows, ncols = a.shape
+    w = np.zeros((nrows + ncols, ncols + nrows), dtype=np.int64)
+    w[:nrows, :ncols] = a
+    w[:nrows, ncols:] = np.eye(nrows, dtype=np.int64)
+    composite = len(zmod.prime_factors(n)) > 1
+    m = nrows
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        g = np.gcd(w[r:m, c], n)
+        j = r + int(g.argmin())
+        if g[j - r] == n:
+            continue
+        if j > r:
+            w[[r, j]] = w[[j, r]]
+        if composite and (g % g[j - r]).any():
+            for i in range(r + 1, m):
+                hr, hi = int(w[r, c]), int(w[i, c])
+                if hi % np.gcd(hr, n):
+                    d, x, y = zmod.gcdex(hr, hi)
+                    w[[r, i], c:] = (np.array([[x, y], [-(hi // d), hr // d]]) @ w[[r, i], c:]) % n
+        b = int(w[r, c])
+        if n % b:
+            w[r, c:] = (zmod.stab_unit(b, n) * w[r, c:]) % n
+            b = int(w[r, c])
+        q = w[:m, c] // b
+        q[r] = 0
+        w[:m, c:] = (w[:m, c:] - np.multiply.outer(q, w[r, c:])) % n
+        if b > 1:
+            w[m, c:] = ((n // b) * w[r, c:]) % n
+            m += 1
+        pivots.append(c)
+    r = len(pivots)
+    k = w[r:m, ncols:]
+    return zmod.HowellForm(w[:r, :ncols].copy(), w[:r, ncols:].copy(), k[k.any(axis=1)], tuple(pivots))
+
+
 @contextmanager
 def oracle():
     """Every zmod solver, run on the reference elimination."""
-    with mock.patch.object(zmod, "howell", ref_howell):
+    with mock.patch.object(zmod, "howell", ref_howell), \
+            mock.patch.object(zmod, "_howell_rows", lambda a, n: ref_howell(a, n).h):
         yield
 
 
@@ -187,3 +238,67 @@ def test_empty_and_zero_inputs():
         hf = zmod.howell(a, 12)
         assert hf.h.shape == (0, 4) and hf.pivots == ()
         assert hf.t.shape == (0, len(a)) and len(hf.k) == len(a)
+
+
+# -- the kernel against its previous version -------------------------------------------
+
+
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def check_against_prev(a, n):
+    hf, prev = zmod.howell(a, n), prev_howell(a, n)
+    for got, want in zip(hf[:3], prev[:3]):
+        assert _same_bytes(got, want)
+    assert hf.pivots == prev.pivots and all(type(c) is int for c in hf.pivots)
+    assert _same_bytes(zmod._howell_rows(a, n), prev.h)
+    assert _same_bytes(zmod.column_basis(np.asarray(a).T, n), prev.h.T)
+    if a.shape[0] == a.shape[1]:
+        m = len(a)
+        assert zmod.is_invertible(a, n) == (prev.h.shape == (m, m) and (prev.h == np.eye(m)).all())
+
+
+@st.composite
+def deficient_matrices(draw):
+    """(n, a): sparse matrices, some with zero columns, repeated and combined rows."""
+    n, a = draw(sparse_matrices())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = a.copy()
+    a[:, rng.random(a.shape[1]) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    extra = draw(st.integers(0, 3))
+    if extra and len(a):
+        combos = rng.integers(0, n, (extra, len(a)))
+        a = np.vstack([a, (combos @ a) % n])
+    return n, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(deficient_matrices())
+def test_howell_matches_previous_kernel(case):
+    n, a = case
+    check_against_prev(a, n)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_zero_and_square_inputs_match_previous_kernel(n):
+    rng = np.random.default_rng(n)
+    for a in (
+        np.zeros((3, 4), dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+        np.eye(5, dtype=np.int64),
+        rng.integers(0, n, (6, 6)),
+        np.triu(rng.integers(0, n, (6, 6))),
+    ):
+        check_against_prev(a, n)
+
+
+def test_refined_compare_matrices_match_previous_kernel():
+    """The 64×64 tilde-Delta and one more mulmat in S^⊗3 of the refined compare corings."""
+    for refined in refined_compare_corings():
+        mat = tilde_delta(refined)
+        assert mat.shape == (64, 64)
+        check_against_prev(mat, 2)
+        assert zmod.is_invertible(mat, 2) == refined.twist.is_unit
+        units = refined.ext.tensor_power(3).ring.mulmat(np.arange(64) % 2)
+        check_against_prev(units, 2)

@@ -22,7 +22,7 @@ from corings.amitsur import b2_rows, compute_h2, cosickle_form, sorted_cosets
 from corings.classify import _coassoc_difference_tensor, classify_all, monoid_quotient
 from corings.coring import twisted_coring
 from corings.extensions import amitsur_rebase
-from corings.rings import FiniteRing, Grid, _distinct_columns, _values, make_quotient_ring, zmod_ring
+from corings.rings import FiniteRing, Grid, _column_basis, _values, make_quotient_ring, zmod_ring
 from tests.conftest import DESK, desk_extensions, random_extension, simple_extension
 from tests.test_kernels import MODULI, finite_ring
 
@@ -276,7 +276,7 @@ def switch_column(grid, form, alive=None):
     """The output column at which the survivors-only path takes over, or None."""
     rows = grid.rows()
     alive = np.ones(grid.size, dtype=bool) if alive is None else alive.copy()
-    form = _distinct_columns(form, grid.rank, grid.n)
+    form = _column_basis(form, grid.rank, grid.n)
     for k in range(form.shape[2]):
         if 8 * grid.rank * np.count_nonzero(alive) <= grid.size:
             return k
@@ -286,7 +286,7 @@ def switch_column(grid, form, alive=None):
 
 def blocked_masks(monkeypatch, grid, form, alive=None):
     """zero_mask with one, two, ... output columns per block, then the default."""
-    width = _distinct_columns(form, grid.rank, grid.n).shape[2]
+    width = _column_basis(form, grid.rank, grid.n).shape[2]
     masks = {}
     for cols in range(1, width + 2):
         monkeypatch.setattr(zmod, "BLOCK_ENTRIES", cols * grid.shape[0] * grid.b)
@@ -351,7 +351,7 @@ def test_census_forms_across_column_blocks(monkeypatch, request):
         grid = Grid.of(ext.tensor_power(3).ring)
         for form in (cosickle_form(ext), _coassoc_difference_tensor(ext)):
             want = whole_width_zero_mask(grid, form)
-            width = _distinct_columns(form, grid.rank, grid.n).shape[2]
+            width = _column_basis(form, grid.rank, grid.n).shape[2]
             for cols in (1, 3, width, width + 1):
                 monkeypatch.setattr(zmod, "BLOCK_ENTRIES", cols * grid.shape[0] * grid.b)
                 same_bytes(grid.zero_mask(form), want)
