@@ -48,7 +48,7 @@ import numpy as np
 
 from . import zmod
 from .amitsur import TwistElement, delta1, is_two_cocycle, NotACocycleError
-from .coring import NormalBasisCoring, _base_multiples, is_azumaya
+from .coring import NormalBasisCoring, is_azumaya
 from .extensions import Extension, restrict_scalars
 from .rings import FiniteRing, InternalCheckError
 
@@ -146,11 +146,6 @@ def algebra_from_extension(ext: Extension) -> FiniteAlgebra:
 
 
 # -- endomorphism arithmetic -----------------------------------------------------
-
-
-def _rmat_compose(ext: Extension, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Composition of R-matrices, (a ∘ b)[i,k] = sum_j a[i,j] b[j,k] in R; broadcasts."""
-    return ext.base.mul_einsum("...ij_,...jk_->...ik_", a, b)
 
 
 def identity_endo(ext: Extension) -> np.ndarray:
@@ -264,14 +259,14 @@ def _membership_matrices(ext: Extension, u_coeffs: np.ndarray):
     slots, scalars = ext.tensor_power(3).support(u_coeffs)
     r1, r2, r3 = ext.rmult()[slots.T]
     hot1, hot2 = np.eye(d, dtype=np.int64)[slots[:, :2].T]
-    e = _base_multiples(ext, scalars)
+    e = ext.base.mulmat(scalars)
     mul = ext.base.mul_einsum
     eye = np.eye(d, dtype=np.int64)
     # x_1 u_3 = e_rho e (b_c1 ⊗ c2 b_a ⊗ b_k* ⊗ c3 b_l)
-    v13 = mul("TraQ_,TlL_->TQL_alr", mul("Tr_,TaQ_->TraQ_", e, r2), r3)
+    v13 = mul("TraQ_,TlL_->TQL_alr", mul("T_r,TaQ_->TraQ_", e, r2), r3)
     l13 = np.einsum("TC,TQLzalr,kK->CQkLzaKlr", hot1, v13, eye) % n
     # x_2 u_4 = e_rho e (c1 b_a ⊗ b_c2 ⊗ c3·b_k* ⊗ b_l)
-    v24 = mul("TraP_,TKk_->TPK_akr", mul("Tr_,TaP_->TraP_", e, r1), r3)
+    v24 = mul("TraP_,TKk_->TPK_akr", mul("T_r,TaP_->TraP_", e, r1), r3)
     l24 = np.einsum("TC,TPKzakr,lL->PCKlzakLr", hot2, v24, eye) % n
     src = d**3 * kr
     tgt = d**4 * kr
@@ -290,7 +285,7 @@ def gamma_matrix(ext: Extension, u_coeffs: np.ndarray) -> np.ndarray:
     hot1 = np.eye(d, dtype=np.int64)[slots[:, 0]]
     mul = ext.base.mul_einsum
     # gamma(e_rho eps_ij) = e_rho e (b_c1 ⊗ c2·b_j* ⊗ c3 b_i)
-    val = mul("TrKj_,TiL_->TKL_ijr", mul("Tr_,TKj_->TrKj_", _base_multiples(ext, scalars), r2), r3)
+    val = mul("TrKj_,TiL_->TKL_ijr", mul("T_r,TKj_->TrKj_", ext.base.mulmat(scalars), r2), r3)
     g = np.einsum("Ta,TKLzijr->aKLzijr", hot1, val) % ext.n
     return g.reshape(d**3 * kr, d**2 * kr)
 
@@ -307,7 +302,7 @@ def gamma_inverse_matrix(ext: Extension, v_coeffs: np.ndarray) -> np.ndarray:
     # (b_c1 b_c3)(b_a b_l) for every term and every pair (a, l), in R-coordinates
     w = algebra_from_extension(ext).products(rmult[slots[:, 0], slots[:, 2]], rmult.reshape(d * d, d * kr))
     mul = ext.base.mul_einsum
-    step = mul("Tr_,TKk_->TrKk_", _base_multiples(ext, scalars), rmult[slots[:, 1]])
+    step = mul("T_r,TKk_->TrKk_", ext.base.mulmat(scalars), rmult[slots[:, 1]])
     val = mul("TrKk_,TalI_->TIK_aklr", step, w.reshape(len(slots), d, d, d, kr))
     return (val.sum(axis=0) % ext.n).reshape(d**2 * kr, d**3 * kr)
 
@@ -471,13 +466,13 @@ def untwist_iso(tw: TwistElement, witness: np.ndarray) -> np.ndarray:
     m1, m2 = _mult_mats(ext)[slots.T]
     mul = ext.base.mul_einsum
     # e_rho eps_ij -> e_rho e (mu_{b_k2} ∘ eps_ij ∘ mu_{b_k1}), summed over terms e (b_k1 ⊗ b_k2)
-    val = mul("TpRi_,Tjc_->TRc_ijp", mul("Tp_,TRi_->TpRi_", _base_multiples(ext, scalars), m2), m1)
+    val = mul("TpRi_,Tjc_->TRc_ijp", mul("T_p,TRi_->TpRi_", ext.base.mulmat(scalars), m2), m1)
     size = d * d * kr
     mat = (val.sum(axis=0) % n).reshape(size, size)
     twisted = TwistedAlgebra(ext, tw, "right")
     images = mat.T.reshape(size, d, d, kr)
     lhs = zmod.matmul_mod(twisted.algebra().table.reshape(size * size, size), mat.T, n)
-    if (lhs != _rmat_compose(ext, images[:, None], images[None, :]).reshape(size * size, size)).any():
+    if (lhs != mul("Aij_,Bjk_->ABik_", images, images).reshape(size * size, size)).any():
         raise InternalCheckError("untwisting map is not multiplicative")
     if ((mat @ twisted.unit_endo().reshape(-1)) % n != identity_endo(ext).reshape(-1)).any():
         raise InternalCheckError("untwisting map is not unital")

@@ -116,13 +116,11 @@ class TwistElement:
 
     @cached_property
     def is_almost_invertible(self) -> bool:
+        """A cosickle whose two partial collapses are units of S^⊗2 (`try_invert`)."""
         if not self.is_cosickle:
             return False
         t2 = self.ext.tensor_power(2).ring
-        p, q = self.partial_collapses()
-        return bool(
-            zmod.batch_is_unit(np.stack([p, q]), t2.residue_fields).all()
-        )
+        return all(try_invert(t2.element(v)) is not None for v in self.partial_collapses())
 
     @cached_property
     def norm(self) -> RingElement:
@@ -141,10 +139,6 @@ class TwistElement:
 
     def __repr__(self):
         return f"TwistElement({list(map(int, self.u.coeffs))} over {self.ext.name})"
-
-
-def twist(ext: Extension, coeffs) -> TwistElement:
-    return TwistElement(ext, coeffs)
 
 
 def unit_twist(ext: Extension) -> TwistElement:

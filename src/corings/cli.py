@@ -198,9 +198,11 @@ def parse_job(text: str, digest: str = "") -> JobSpec:
         )
     params = {k: v for k, v in cmd_obj.items() if k != "name"}
     spec = JobSpec(extension=ext, command=name, params=params, digest=digest)
-    needs_twist = name in ("cocycle-check", "normalize", "twist", "dual-algebra", "gamma-verify", "compare")
-    if name == "azumaya-check" and params.get("algebra") != "top":
-        needs_twist = True
+    if name == "azumaya-check" and params.get("algebra", "top") != "top":
+        raise JobSpecError("command.algebra", f"expected \"top\" (or a twist instead), got {params['algebra']!r}")
+    needs_twist = name in ("cocycle-check", "normalize", "twist", "dual-algebra", "gamma-verify", "compare") or (
+        name == "azumaya-check" and "algebra" not in params
+    )
     if needs_twist:
         _twist_param(params, ext, "command")
     if name == "compare":

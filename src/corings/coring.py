@@ -103,11 +103,6 @@ def twisted_coring(ext: Extension, tw) -> NormalBasisCoring:
 # -- axiom checks ------------------------------------------------------------------
 
 
-def _base_multiples(ext: Extension, scalars: np.ndarray) -> np.ndarray:
-    """scalars[T] · e_rho for every base index rho: shape (T, base.rank, base.rank)."""
-    return ext.base.products(scalars, np.eye(ext.base.rank, dtype=np.int64))
-
-
 def term_coproducts(ext: Extension, slots: np.ndarray, scalars: np.ndarray) -> np.ndarray:
     """Delta_e: S⊗S -> S^⊗3 for each pure twist e = r (b_k1 ⊗ b_k2 ⊗ b_k3).
 
@@ -119,7 +114,7 @@ def term_coproducts(ext: Extension, slots: np.ndarray, scalars: np.ndarray) -> n
     d, kr = ext.degree, ext.base.rank
     rmult = ext.rmult()
     mul = ext.base.mul_einsum
-    first = mul("Tp_,TiA_->TpiA_", _base_multiples(ext, scalars), rmult[slots[:, 0]])
+    first = mul("T_p,TiA_->TpiA_", ext.base.mulmat(scalars), rmult[slots[:, 0]])
     val = mul("TpiA_,TjB_->TAB_ijp", first, rmult[slots[:, 2]])
     out = np.zeros((len(slots), d, d, d, kr, d, d, kr), dtype=np.int64)
     out[np.arange(len(slots)), :, slots[:, 1]] = val

@@ -20,7 +20,8 @@ change.
 Level 1 is S itself in its native basis; the conversion to the formal
 (i, rho) layout is the coordinate isomorphism R^d ≅ S attached to the basis.
 
-Every product of base-ring coordinates here is one FiniteRing.mul_einsum.
+Every product of base-ring coordinates here is one FiniteRing.mul_einsum,
+and every set of basis multiples x·e_rho one stacked FiniteRing.mulmat.
 S^⊗m, the base change (S ⊗_R T)/T and the external product (S ⊗_R T)/R all
 have TensorRing tops, kept as R-valued factor tables; a dense Z/nZ table is
 their product with scalars restricted once (`restrict_scalars`).  Everything
@@ -145,15 +146,15 @@ class Extension:
     def _build_face_map(self, m: int, i: int) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m + 1)
-        d, eye = self.degree, np.eye(self.base.rank, dtype=np.int64)
-        # e[rho, a, tau]: coefficients of e_rho times the a-th R-coordinate of 1_S
-        e = self.base.mul_einsum("r_,a_->ra_", eye, self.r_coords(self.top.one))
+        d = self.degree
+        # e[a, tau, rho]: coefficients of the a-th R-coordinate of 1_S times e_rho
+        e = self.base.mulmat(self.r_coords(self.top.one))
         pre, post = np.eye(d ** (i - 1), dtype=np.int64), np.eye(d ** (m - i + 1), dtype=np.int64)
-        mat = np.einsum("pP,aqtQr->paqtPQr", pre, np.einsum("qQ,rat->aqtQr", post, e))
+        mat = np.einsum("pP,aqtQr->paqtPQr", pre, np.einsum("qQ,atr->aqtQr", post, e))
         mat = mat.reshape(tgt.ring.rank, src.ring.rank)
         if m == 1:
             mat = (mat @ self._phi_inv) % self.n
-        return RingHom(src.ring, tgt.ring, mat, check=(tgt.ring.rank <= 100))
+        return RingHom(src.ring, tgt.ring, mat)
 
     def collapse_map(self, m: int) -> RingHom:
         """m: S^⊗m -> S, multiplying all slots."""
@@ -164,7 +165,7 @@ class Extension:
         for k in range(2, m + 1):
             mat = (mat @ self.merge_map(k, first=True).matrix) % self.n
         src = self.tensor_power(m).ring
-        return RingHom(src, self.top, mat, check=(1 < m and src.rank <= 100))
+        return RingHom(src, self.top, mat)
 
     def slot_embed(self, m: int, i: int) -> RingHom:
         """S -> S^⊗m placing the element in slot i and 1 elsewhere: leading 1s first, then trailing."""
@@ -180,15 +181,14 @@ class Extension:
     def _build_merge_map(self, m: int, first: bool) -> RingHom:
         src = self.tensor_power(m)
         tgt = self.tensor_power(m - 1)
-        eye = np.eye(self.base.rank, dtype=np.int64)
-        # prod[x, y, a, rho, t]: e_rho b_x b_y has e_t b_a
-        prod = self.base.mul_einsum("xya_,r_->xyar_", self.rmult(), eye)
+        # prod[x, y, a, t, rho]: e_rho b_x b_y has e_t b_a
+        prod = self.base.mulmat(self.rmult())
         rest = np.eye(self.degree ** (m - 2), dtype=np.int64)
-        spec = "xyart,qQ->aqtxyQr" if first else "xyart,qQ->qatQxyr"
+        spec = "xyatr,qQ->aqtxyQr" if first else "xyatr,qQ->qatQxyr"
         cols = np.einsum(spec, prod, rest).reshape(tgt.ring.rank, src.ring.rank)
         if m - 1 == 1:
             cols = (self._phi @ cols) % self.n
-        return RingHom(src.ring, tgt.ring, cols, check=(src.ring.rank <= 100))
+        return RingHom(src.ring, tgt.ring, cols)
 
 
 class TensorPowerRing:
@@ -268,9 +268,8 @@ class TensorRing(FiniteRing):
 
     @cached_property
     def _slot_tensors(self) -> list[np.ndarray]:
-        # (i, j, a, t, u): b_i b_j has b_a in the slot and turns e_t into e_u
-        eye = np.eye(self.base.rank, dtype=np.int64)
-        return [self.base.mul_einsum("ija_,t_->ijat_", rm, eye) for rm in self.rmults]
+        # (i, j, a, u, t): b_i b_j has b_a in the slot and turns e_t into e_u
+        return [self.base.mulmat(rm) for rm in self.rmults]
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.rank > DENSE_TABLE_MAX_RANK:
@@ -291,7 +290,7 @@ class TensorRing(FiniteRing):
         # axes of z: x slots left, y slots left, finished slots, base
         for k, mt in enumerate(self._slot_tensors):
             left = len(dims) - k
-            z = np.tensordot(z, mt, axes=([0, left, z.ndim - 1], [0, 1, 3])) % n
+            z = np.tensordot(z, mt, axes=([0, left, z.ndim - 1], [0, 1, 4])) % n
         return z.reshape(-1)
 
 
@@ -404,9 +403,8 @@ def _tensor_extension(
     top = TensorRing(base, rmults, ones, name=name)
     if top.rank <= 32:
         top.validate()
-    eye = np.eye(base.rank, dtype=np.int64)
-    eta_mat = base.mul_einsum("A_,r_->A_r", top.one.reshape(-1, base.rank), eye)
-    eta = RingHom(base, top, eta_mat.reshape(top.rank, base.rank), check=(top.rank <= 100))
+    eta_mat = base.mulmat(top.one.reshape(-1, base.rank))
+    eta = RingHom(base, top, eta_mat.reshape(top.rank, base.rank))
     basis = np.kron(np.eye(top.rank // base.rank, dtype=np.int64), base.one)
     return Extension(base, top, eta, basis, name=f"{name}/{base.name}")
 

@@ -120,17 +120,18 @@ class FiniteRing:
         """Ring products of two coordinate tensors, contracted as an einsum.
 
         In spec, "_" marks the coordinate axis of each operand and of the
-        result: "ij_,jk_->ik_" composes matrices with entries in the ring.
-        Two contractions, each reduced mod n: the table with the smaller
-        operand over its coordinate axis (r terms), then one two-operand
-        product (:func:`_contract`) with the other operand.  The second is
-        the longer sum, r·K terms with K the length of the letters summed
-        between the operands (K = d in "...ij_,...jk_->...ik_", where d·r
-        is the rank of a top ring).  Over a rank-1 base the table is a
-        scaling by its one constant, and the call is one two-operand
-        np.einsum.  Every term is a product of two reduced residues, below
-        (n-1)^2; the zmod docstring bounds the sums.  The result is int64
-        and C-contiguous, so a caller's reshape is a view.
+        result, and each other axis has a letter (no "..."): "ij_,jk_->ik_"
+        composes matrices with entries in the ring.  Two contractions, each
+        reduced mod n: the table with the smaller operand over its
+        coordinate axis (r terms), then one two-operand product
+        (:func:`_contract`) with the other operand.  The second is the
+        longer sum, r·K terms with K the length of the letters summed
+        between the operands (K = d in "Aij_,Bjk_->ABik_", where d·r is the
+        rank of a top ring).  Over a rank-1 base the table is a scaling by
+        its one constant, and the call is one two-operand np.einsum.  Every
+        term is a product of two reduced residues, below (n-1)^2; the zmod
+        docstring bounds the sums.  The result is int64 and C-contiguous, so
+        a caller's reshape is a view.
         """
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
@@ -145,7 +146,7 @@ class FiniteRing:
             prods = np.einsum(spec.replace("_", "U"), x, y, order="C")
             prods %= n
             return prods
-        a, b, out = _explicit(spec, x.ndim, y.ndim)
+        a, b, out = spec.replace("->", ",").split(",")
         swap = x.size > y.size  # x becomes the smaller operand, the one the table meets
         if swap:
             a, b, x, y = b, a, y, x
@@ -171,12 +172,17 @@ class FiniteRing:
         """Matrix of multiplication by a reduced x in the module basis: column j is x·e_j.
 
         mx = sum_i x_i c[i] over the nonzero x_i, mod n, read from the int8
-        or int16 table; the matrix is its transpose.  Each int64 sum has at
-        most r terms below (n-1)^2, so it stays below r (n-1)^2 < 2^63 for
-        r <= DEFAULT_RANK_CAP and n <= zmod.MAX_MODULUS.
+        or int16 table; the matrix is its transpose.  A stack x (..., r)
+        gives its stack of matrices (..., r, r), [..., k, j] the coordinate
+        k of x·e_j, from one int64 product of the stack with the table.
+        Each int64 sum has at most r terms below (n-1)^2, so it stays below
+        r (n-1)^2 < 2^63 for r <= DEFAULT_RANK_CAP and n <= zmod.MAX_MODULUS.
         """
         r = self.rank
         x = np.asarray(x, dtype=np.int64)
+        if x.ndim > 1:
+            mx = (x @ self.struct.reshape(r, r * r)) % self.n
+            return mx.reshape(x.shape[:-1] + (r, r)).swapaxes(-1, -2)
         nx = x.nonzero()[0]
         mx = (x[nx] @ self.struct.reshape(r, r * r)[nx]) % self.n
         return mx.reshape(r, r).T
@@ -244,7 +250,7 @@ class FiniteRing:
     def residue_fields(self) -> zmod.ResidueFields:
         """Projections onto the residue fields, built on first use.
 
-        Feeds zmod.batch_is_unit and Grid.unit_mask.
+        Feeds the sweeps (Grid.unit_mask) and zmod.batch_is_unit; try_invert needs none.
         """
         blocks, fields, width = [], [], 0
         for p, frob in self._frobenius.items():
@@ -325,23 +331,6 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.name})"
-
-
-def _explicit(spec: str, xdim: int, ydim: int) -> tuple[str, str, str]:
-    """The two operand specs and the result spec of spec, with "..." spelled out.
-
-    The ellipsis of each operand becomes its last fresh letters, aligned on
-    the right as numpy broadcasts, and that of the result all of them.
-    """
-    ins, out = spec.split("->")
-    a, b = ins.split(",")
-    if "..." not in spec:
-        return a, b, out
-    fresh = "".join(c for c in "ABCDEFGHIJKLMNOPQRSTXYZ" if c not in spec)  # not U, V, W
-    ea = xdim - len(a) + 3 if "..." in a else 0
-    eb = ydim - len(b) + 3 if "..." in b else 0
-    dots = fresh[: max(ea, eb)]
-    return a.replace("...", dots[len(dots) - ea :]), b.replace("...", dots[len(dots) - eb :]), out.replace("...", dots)
 
 
 def _contract(sa: str, a: np.ndarray, sb: str, b: np.ndarray, so: str, n: int) -> np.ndarray:
@@ -540,6 +529,7 @@ class RingHom:
         return bool((lhs == self.target.products(imgs, imgs).reshape(s * s, -1)).all())
 
     def validate(self) -> None:
+        """The unit law always; multiplicativity when source rank × target rank <= 10^4."""
         if not self.is_unital():
             raise ValueError("map does not send 1 to 1")
         if self.source.rank * self.target.rank <= 100 * 100 and not self.is_multiplicative():

@@ -36,7 +36,7 @@ handle exactly rather than answer from wrapped arithmetic.
   product with the other; that product is the worst: r·K terms, K the
   length of the letters summed between the operands, at most d·r <=
   DEFAULT_RANK_CAP = 600 for the composition of R-matrices
-  "...ij_,...jk_->...ik_" (K = d).  Any sum of at most 600^2 terms
+  "Aij_,Bjk_->ABik_" (K = d).  Any sum of at most 600^2 terms
   (mul_slots: d^2·r) stays below 600^2 * (2^14 - 1)^2 < 2^47 < 2^63, so
   none can wrap.  FiniteRing.__init__, make_quotient_ring and
   make_product_ring refuse a larger rank with ValueError before

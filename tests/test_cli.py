@@ -233,6 +233,24 @@ def test_out_writes_the_bytes_stdout_gets(tmp_path, fmt):
         assert target.read_bytes() == expected and expected
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        {"name": "azumaya-check", "algebra": "tpo", "twist": [1, 0, 0, 0, 0, 0, 0, 0]},
+        {"name": "azumaya-check", "algebra": "tpo"},
+        {"name": "azumaya-check", "algebra": 1},
+    ],
+    ids=["typo-with-twist", "typo-without-twist", "non-string"],
+)
+def test_bad_algebra_is_input_error(tmp_path, capsys, command):
+    """"top" is the only algebra; any other value is refused at its own path,
+    with or without a twist next to it."""
+    code, out = run_cli(tmp_path, job(command))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert "error: command.algebra:" in err and "Traceback" not in err
+
+
 def test_cap_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, job({"name": "h2"}), "--cap", "2")
     assert code == EXIT_CAP

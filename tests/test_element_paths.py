@@ -7,11 +7,13 @@ sparse/dense two-path product before it.  The coordinate map and R-valued
 multiplication of an `Extension` are batched products; the per-pair loops
 that built them are kept as oracles too.  `is_two_cocycle`
 builds delta_2(u) from the inverse its twist caches; it is compared with
-delta_2(u) = 1 on units and with the batched `cocycle_mask`.  The guards
-count Howell solves on the Brauer-class path, in building an `Extension`,
-in one coring axiom report and in a base-change witness, count the verdicts
-a coring decides, and check that a census keeps its rows unbuilt until they
-are read.
+delta_2(u) = 1 on units and with the batched `cocycle_mask`.
+`is_almost_invertible` decides its partial collapses by `try_invert`; it is
+compared with `batch_is_unit` and with the census mask.  The guards count
+Howell solves on the Brauer-class path, in building an `Extension`, in one
+coring axiom report and in a base-change witness, count the verdicts a
+coring decides, check that a census keeps its rows unbuilt until they are
+read, and that an almost-invertibility verdict builds no residue field.
 """
 
 from unittest import mock
@@ -28,14 +30,23 @@ from corings.amitsur import (
     base_change_witness,
     cocycle_mask,
     compute_h2,
+    cosickle_zeros,
     delta2,
     is_two_cocycle,
     sorted_cosets,
 )
 from corings.classify import BrauerClass, classify_all, monoid_quotient
 from corings.extensions import Extension, amitsur_rebase, external_extension
-from corings.rings import Grid, InternalCheckError, make_product_ring, make_quotient_ring, try_invert, zmod_ring
-from tests.conftest import DESK, desk_extensions, random_extension, skewed
+from corings.rings import (
+    FiniteRing,
+    Grid,
+    InternalCheckError,
+    make_product_ring,
+    make_quotient_ring,
+    try_invert,
+    zmod_ring,
+)
+from tests.conftest import DESK, desk_extensions, random_extension, simple_extension, skewed
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, zmod.MAX_MODULUS]
 
@@ -232,6 +243,28 @@ def test_cross_check_still_raises_when_the_routes_disagree(gr42_over_z4, monkeyp
             is_two_cocycle(TwistElement(ext, row))
 
 
+@pytest.mark.parametrize("name", DESK)
+def test_is_almost_invertible_matches_batch_is_unit_and_census(request, name):
+    """The partial collapses, decided by try_invert, against the route it
+    replaced (zmod.batch_is_unit on the residue fields of S^⊗2) and against
+    the census mask.  The batch route and the census cover every element of
+    S^⊗3; a TwistElement decides every cosickle, and every element on all
+    fixtures but GR(4,2)/Z4, where it decides every 64th element besides (a
+    non-cosickle is refused before its collapses are tried)."""
+    ext = request.getfixturevalue(name)
+    residue2 = ext.tensor_power(2).ring.residue_fields
+    grid = Grid.of(ext.tensor_power(3).ring)
+    rows = grid.rows()
+    cosickle = cosickle_zeros(ext)
+    batch = cosickle.copy()
+    for first in (True, False):
+        collapses = zmod.matmul_mod(rows, ext.merge_map(3, first=first).matrix.T, ext.n)
+        batch &= zmod.batch_is_unit(collapses, residue2)
+    assert (batch == classify_all(ext, counit_oracle=False).is_almost_invertible).all()
+    for i in np.union1d(np.flatnonzero(cosickle), np.arange(0, grid.size, STRIDE.get(name, 1))):
+        assert TwistElement(ext, rows[i]).is_almost_invertible == batch[i]
+
+
 # -- cost guards -------------------------------------------------------------------
 
 
@@ -261,6 +294,20 @@ def test_brauer_class_inverse_runs_one_howell_solve(request, name):
         # the replaced route: a fresh twist of u^{-1} that inverts it again
         assert inv == BrauerClass.of_twist(TwistElement(ext, cls.twist().inverse.coeffs))
         assert (cls * inv).is_identity()
+
+
+def test_is_almost_invertible_builds_no_residue_fields(monkeypatch):
+    """On a fresh extension, both verdicts (1 and 0 are cosickles; 0 has
+    non-unit collapses) come from try_invert, with no residue field built."""
+    ext = simple_extension(zmod_ring(4), make_quotient_ring(4, [1, 1, 1]))
+
+    def refuse(ring):
+        raise AssertionError(f"residue fields of {ring.name} built")
+
+    monkeypatch.setattr(FiniteRing, "residue_fields", property(refuse))
+    one = ext.tensor_power(3).one_vec()
+    assert TwistElement(ext, one).is_almost_invertible
+    assert not TwistElement(ext, np.zeros_like(one)).is_almost_invertible
 
 
 def test_azumaya_verdict_is_decided_once_per_coring(f4_over_f2, f2x2_over_f2):

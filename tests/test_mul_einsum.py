@@ -4,7 +4,9 @@ mul_einsum contracts the base table with the smaller operand, then takes one
 two-operand product with the other.  ref_mul_einsum keeps the single
 three-operand np.einsum over x, y and the table; the two must agree byte for
 byte on every spec string the library passes, over bases of rank 1-3 and at
-the largest modulus.
+the largest modulus.  Basis multiples x·e_rho come from a stacked
+FiniteRing.mulmat, checked here against ref_mul_einsum and products with
+the identity, the routes that gave them before.
 """
 
 import tracemalloc
@@ -43,31 +45,25 @@ BASES = {
 }
 
 # every spec the library passes (algebras, coring, extensions), with the
-# letters of the twisted-algebra products filled in for both sides
+# letters of the twisted-algebra products filled in for both sides; the
+# basis multiples of the "T_r" and "T_p" specs come from a stacked mulmat
 SPECS = [
-    "...ij_,...jk_->...ik_",
+    "Aij_,Bjk_->ABik_",
     "T_,Txi_->Txi_", "Txi_,Tjk_->Txijk_", "Txijk_,Tly_->Tijklxy_",
     "T_,Txk_->Txk_", "Txk_,Tli_->Txkli_", "Txkli_,Tjy_->Tijklxy_",
-    "Tr_,TaQ_->TraQ_", "TraQ_,TlL_->TQL_alr", "Tr_,TaP_->TraP_", "TraP_,TKk_->TPK_akr",
-    "Tr_,TKj_->TrKj_", "TrKj_,TiL_->TKL_ijr", "Tr_,TKk_->TrKk_", "TrKk_,TalI_->TIK_aklr",
-    "Tp_,TRi_->TpRi_", "TpRi_,Tjc_->TRc_ijp",
-    "Tp_,TiA_->TpiA_", "TpiA_,TjB_->TAB_ijp",
-    "i_,ija_->aj_", "r_,a_->ra_", "xya_,r_->xyar_", "ija_,t_->ijat_", "I_,J_->IJ_",
-    "IJA_,ija_->IiJjAa_", "ab_,ijk_->iajbk_", "I_,i_->Ii_", "A_,r_->A_r",
+    "T_r,TaQ_->TraQ_", "TraQ_,TlL_->TQL_alr", "T_r,TaP_->TraP_", "TraP_,TKk_->TPK_akr",
+    "T_r,TKj_->TrKj_", "TrKj_,TiL_->TKL_ijr", "T_r,TKk_->TrKk_", "TrKk_,TalI_->TIK_aklr",
+    "T_p,TRi_->TpRi_", "TpRi_,Tjc_->TRc_ijp",
+    "T_p,TiA_->TpiA_", "TpiA_,TjB_->TAB_ijp",
+    "i_,ija_->aj_", "I_,J_->IJ_",
+    "IJA_,ija_->IiJjAa_", "ab_,ijk_->iajbk_", "I_,i_->Ii_",
     "a_,d_->ad_", "ab_,de_->adbe_", "abc_,def_->adbecf_",
 ]
 
 
-def operand_shapes(spec, rank, dims, lead):
-    """Shapes of the two operands: rank on "_", dims[c] on each letter, and on
-    "..." the batch shape lead[0] for x and lead[1] for y (broadcast)."""
-    ins = spec.split("->")[0].split(",")
-    shapes = []
-    for sub, head in zip(ins, lead):
-        shape = tuple(head) if "..." in sub else ()
-        shape += tuple(rank if c == "_" else dims[c] for c in sub.replace("...", ""))
-        shapes.append(shape)
-    return shapes
+def operand_shapes(spec, rank, dims):
+    """Shapes of the two operands: rank on "_" and dims[c] on each letter c."""
+    return [tuple(rank if c == "_" else dims[c] for c in sub) for sub in spec.split("->")[0].split(",")]
 
 
 def check(ring, spec, x, y):
@@ -82,24 +78,23 @@ def check(ring, spec, x, y):
     st.sampled_from(sorted(BASES)),
     st.sampled_from(SPECS),
     st.dictionaries(st.sampled_from("TijklxyraQLPKcpRABIJdefbtq"), st.integers(0, 4)),
-    st.sampled_from([((), ()), ((3,), (3,)), ((3, 1), (1, 3)), ((2,), (4, 2))]),
     st.sampled_from(["uniform", "top", "sparse"]),
     st.integers(0, 2**32 - 1),
 )
-@example("GF(4)", "ab_,ijk_->iajbk_", {c: 16 for c in "ijk"}, ((), ()), "uniform", 1)
-@example("Z/16381[x]/(x^3+5x+7)", "ab_,ijk_->iajbk_", {c: 8 for c in "ijk"}, ((), ()), "top", 2)
-@example("Z/16381 on 3·1", "IJA_,ija_->IiJjAa_", {**dict.fromkeys("IJA", 8), **dict.fromkeys("ija", 4)}, ((), ()), "top", 3)
-@example("GR(4,2)", "TpiA_,TjB_->TAB_ijp", {"T": 32, **dict.fromkeys("piAjB", 3)}, ((), ()), "uniform", 4)
-@example("Z/16381[x]/(x^3+5x+7)", "...ij_,...jk_->...ik_", dict.fromkeys("ijk", 4), ((16, 1), (1, 16)), "top", 5)
-@example("Z/16381[x]/(x^3+5x+7)", "ij_,jk_->ik_", dict.fromkeys("ijk", 9), ((), ()), "top", 6)
-@example("Z/16381[x]/(x^3+5x+7)", "ab_,ij_->iajb_", dict.fromkeys("abij", 9), ((), ()), "top", 7)
-def test_mul_einsum_matches_three_operand_einsum(name, spec, sizes, lead, fill, seed):
+@example("GF(4)", "ab_,ijk_->iajbk_", {c: 16 for c in "ijk"}, "uniform", 1)
+@example("Z/16381[x]/(x^3+5x+7)", "ab_,ijk_->iajbk_", {c: 8 for c in "ijk"}, "top", 2)
+@example("Z/16381 on 3·1", "IJA_,ija_->IiJjAa_", {**dict.fromkeys("IJA", 8), **dict.fromkeys("ija", 4)}, "top", 3)
+@example("GR(4,2)", "TpiA_,TjB_->TAB_ijp", {"T": 32, **dict.fromkeys("piAjB", 3)}, "uniform", 4)
+@example("Z/16381[x]/(x^3+5x+7)", "Aij_,Bjk_->ABik_", {"A": 16, "B": 16, **dict.fromkeys("ijk", 4)}, "top", 5)
+@example("Z/16381[x]/(x^3+5x+7)", "ij_,jk_->ik_", dict.fromkeys("ijk", 9), "top", 6)
+@example("Z/16381[x]/(x^3+5x+7)", "ab_,ij_->iajb_", dict.fromkeys("abij", 9), "top", 7)
+def test_mul_einsum_matches_three_operand_einsum(name, spec, sizes, fill, seed):
     """Byte-identical results, int64 and C-contiguous: letters of length 0-4,
-    broadcast ellipses, and residues all n - 1 ("top") for the largest sums.
-    The explicit examples are large enough for the np.matmul route."""
+    and residues all n - 1 ("top") for the largest sums.  The explicit
+    examples are large enough for the np.matmul route."""
     ring = BASES[name]
     dims = {c: sizes.get(c, 2) for c in "TijklxyraQLPKcpRABIJdefbtq"}
-    xs, ys = operand_shapes(spec, ring.rank, dims, lead)
+    xs, ys = operand_shapes(spec, ring.rank, dims)
     rng = np.random.default_rng(seed)
     if fill == "top":
         x, y = np.full(xs, ring.n - 1, dtype=np.int64), np.full(ys, ring.n - 1, dtype=np.int64)
@@ -126,8 +121,35 @@ def test_broadcast_products_without_row_letters(name):
     ring = BASES[name]
     rng = np.random.default_rng(11)
     x, y = rng.integers(0, ring.n, (32, 1, 2, ring.rank)), rng.integers(0, ring.n, (1, 32, 2, ring.rank))
-    check(ring, "...i_,...i_->...i_", x, y)
-    check(ring, "..._,..._->..._", x[:, :, 0], y[:, :, 0])
+    check(ring, "abi_,abi_->abi_", x, y)
+    check(ring, "ab_,ab_->ab_", x[:, :, 0], y[:, :, 0])
+
+
+# stacks of 0, 1 and several elements under 1 to 4 leading axes
+STACKS = [(0,), (1,), (7,), (3, 0), (1, 1), (4, 3), (2, 3, 2), (1, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("lead", STACKS, ids=str)
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_stacked_mulmat_matches_products_with_the_identity(name, lead):
+    """A stack x of shape (..., r) gives (..., r, r), entry [..., k, j] the
+    coordinate k of x·e_j: byte for byte the basis multiples of the routes
+    it replaced, mul_einsum against the identity ("A_,j_->A_j", as
+    ref_mul_einsum) and the float products(x, eye); and each matrix of a
+    stack is the single-element matrix."""
+    ring = BASES[name]
+    r, eye = ring.rank, np.eye(ring.rank, dtype=np.int64)
+    rng = np.random.default_rng(len(lead))
+    for x in (rng.integers(0, ring.n, lead + (r,)), np.full(lead + (r,), ring.n - 1, dtype=np.int64)):
+        got = ring.mulmat(x)
+        assert got.dtype == np.int64 and got.shape == lead + (r, r)
+        axes = "ABCD"[: len(lead)]
+        want = ref_mul_einsum(ring, f"{axes}_,j_->{axes}_j", x, eye)
+        assert got.tobytes() == want.tobytes()
+        flat = ring.products(x.reshape(-1, r), eye).transpose(0, 2, 1)
+        assert got.tobytes() == flat.reshape(got.shape).tobytes()
+        for v, mat in zip(x.reshape(-1, r), got.reshape(-1, r, r)):
+            assert ring.mulmat(v).tobytes() == mat.tobytes()
 
 
 def rebased_f4():

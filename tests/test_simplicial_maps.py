@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from corings.amitsur import compute_h2, delta1
 from corings.coring import _counit_slot_maps, canonical_coring, twisted_coring
 from corings.extensions import amitsur_rebase, external_extension, interleave
-from corings.rings import make_quotient_ring, try_invert, zmod_ring
+from corings.rings import RingHom, make_quotient_ring, try_invert, zmod_ring
 from tests.conftest import desk_extensions, random_extension, simple_extension, skewed
 
 LEVELS = (1, 2, 3, 4)
@@ -250,3 +250,30 @@ def test_interleave_refuses_other_levels(f4_over_f2):
     u = np.zeros(t4.rank, dtype=np.int64)
     with pytest.raises(ValueError, match="levels 1..3"):
         interleave(f4_over_f2, f4_over_f2, external_extension(f4_over_f2, f4_over_f2), 4, u, u)
+
+
+def test_every_built_map_goes_through_validate(monkeypatch):
+    """Face, merge and collapse maps and the eta of a tensor extension are
+    built with the default check, so RingHom.validate sees each of them: the
+    unit law always, multiplicativity up to source rank × target rank 10^4.
+    The external (F4⊗F4)/F2 has S^⊗4 of rank 256, past every former
+    per-builder threshold."""
+    validated = []
+    honest = RingHom.validate
+
+    def spy(hom):
+        validated.append(hom)
+        honest(hom)
+
+    monkeypatch.setattr(RingHom, "validate", spy)
+    f2 = zmod_ring(2)
+    ext = simple_extension(f2, make_quotient_ring(2, [1, 1, 1]))
+    big = external_extension(ext, ext)
+    rebased = amitsur_rebase(ext)
+    assert big.tensor_power(4).rank == 256
+    maps = [big.eta, rebased.eta, big.face_map(3, 1), big.merge_map(4, first=False)]
+    for e in (ext, rebased):
+        maps += [e.face_map(m, i) for m in (1, 2, 3) for i in range(1, m + 2)]
+        maps += [e.merge_map(m, first) for m in (2, 3, 4) for first in (True, False)]
+        maps += [e.collapse_map(m) for m in (1, 2, 3)]
+    assert all(any(hom is seen for seen in validated) for hom in maps)
