@@ -36,7 +36,9 @@ term of the twist, stacked, with FiniteRing.mul_einsum.
 Exactness: T, the structure tensors and the enveloping map are int64 sums
 of products of at most three reduced residues, each reduced mod n before the
 next product, so they stay within the bound in the zmod docstring; batched
-products and the GEMMs run on the exact float64 kernels of zmod.
+products and the GEMMs run on the exact float64 kernels of zmod.  T itself
+is kept in the base's int8/int16 dtype, like a ring's table, and a T of more
+than zmod.BLOCK_ENTRIES entries is converted one block at a time.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ class FiniteAlgebra:
         T[(i,a),(j,b),(k,t)] is coordinate t of (e_a e_b)·struct[i,j,k], the
         product of e_a b_i and e_b b_j (extensions.restrict_scalars); flat
         indices are i * base.rank + a, the layout of a reshaped coordinate array.
+        It is in the base's int8/int16 dtype, N^3 or 2 N^3 bytes.
         """
         return restrict_scalars(self.base, self.struct)
 

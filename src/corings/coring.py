@@ -139,7 +139,7 @@ def coassoc_difference(ext: Extension, left: np.ndarray, right: np.ndarray) -> n
     last = zmod.matmul_mod(rows, dr.transpose(2, 3, 4, 0, 1, 5).reshape(d * d * kr, -1), ext.n)
     first = first.reshape(nl, d, d, d, kr, nr, d, cols).transpose(0, 5, 1, 2, 3, 6, 4, 7)  # [i, j, a, b, c, z, t, C]
     last = last.reshape(nl, d, d, d, kr, nr, d, cols).transpose(0, 5, 6, 1, 2, 3, 4, 7)  # [i, j, x, a, b, c, t, C]
-    return ((first - last) % ext.n).reshape(nl, nr, -1)
+    return zmod._mod(first - last, ext.n).reshape(nl, nr, -1)
 
 
 def check_coassociative(c: NormalBasisCoring) -> bool:

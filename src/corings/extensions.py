@@ -24,13 +24,15 @@ Every product of base-ring coordinates here is one FiniteRing.mul_einsum,
 and every set of basis multiples x·e_rho one stacked FiniteRing.mulmat.
 S^⊗m, the base change (S ⊗_R T)/T and the external product (S ⊗_R T)/R all
 have TensorRing tops, kept as R-valued factor tables; a dense Z/nZ table is
-their product with scalars restricted once (`restrict_scalars`).  Everything
+their product with scalars restricted, written in the base's small dtype one
+block of rows at a time (`_build_tensor_ring`, `restrict_scalars`).  Everything
 derived from an extension, B^2 and the cosickle form of `amitsur` included,
 is built once and kept in its one memo, `Extension._cached`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, reduce
 
 import numpy as np
@@ -249,9 +251,10 @@ class TensorRing(FiniteRing):
     multiplication of the i-th factor on its R-basis; ones[i], of shape
     (d_i, base.rank), gives the R-coordinates of its unit.  The basis is
     (i_1, ..., i_m, rho) with the base index rho fastest.  The dense rank^3
-    structure table is built from the factors on first use and cached; below
-    DENSE_TABLE_MAX_RANK every product reads it, above it `mul_vec` multiplies
-    slot by slot with `mul_slots` and never builds it.
+    structure table is built from the factors on first use and cached, in
+    the base's small dtype (`_build_tensor_ring`), the only rank^3 array the
+    ring builds; below DENSE_TABLE_MAX_RANK every product reads it, above it
+    `mul_vec` multiplies slot by slot with `mul_slots` and never builds it.
     """
 
     def __init__(self, base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str):
@@ -264,7 +267,7 @@ class TensorRing(FiniteRing):
 
     @cached_property
     def struct(self) -> np.ndarray:
-        return _build_tensor_ring(self.base, self.rmults, self.ones, self.name).struct
+        return _build_tensor_ring(self.base, self.rmults)
 
     @cached_property
     def _slot_tensors(self) -> list[np.ndarray]:
@@ -290,22 +293,43 @@ class TensorRing(FiniteRing):
         # axes of z: x slots left, y slots left, finished slots, base
         for k, mt in enumerate(self._slot_tensors):
             left = len(dims) - k
-            z = np.tensordot(z, mt, axes=([0, left, z.ndim - 1], [0, 1, 4])) % n
+            z = zmod._mod(np.tensordot(z, mt, axes=([0, left, z.ndim - 1], [0, 1, 4])), n)
         return z.reshape(-1)
 
 
-def _build_tensor_ring(
-    base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str
-) -> FiniteRing:
-    """A_1 ⊗_R ... ⊗_R A_m with its dense structure table, factors as in TensorRing."""
-    acc = np.asarray(rmults[0], dtype=np.int64) % base.n
-    for rm in rmults[1:]:
-        dim = len(acc) * len(rm)
-        acc = base.mul_einsum("IJA_,ija_->IiJjAa_", acc, rm).reshape(dim, dim, dim, base.rank)
-    # the small-integer table (the base's dtype, same modulus) frees the R-valued
-    # table and the int64 one before FiniteRing makes its own int64 copy
-    acc = restrict_scalars(base, acc).astype(base.struct.dtype)
-    return FiniteRing(base.n, acc, _pure_tensor(base, ones), name=name, check=False)
+def _build_tensor_ring(base: FiniteRing, rmults: list[np.ndarray]) -> np.ndarray:
+    """The dense structure table of A_1 ⊗_R ... ⊗_R A_m, factors as in TensorRing.
+
+    Written straight into the base's small dtype by `_restricted_table`, one
+    block of leading rows at a time.  A block's R-valued rows, for a range
+    of leading slot tuples (i_1, ..., i_m), are the products of the factor
+    rows rmults[s][i_s], one batched mul_einsum per factor.  Over a rank-1
+    base with e_0 e_0 = e_0 a product of coordinates is a product of
+    residues, so the rows are formed with np.multiply, reduced after each
+    factor, in the narrowest integer type that holds (n-1)^2 (int8 over
+    F2), and they are the table's rows as they are.
+    """
+    n, kr = base.n, base.rank
+    dims = [len(rm) for rm in rmults]
+    slots = np.indices(dims).reshape(len(dims), -1)  # the slot tuple of each leading index
+    plain = kr == 1 and base.struct[0, 0, 0] == 1
+    if plain:
+        wide = np.promote_types(np.min_scalar_type(-((n - 1) ** 2)), base.struct.dtype)
+        rmults = [rm.astype(wide) for rm in rmults]
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        acc = rmults[0][slots[0, lo:hi]]
+        for rm, idx in zip(rmults[1:], slots[1:, lo:hi]):
+            if plain:  # (X, J, j, A, a, 1): the rank-1 mul_einsum below, narrow
+                acc = np.multiply(acc[:, :, None, :, None], rm[idx][:, None, :, None, :])
+                np.remainder(acc, n, out=acc)
+            else:
+                acc = base.mul_einsum("XJA_,Xja_->XJjAa_", acc, rm[idx])
+            x, big, small = len(acc), acc.shape[1], acc.shape[2]
+            acc = acc.reshape(x, big * small, big * small, kr)
+        return acc
+
+    return _restricted_table(base, math.prod(dims), rows)
 
 
 def restrict_scalars(base: FiniteRing, rtable: np.ndarray) -> np.ndarray:
@@ -313,10 +337,41 @@ def restrict_scalars(base: FiniteRing, rtable: np.ndarray) -> np.ndarray:
 
     T[(i,a),(j,b),(k,t)] is coordinate t of (e_a e_b)·rtable[i, j, k], the
     product of e_a b_i and e_b b_j, with flat indices i * base.rank + a.
+    The table is in the base's small dtype, written one block of leading
+    rows at a time (`_restricted_table`); over a rank-1 base with
+    e_0 e_0 = e_0 it is rtable itself, reduced mod n.
     """
-    table = base.mul_einsum("ab_,ijk_->iajbk_", base.struct, rtable)
-    size = rtable.shape[0] * base.rank
-    return table.reshape(size, size, size)
+    rtable = np.asarray(rtable)
+    return _restricted_table(base, len(rtable), lambda lo, hi: rtable[lo:hi])
+
+
+def _restricted_table(base: FiniteRing, dim: int, rows) -> np.ndarray:
+    """The Z/nZ table, (dim·kr)^3 in the base's small dtype, of an R-algebra
+    of dimension dim whose R-valued table has the leading rows rows(lo, hi).
+
+    One block of at most zmod.BLOCK_ENTRIES table entries at a time (at
+    least one row): whole leading indices i, or, when the base rank kr is
+    larger than a block, base indices a of one i.  The block's rows
+    e_a b_i are one mul_einsum of base.struct[a-block] with rows(i-block),
+    reduced mod n; over a rank-1 base with e_0 e_0 = e_0 they are
+    rows(i-block) reduced.  No other array as large as the table is made.
+    """
+    n, kr = base.n, base.rank
+    size = dim * kr
+    table = np.empty((size,) * 3, dtype=base.struct.dtype)
+    out = table.reshape(dim, kr, size * size)
+    step = zmod.block_rows(size * size)  # table rows per block
+    lead = max(1, step // kr)
+    plain = kr == 1 and base.struct[0, 0, 0] == 1
+    for i in range(0, dim, lead):
+        block = rows(i, i + lead)
+        for a in range(0, kr, step):
+            if plain:
+                part = np.remainder(block, n)
+            else:
+                part = base.mul_einsum("ab_,ijk_->iajbk_", base.struct[a : a + step], block)
+            out[i : i + len(block), a : a + step] = part.reshape(len(block), -1, size * size)
+    return table
 
 
 def _pure_tensor(base: FiniteRing, coords: list[np.ndarray]) -> np.ndarray:

@@ -59,19 +59,33 @@ def _check_rank(rank: int) -> None:
 
 
 class FiniteRing:
-    """A finite commutative ring, free over Z/nZ with structure constants."""
+    """A finite commutative ring, free over Z/nZ with structure constants.
+
+    The structure table `struct` holds c[i, j, k] reduced into [0, n) as
+    int8 (n <= 127) or int16: r^3 bytes or twice that, the only array of
+    that size a ring builds or keeps.  Every route that multiplies reads
+    it in that dtype or through `_float_struct`, which copies it to float64
+    only when it has at most zmod.BLOCK_ENTRIES entries (rank <= 50);
+    larger tables are converted one block at a time, or only at the rows
+    a sparse operand touches.  The constructor reduces its input straight
+    into the table: the remainder is taken in the wider of the input's and
+    the table's dtype (int64 for an input that is not a signed integer
+    array, as np.array(..., dtype=np.int64) would convert it), through
+    numpy's buffered casts, so no int64 copy of a small-integer input is
+    made.
+    """
 
     def __init__(self, modulus: int, structure, one, name: str = "", check: bool = True):
         if not 2 <= modulus <= zmod.MAX_MODULUS:
             raise ValueError(f"modulus must be between 2 and {zmod.MAX_MODULUS}, got {modulus}")
         _check_rank(max(np.shape(structure), default=0))
-        c = np.array(structure, dtype=np.int64)
-        c %= modulus
+        c = np.asarray(structure)
         if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[1] != c.shape[2]:
             raise ValueError("structure constants must form an (r, r, r) array")
         self._set_header(modulus, c.shape[0], one, name)
-        self.struct = c.astype(_struct_dtype(self.n))
-        del c  # the int64 copy goes before validate() makes its float64 one
+        self.struct = np.empty(c.shape, dtype=_struct_dtype(self.n))
+        work = np.promote_types(c.dtype, self.struct.dtype) if c.dtype.kind == "i" else np.int64
+        np.remainder(c, self.n, out=self.struct, dtype=work, casting="unsafe")
         if check:
             self.validate()
 
@@ -87,9 +101,9 @@ class FiniteRing:
 
     # -- arithmetic on raw coefficient vectors ------------------------------
     #
-    # One element goes through mulmat (int64, from the small-integer table),
-    # paired batches through mul_rows and all pairs of two batches through
-    # products (float64 BLAS, exact; see zmod).
+    # One element goes through mulmat (from the small-integer table), paired
+    # batches through mul_rows and all pairs of two batches through products
+    # (float64 BLAS, exact; see zmod).
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x·y of reduced vectors: the multiplication matrix of x applied to y, mod n."""
@@ -99,7 +113,7 @@ class FiniteRing:
         """Products x_i y_i of corresponding rows of two batches of reduced elements.
 
         One zmod.bilinear_mod of the outer products x_i ⊗ y_i against the
-        float64 table.
+        table (`_float_struct`).
         """
         return zmod.bilinear_mod(x, y, self._float_struct, self.n)
 
@@ -107,14 +121,22 @@ class FiniteRing:
         """Every product x_i y_j of two batches of reduced elements, shape (len x, len y, rank).
 
         zmod.outer_products: the multiplication matrices of a block of x by
-        one GEMM against the float64 table, then every y_j by one batched GEMM.
+        one GEMM against the table (`_float_struct`), then every y_j by one
+        batched GEMM.
         """
         return zmod.outer_products(x, y, self._float_struct, self.n)
 
     @cached_property
     def _float_struct(self) -> np.ndarray:
-        # 8 bytes an entry; only the batched kernels read it
-        return self.struct.astype(np.float64)
+        """The table as the batched kernels read it (zmod.as_float_table).
+
+        A float64 copy, kept, when the table has at most zmod.BLOCK_ENTRIES
+        entries (rank <= 50): 8 bytes an entry, at most about 1 MB.  A
+        larger table is the small-integer table itself, and each product
+        converts one block of it at a time, reading only the rows its
+        operand touches; no ring keeps a larger array in another dtype.
+        """
+        return zmod.as_float_table(self.struct)
 
     def mul_einsum(self, spec: str, x, y) -> np.ndarray:
         """Ring products of two coordinate tensors, contracted as an einsum.
@@ -130,7 +152,9 @@ class FiniteRing:
         rank of a top ring).  Over a rank-1 base the table is a scaling by
         its one constant, and the call is one two-operand np.einsum.  Every
         term is a product of two reduced residues, below (n-1)^2; the zmod
-        docstring bounds the sums.  The result is int64 and C-contiguous, so
+        docstring bounds the sums.  The table enters the first einsum in its
+        own dtype, which np.einsum casts through its small buffers, so no
+        int64 copy of it is made.  The result is int64 and C-contiguous, so
         a caller's reshape is a view.
         """
         x = np.asarray(x, dtype=np.int64)
@@ -144,16 +168,15 @@ class FiniteRing:
             elif c != 1:
                 y = y * c % n
             prods = np.einsum(spec.replace("_", "U"), x, y, order="C")
-            prods %= n
-            return prods
+            return zmod._mod(prods, n)
         a, b, out = spec.replace("->", ",").split(",")
         swap = x.size > y.size  # x becomes the smaller operand, the one the table meets
         if swap:
             a, b, x, y = b, a, y, x
         rest = a.replace("_", "")
         table = "VUW" if swap else "UVW"
-        half = np.einsum(f"{a.replace('_', 'U')},{table}->{rest}VW", x, self.struct.astype(np.int64))
-        half %= n
+        half = np.einsum(f"{a.replace('_', 'U')},{table}->{rest}VW", x, self.struct)
+        zmod._mod(half, n)
         return _contract(b.replace("_", "V"), y, f"{rest}VW", half, out.replace("_", "W"), n)
 
     def pow_rows(self, x: np.ndarray, e: int) -> np.ndarray:
@@ -174,18 +197,25 @@ class FiniteRing:
         mx = sum_i x_i c[i] over the nonzero x_i, mod n, read from the int8
         or int16 table; the matrix is its transpose.  A stack x (..., r)
         gives its stack of matrices (..., r, r), [..., k, j] the coordinate
-        k of x·e_j, from one int64 product of the stack with the table.
-        Each int64 sum has at most r terms below (n-1)^2, so it stays below
-        r (n-1)^2 < 2^63 for r <= DEFAULT_RANK_CAP and n <= zmod.MAX_MODULUS.
+        k of x·e_j, from one product of the stack with the table.  A table
+        of at most zmod.BLOCK_ENTRIES entries is multiplied in int64, its
+        touched rows cast at once; a larger one by zmod.matmul_mod, which
+        converts only the rows where x has a nonzero entry to float64, one
+        block at a time.  Each sum has at most r terms below (n-1)^2, so it
+        stays below r (n-1)^2 < 2^38 for r <= DEFAULT_RANK_CAP and
+        n <= zmod.MAX_MODULUS, exact in int64 and in float64.
         """
         r = self.rank
         x = np.asarray(x, dtype=np.int64)
-        if x.ndim > 1:
-            mx = (x @ self.struct.reshape(r, r * r)) % self.n
-            return mx.reshape(x.shape[:-1] + (r, r)).swapaxes(-1, -2)
-        nx = x.nonzero()[0]
-        mx = (x[nx] @ self.struct.reshape(r, r * r)[nx]) % self.n
-        return mx.reshape(r, r).T
+        flat = self.struct.reshape(r, r * r)
+        if flat.size > zmod.BLOCK_ENTRIES:
+            mx = zmod.matmul_mod(x.reshape(-1, r), flat, self.n)
+        elif x.ndim > 1:
+            mx = zmod._mod(x @ flat, self.n)
+        else:
+            nx = x.nonzero()[0]
+            mx = zmod._mod(x[nx] @ flat[nx], self.n)
+        return mx.reshape(x.shape[:-1] + (r, r)).swapaxes(-1, -2)
 
     def pow_vec(self, x: np.ndarray, e: int) -> np.ndarray:
         """x^e for one element, e >= 0, by squaring: one mulmat per bit of e.
@@ -303,8 +333,12 @@ class FiniteRing:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Commutativity, associativity and unit law on all basis triples."""
-        if (self.struct != self.struct.transpose(1, 0, 2)).any():
+        """Commutativity, associativity and unit law on all basis triples.
+
+        Commutativity compares one block of rows of the table at a time.
+        """
+        t, step = self.struct, zmod.block_rows(self.rank**2)
+        if any((t[i : i + step] != t[:, i : i + step].swapaxes(0, 1)).any() for i in range(0, self.rank, step)):
             raise ValueError(f"{self.name}: multiplication is not commutative")
         if zmod.first_nonassociative(self.struct, self.n) is not None:
             raise ValueError(f"{self.name}: multiplication is not associative")
@@ -349,8 +383,7 @@ def _contract(sa: str, a: np.ndarray, sb: str, b: np.ndarray, so: str, n: int) -
     dims.update((c, max(dims.get(c, 1), k)) for c, k in zip(sa, a.shape))
     if math.prod(dims.values()) < EINSUM_TERMS:
         out = np.einsum(f"{sa},{sb}->{so}", a, b, order="C")
-        out %= n
-        return out
+        return zmod._mod(out, n)
     rows = [c for c in so if c not in sb]
     cols = [c for c in so if c not in sa]
     batch = [c for c in so if c in sa and c in sb]
@@ -364,8 +397,7 @@ def _contract(sa: str, a: np.ndarray, sb: str, b: np.ndarray, so: str, n: int) -
     right = right.reshape(right.shape[:nb] + (1,) * len(r0) + right.shape[nb : nb + len(c0)] + (k, -1))
     view = out.transpose([so.index(c) for c in batch + r0 + c0 + rows[-1:] + cols[-1:]])
     np.matmul(left, right, out=view if rows else view[..., None, :])
-    out %= n
-    return out
+    return zmod._mod(out, n)
 
 
 def _values(a: FiniteRing, y: np.ndarray, t: int) -> np.ndarray:
@@ -523,10 +555,21 @@ class RingHom:
         return (self.apply_vec(self.source.one) == self.target.one).all()
 
     def is_multiplicative(self) -> bool:
-        """The images of all basis products against the products of the basis images."""
-        s, imgs = self.source.rank, self.matrix.T  # row i is the image of e_i
-        lhs = zmod.matmul_mod(self.source.struct.reshape(s * s, s), imgs, self.target.n)
-        return bool((lhs == self.target.products(imgs, imgs).reshape(s * s, -1)).all())
+        """The images of all basis products against the products of the basis images.
+
+        One block of basis elements e_i at a time: the images of the e_i e_j
+        and the products of the images, side by side, fill at most one block
+        of zmod.BLOCK_ENTRIES entries.  The first block with a mismatch ends
+        the test.
+        """
+        s, t, n = self.source.rank, self.target.rank, self.target.n
+        imgs = self.matrix.T  # row i is the image of e_i
+        step = zmod.block_rows(2 * s * t)
+        for i in range(0, s, step):
+            lhs = zmod.matmul_mod(self.source.struct[i : i + step].reshape(-1, s), imgs, n)
+            if (lhs != self.target.products(imgs[i : i + step], imgs).reshape(len(lhs), t)).any():
+                return False
+        return True
 
     def validate(self) -> None:
         """The unit law always; multiplicativity when source rank × target rank <= 10^4."""
@@ -608,7 +651,7 @@ def make_product_ring(a: FiniteRing, b: FiniteRing) -> FiniteRing:
         raise ValueError(f"modulus mismatch: {a.n} != {b.n}")
     r = a.rank + b.rank
     _check_rank(r)
-    struct = np.zeros((r, r, r), dtype=np.int64)
+    struct = np.zeros((r, r, r), dtype=a.struct.dtype)
     struct[: a.rank, : a.rank, : a.rank] = a.struct
     struct[a.rank :, a.rank :, a.rank :] = b.struct
     one = np.concatenate([a.one, b.one])
@@ -769,7 +812,7 @@ class Grid:
                 # one (survivors × columns) gather per low digit, not one of b times that
                 for j in range(b):
                     rest += high_cross[h, j, k:] * self.low[l, j, None]
-                alive[idx] = ~(rest % n).any(axis=1)
+                alive[idx] = ~zmod._mod(rest, n).any(axis=1)
                 return
             left[:, :b] = high_cross[:, :, k]
             left[:, b] = high_q[:, k]

@@ -60,6 +60,15 @@ handle exactly rather than answer from wrapped arithmetic.
 - Batched kernels take their rows, and `Grid.zero_mask` its output columns,
   in blocks of at most BLOCK_ENTRIES = 2^17 float64 entries (about 1 MB),
   so their transients do not grow with the batch.
+- A ring's structure table is its one r^3-sized array, in int8 or int16
+  (FiniteRing.struct).  The GEMM kernels read a table of at most
+  BLOCK_ENTRIES entries through one float64 copy (:func:`as_float_table`,
+  kept on the ring as FiniteRing._float_struct); a larger one stays in its
+  dtype, and :func:`_gemm_mod` converts it one block of at most
+  BLOCK_ENTRIES entries at a time, only at the rows a sparse operand
+  touches.  :func:`first_nonassociative` converts one slab at a time.  The
+  in-place reductions :func:`_mod` and :func:`_reduce` work through
+  temporaries of at most numpy's ufunc buffer size.
 - Units are decided through residue fields (Ronyai, JSC 1990): x in a finite
   commutative Z/nZ-algebra S is a unit iff its image in every residue field
   S/m is nonzero.  :class:`ResidueFields` holds, for each prime p | n and
@@ -84,6 +93,7 @@ import numpy as np
 MAX_MODULUS = 1 << 14  # see "Exactness" above
 _FLOAT_EXACT = 1 << 53  # integers below this are exact in float64
 BLOCK_ENTRIES = 1 << 17  # float64 entries of one transient block, about 1 MB
+_BUFSIZE = np.getbufsize()  # entries of numpy's ufunc buffers: the blocks of _mod and _reduce
 
 
 def _as_mod_array(a, n: int) -> np.ndarray:
@@ -307,11 +317,34 @@ def _eliminate(stack: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, np.nd
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place, for an int64 array: numpy divides an integer array by a
-    scalar several times faster than it takes the remainder (about 3.5x on a
-    (4096, 8, 5) array), so this is x - (x // q)·q."""
-    x -= (x // q) * q
+    """x mod q in place, for an int64 array: x - (x // q)·q, block by block
+    (:func:`_blocks`).  numpy divides an integer array by a scalar several
+    times faster than it takes the remainder (about 2.5x on a (4096, 8, 5)
+    array); below about 512 entries the one call of np.remainder costs
+    less than the three of the division (0.7 against 1.3 us at 64 entries,
+    numpy 2.4), so a small array takes that."""
+    if x.size < 512:
+        return np.remainder(x, q, out=x)
+    for part in _blocks(x):
+        t = part // q
+        t *= q
+        part -= t
     return x
+
+
+def _blocks(x: np.ndarray):
+    """Views that cover x, each of at most _BUFSIZE entries (numpy's own
+    ufunc buffer size), or one leading row when a row is longer: runs of
+    the flat array when x is contiguous, blocks of leading rows otherwise.
+
+    An in-place reduction over them takes its temporaries block by block,
+    so it needs no memory that grows with x.
+    """
+    if x.size <= _BUFSIZE:
+        return (x,)
+    rows = x.reshape(-1) if x.flags.c_contiguous else x
+    step = max(1, _BUFSIZE // rows[0].size)
+    return [rows[s : s + step] for s in range(0, len(rows), step)]
 
 
 def solvable_right_batch(a, b, n: int) -> np.ndarray:
@@ -486,16 +519,18 @@ def batch_nonsingular(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def _reduce(c: np.ndarray, n: int) -> np.ndarray:
-    """c mod n in place, for float64 integers of magnitude below 2^53.
+    """c mod n in place, for float64 integers of magnitude below 2^53, block
+    by block (:func:`_blocks`).
 
     The quotient c / n is rounded to nearest, and a remainder r in (0, n)
     keeps it at least 1/n away from an integer, which is more than half an
     ulp; so the floor is exact.  This is several times faster than fmod.
     """
-    q = c / n
-    np.floor(q, out=q)
-    q *= n
-    c -= q
+    for part in _blocks(c):
+        q = part / n
+        np.floor(q, out=q)
+        q *= n
+        part -= q
     return c
 
 
@@ -504,33 +539,83 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ENTRIES // max(width, 1))
 
 
+def as_float_table(table) -> np.ndarray:
+    """An operand as the GEMM kernels read it: a float64 copy, except for a
+    small-integer (int8 or int16) table of more than BLOCK_ENTRIES entries,
+    which stays as it is and is converted one block at a time.
+
+    Structure tables are int8 or int16 (r^3 entries, `FiniteRing.struct`,
+    `FiniteAlgebra.table`); int64 operands are batches whose size the caller
+    bounds, converted whole as before.
+    """
+    table = np.asarray(table)
+    if table.size <= BLOCK_ENTRIES or table.dtype.kind != "i" or table.dtype.itemsize > 2:
+        return table.astype(np.float64, copy=False)
+    return table
+
+
 def _gemm_mod(a: np.ndarray, b: np.ndarray, n: int, term: int) -> np.ndarray:
-    """(a @ b) mod n as float64, for float64 integer arrays with every |a_ik b_kj| <= term.
+    """(a @ b) mod n as float64, for a float64 integer array a and an integer
+    or float64 array b, with every |a_ik b_kj| <= term.
 
     The contraction is split into blocks of at most (2^53 - n) // term
-    terms, reduced between blocks, so every partial sum is an integer of
-    magnitude below 2^53.  b may be a stack of matrices (np.matmul
-    broadcasting); its contraction axis is then the second to last.
+    terms, and the sum is reduced before a block could take it past that
+    bound, so every partial sum is an integer of magnitude below 2^53.  b
+    may be a stack of matrices (np.matmul broadcasting); its contraction
+    axis is then the second to last.  An integer b (a small-integer table,
+    :func:`as_float_table`) is read only at the contraction indices where a
+    has a nonzero entry, and converted to float64 one block of at most
+    BLOCK_ENTRIES entries at a time.
     """
-    step = (_FLOAT_EXACT - n) // term
-    if step < 1:
+    exact = (_FLOAT_EXACT - n) // term
+    if exact < 1:
         raise ValueError(f"modulus {n} is too large for exact float64 products")
-    out = _reduce(np.matmul(a[..., :step], b[..., :step, :]), n)
-    for s in range(step, a.shape[-1], step):
-        out += np.matmul(a[..., s : s + step], b[..., s : s + step, :])
-        _reduce(out, n)
-    return out
+    k = a.shape[-1]
+    if b.dtype == np.float64:
+        if k <= exact:
+            return _reduce(np.matmul(a, b), n)
+        step, touched = exact, None
+    else:
+        step = min(exact, block_rows(b[..., 0, :].size))
+        touched = np.flatnonzero(a.reshape(-1, k).any(axis=0))
+        if len(touched) == k:
+            touched = None  # dense: slices, no gathers
+    if touched is None:
+        blocks = [slice(s, s + step) for s in range(0, max(k, 1), step)]
+    else:
+        blocks = [touched[s : s + step] for s in range(0, max(len(touched), 1), step)]
+    out, summed = None, 0  # summed bounds the terms added since the last reduction
+    for idx in blocks:
+        part = np.matmul(a[..., idx], np.asarray(b[..., idx, :], dtype=np.float64))
+        if out is None:
+            out = part
+        else:
+            if summed + step > exact:
+                _reduce(out, n)
+                summed = 0
+            out += part
+        summed += step
+    return _reduce(out, n)
 
 
 def matmul_mod(a, b, n: int) -> np.ndarray:
     """Exact (a @ b) mod n on float64 BLAS, for integer entries in (-n, n).
 
     Returns int64 entries in [0, n).  One GEMM when the contraction length k
-    has k (n-1)^2 < 2^53, blocks reduced in between otherwise.
+    has k (n-1)^2 < 2^53, blocks reduced in between otherwise.  A
+    small-integer table of more than BLOCK_ENTRIES entries
+    (:func:`as_float_table`) is never converted whole: as b, block by block
+    in :func:`_gemm_mod`; as a (2-d), one block of its rows at a time.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return _gemm_mod(a, b, n, max(n - 1, 1) ** 2).astype(np.int64)
+    a, b = as_float_table(a), as_float_table(b)
+    term = max(n - 1, 1) ** 2
+    if a.dtype == np.float64:
+        return _gemm_mod(a, b, n, term).astype(np.int64)
+    out = np.empty((len(a), b.shape[-1]), dtype=np.int64)
+    step = block_rows(a.shape[1])
+    for s in range(0, len(a), step):
+        out[s : s + step] = _gemm_mod(a[s : s + step].astype(np.float64), b, n, term)
+    return out
 
 
 def bilinear_mod(x, y, form, n: int) -> np.ndarray:
@@ -541,11 +626,12 @@ def bilinear_mod(x, y, form, n: int) -> np.ndarray:
     batch one GEMM against the flattened form.  The outer products are not
     reduced: their entries stay below (n-1)^2, each term below (n-1)^3, and
     the GEMM blocks its contraction to match.  Rows are taken in blocks so
-    the outer products stay within BLOCK_ENTRIES entries.
+    the outer products stay within BLOCK_ENTRIES entries; a form of more
+    than BLOCK_ENTRIES entries is converted block by block (:func:`_gemm_mod`).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    form = np.asarray(form, dtype=np.float64)
+    form = as_float_table(form)
     flat = form.reshape(form.shape[0] * form.shape[1], form.shape[2])
     term = max(n - 1, 1) ** 3
     rows = block_rows(len(flat))
@@ -565,7 +651,10 @@ def outer_products(x, y, table, n: int) -> np.ndarray:
     GEMM then multiplies every y_j by each matrix.  Both contract terms
     below (n-1)^2 and are split as in :func:`matmul_mod`.  Rows of x are
     taken in blocks that keep the matrices and their products within
-    BLOCK_ENTRIES entries, so only the result grows with the batches.
+    BLOCK_ENTRIES entries, so only the result grows with the batches.  A
+    table of more than BLOCK_ENTRIES entries stays in its integer dtype:
+    each block of x reads only the table rows where it has a nonzero
+    entry, converted one block at a time (:func:`_gemm_mod`).
 
     >>> f4 = np.zeros((2, 2, 2)); f4[0, 0, 0] = f4[0, 1, 1] = f4[1, 0, 1] = 1
     >>> f4[1, 1] = [1, 1]  # F4 = F2[a], a^2 = a + 1
@@ -575,7 +664,7 @@ def outer_products(x, y, table, n: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    table = np.asarray(table, dtype=np.float64)
+    table = as_float_table(table)
     r1, r2, width = table.shape
     flat = table.reshape(r1, r2 * width)
     term = max(n - 1, 1) ** 2
@@ -591,22 +680,34 @@ def outer_products(x, y, table, n: int) -> np.ndarray:
 def first_nonassociative(table, n: int) -> Optional[tuple[int, int, int]]:
     """The lex-first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k) for a table (r, r, r), or None.
 
-    Per block of BLOCK_ENTRIES // r^2 pairs (i, j): one GEMM of the rows table[i, j]
-    against the table as (r, r^2), and one batched GEMM table[j] @ table[i].
-    Transients are a few blocks and one float64 table; the work grows as r^5.
+    Per block of k the slab C = table[:, k-block] is converted to float64
+    once, and per block of i two exact GEMMs give both sides for every j:
+    (e_i e_j) e_k = sum_m table[i, j, m] C[m, k] is table[i] @ C, and
+    e_i (e_j e_k) = sum_m C[j, k, m] table[i, m] is C @ table[i].  Slabs,
+    row blocks and products each hold at most BLOCK_ENTRIES entries, so
+    the table is converted one slab at a time, whatever its size, and never
+    gathered row by row; the work grows as r^5.  The first mismatch of each
+    k-block is kept, and no later block looks past the least i found.
     """
-    t = np.asarray(table, dtype=np.float64)
+    t = np.asarray(table)
     r = len(t)
-    pair_rows, flat = t.reshape(r * r, r), t.reshape(r, r * r)
-    step = block_rows(r * r)
-    for s in range(0, r * r, step):
-        i, j = np.divmod(np.arange(s, min(s + step, r * r)), r)
-        left = matmul_mod(pair_rows[s : s + step], flat, n).reshape(-1, r, r)
-        bad = np.argwhere(left != matmul_mod(t[j], t[i], n))
-        if len(bad):
-            p, k = bad[0][:2]
-            return int(i[p]), int(j[p]), int(k)
-    return None
+    term = max(n - 1, 1) ** 2
+    kb = min(r, block_rows(r * r))  # slab: (r, kb, r)
+    ib = block_rows(r * r * kb)  # products: (ib, r, kb, r)
+    best = None
+    for k0 in range(0, r, kb):
+        slab = t[:, k0 : k0 + kb].astype(np.float64)
+        w = slab.shape[1]
+        for i0 in range(0, r if best is None else best[0] + 1, ib):
+            rows = t[i0 : i0 + ib].astype(np.float64)
+            left = _gemm_mod(rows, slab.reshape(r, w * r), n, term)
+            right = _gemm_mod(slab.reshape(r * w, r), rows, n, term)
+            bad = np.argwhere(left.reshape(-1, r, w, r) != right.reshape(-1, r, w, r))
+            if len(bad):
+                i, j, k = (int(v) for v in bad[0][:3])
+                best = min(best or (r, r, r), (i0 + i, j, k0 + k))
+                break
+    return best
 
 
 class ResidueFields(NamedTuple):

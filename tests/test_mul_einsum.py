@@ -179,8 +179,8 @@ def test_dense_table_memory_over_rank_two_base():
     """Building the S^⊗4 table of (F4⊗F4)/F4 (32^3 entries, 256 KB as int64)
     peaks at no more than the three-operand route did: 0.559 MB traced with
     numpy 2.4.  np.matmul writes the product into its result through a
-    strided view, and the int64 table goes before FiniteRing makes its own
-    int64 copy."""
+    strided view, and the table is written in the base's int8 dtype, one
+    block of rows at a time."""
     ring = rebased_f4().tensor_power(4).ring
     tracemalloc.start()
     try:

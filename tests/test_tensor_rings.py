@@ -96,7 +96,7 @@ def dense_table(ring: TensorRing) -> np.ndarray:
 
     Where the old route is valid, it must give the same bytes.
     """
-    table = _build_tensor_ring(ring.base, ring.rmults, ring.ones, "dense").struct
+    table = _build_tensor_ring(ring.base, ring.rmults)
     if table_is_valid_for_ref(ring.base):
         ref = ref_build_tensor_ring(ring.base, ring.rmults, ring.ones, "ref").struct
         assert table.dtype == ref.dtype and table.tobytes() == ref.tobytes()
