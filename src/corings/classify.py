@@ -26,7 +26,9 @@ from . import zmod
 from .amitsur import (
     COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_zeros, is_two_cocycle, sorted_cosets, unit_twist
 )
-from .coring import NormalBasisCoring, coassoc_difference, external_product, is_azumaya, term_coproducts
+from .coring import (
+    NormalBasisCoring, canonical_coring, coassoc_difference, external_product, is_azumaya, term_coproducts
+)
 from .extensions import Extension
 from .rings import DEFAULT_CAP, Grid, InternalCheckError
 
@@ -41,39 +43,20 @@ def is_almost_invertible(ext: Extension, u) -> bool:
     return TwistElement(ext, np.asarray(u, dtype=np.int64) % ext.n).is_almost_invertible
 
 
-def counit_solution(ext: Extension, u) -> Optional[np.ndarray]:
-    """An element v of S with u^1 v u^2 ⊗ u^3 = 1⊗1 = u^1 ⊗ u^2 v u^3, or None.
-
-    This is the existence of a counit for the twisted comultiplication,
-    decided as a linear system over Z/nZ; it is independent of the
-    partial-collapse invertibility route.
-    """
-    u = np.asarray(u, dtype=np.int64) % ext.n
-    t2 = ext.tensor_power(2)
-    p = ext.merge_map(3, first=True).apply_vec(u)
-    q = ext.merge_map(3, first=False).apply_vec(u)
-    e1 = ext.slot_embed(2, 1).matrix
-    e2 = ext.slot_embed(2, 2).matrix
-    sys_mat = np.vstack(
-        [
-            (t2.ring.mulmat(p) @ e1) % ext.n,
-            (t2.ring.mulmat(q) @ e2) % ext.n,
-        ]
-    )
-    rhs = np.concatenate([t2.one_vec(), t2.one_vec()])
-    return zmod.solve_right(sys_mat, rhs, ext.n)
-
-
 def counit_solvable(ext: Extension, rows: np.ndarray) -> np.ndarray:
-    """Whether `counit_solution(ext, u)` finds a v, for every row u of a batch.
+    """Whether a counit exists for the twist u, for every row u of a batch:
+    an element v of S with u^1 v u^2 ⊗ u^3 = 1⊗1 = u^1 ⊗ u^2 v u^3.
 
-    The system matrix A(u) = [mulmat(μ₁u)·e₁ ; mulmat(μ₂u)·e₂] of
-    `counit_solution` is linear in u: column s of its upper block is the
-    product μ₁(u)·e₁(b_s) in S^⊗2.  So one `products` per half builds the
-    tensor T (r₃, 2 r₂, rank S) with A(u) = Σ_t u_t T[t]; the systems of a
-    block of rows are one `zmod.matmul_mod` against T, decided against
-    (1⊗1, 1⊗1) by `zmod.solvable_right_batch`: one batched elimination per
-    prime power of n, with no scalar Howell call.
+    That is the linear system A(u)·v = (1⊗1, 1⊗1) over Z/nZ, with
+    A(u) = [mulmat(μ₁u)·e₁ ; mulmat(μ₂u)·e₂], independent of the
+    partial-collapse invertibility route.  A(u) is linear in u: column s of
+    its upper block is the product μ₁(u)·e₁(b_s) in S^⊗2.  So one
+    `products` per half builds the tensor T (r₃, 2 r₂, rank S) with
+    A(u) = Σ_t u_t T[t]; the systems of a block of rows are one
+    `zmod.matmul_mod` against T, decided against (1⊗1, 1⊗1) by
+    `zmod.solvable_right_batch`: one batched elimination per prime power of
+    n, with no scalar Howell call.  The tests keep the per-element solve as
+    `conftest.counit_solution`.
     """
     t2 = ext.tensor_power(2).ring
     halves = [
@@ -335,8 +318,6 @@ def compare_via_refinement(
         raise ValueError("refinement comparison is for Azumaya corings")
     if c.ext.base != d.ext.base:
         raise ValueError("corings over different base rings")
-    from .coring import canonical_coring
-
     left = external_product(c, canonical_coring(d.ext))
     right = external_product(canonical_coring(c.ext), d)
     if left.ext != right.ext:  # pragma: no cover - same construction on both sides

@@ -78,6 +78,8 @@ class JobSpec:
     params: dict
     other_extension: Extension | None = None
     digest: str = ""
+    twist: np.ndarray | None = None
+    other_twist: np.ndarray | None = None
     cap: int = DEFAULT_CAP
 
 
@@ -204,13 +206,13 @@ def parse_job(text: str, digest: str = "") -> JobSpec:
         name == "azumaya-check" and "algebra" not in params
     )
     if needs_twist:
-        _twist_param(params, ext, "command")
+        spec.twist = _twist_param(params, ext, "command")
     if name == "compare":
         other = _expect(params, "other", "command", dict)
         spec.other_extension = _build_extension(
             _expect(other, "extension", "command.other"), rings, "command.other.extension"
         )
-        _twist_param(other, spec.other_extension, "command.other")
+        spec.other_twist = _twist_param(other, spec.other_extension, "command.other")
     if "cap" in params:
         cap = params["cap"]
         if isinstance(cap, bool) or not isinstance(cap, int) or cap <= 0:
@@ -248,7 +250,7 @@ def _run_h2(spec: JobSpec) -> dict:
 
 
 def _run_cocycle_check(spec: JobSpec) -> dict:
-    tw = TwistElement(spec.extension, _twist_param(spec.params, spec.extension, "command"))
+    tw = TwistElement(spec.extension, spec.twist)
     ok = tw.is_cocycle
     out = {
         "twist": _vecs([tw.u.coeffs])[0],
@@ -262,7 +264,7 @@ def _run_cocycle_check(spec: JobSpec) -> dict:
 
 
 def _run_normalize(spec: JobSpec) -> dict:
-    tw = TwistElement(spec.extension, _twist_param(spec.params, spec.extension, "command"))
+    tw = TwistElement(spec.extension, spec.twist)
     tw2, witness = normalize(tw)
     return {
         "input": _vecs([tw.u.coeffs])[0],
@@ -274,7 +276,7 @@ def _run_normalize(spec: JobSpec) -> dict:
 
 
 def _run_twist(spec: JobSpec) -> dict:
-    c = twisted_coring(spec.extension, _twist_param(spec.params, spec.extension, "command"))
+    c = twisted_coring(spec.extension, spec.twist)
     report = coring_axiom_report(c)
     report["twist"] = _vecs([c.twist.u.coeffs])[0]
     return report
@@ -306,8 +308,7 @@ def _run_dual_algebra(spec: JobSpec) -> dict:
     side = spec.params.get("side", "right")
     if side not in ("right", "left"):
         raise JobSpecError("command.side", "side must be 'right' or 'left'")
-    tw = TwistElement(ext, _twist_param(spec.params, ext, "command"))
-    alg = TwistedAlgebra(ext, tw, side).algebra()
+    alg = TwistedAlgebra(ext, TwistElement(ext, spec.twist), side).algebra()
     basis = np.stack([alg.basis_coords(a).ravel() for a in range(alg.dim)])
     prods = alg.products(basis, basis).reshape(alg.dim, alg.dim, alg.dim, -1)
     table = [
@@ -324,8 +325,7 @@ def _run_dual_algebra(spec: JobSpec) -> dict:
 
 
 def _run_gamma_verify(spec: JobSpec) -> dict:
-    tw = TwistElement(spec.extension, _twist_param(spec.params, spec.extension, "command"))
-    g = gamma_map(tw)
+    g = gamma_map(TwistElement(spec.extension, spec.twist))
     out = {
         "injective": g.injective,
         "image_is_descent_algebra": g.image_is_descent_algebra,
@@ -342,12 +342,11 @@ def _run_gamma_verify(spec: JobSpec) -> dict:
 
 def _run_azumaya_check(spec: JobSpec) -> dict:
     ext = spec.extension
-    if spec.params.get("algebra") == "top":
+    if spec.twist is None:  # "algebra": "top"
         alg = algebra_from_extension(ext)
         subject = "top-ring"
     else:
-        tw = TwistElement(ext, _twist_param(spec.params, ext, "command"))
-        alg = TwistedAlgebra(ext, tw, "right").algebra()
+        alg = TwistedAlgebra(ext, TwistElement(ext, spec.twist), "right").algebra()
         subject = "twisted-endomorphism-algebra"
     env = enveloping_matrix(alg)
     ok = is_azumaya_algebra(alg)
@@ -363,9 +362,8 @@ def _run_azumaya_check(spec: JobSpec) -> dict:
 
 
 def _run_compare(spec: JobSpec) -> dict:
-    left = twisted_coring(spec.extension, _twist_param(spec.params, spec.extension, "command"))
-    right_twist = _twist_param(spec.params["other"], spec.other_extension, "command.other")
-    right = twisted_coring(spec.other_extension, right_twist)
+    left = twisted_coring(spec.extension, spec.twist)
+    right = twisted_coring(spec.other_extension, spec.other_twist)
     res = compare_via_refinement(left, right, cap=spec.cap)
     return {
         "equivalent": res.equivalent,

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import zmod
-from .amitsur import COSICKLE_CONDITION, TwistElement, _witness_search
+from .amitsur import COSICKLE_CONDITION, TwistElement, _witness_search, unit_twist
 from .extensions import Extension, external_extension, interleave, rebase_extension, rebase_pushforward
 from .rings import DEFAULT_CAP, InternalCheckError, RingHom
 
@@ -89,8 +89,6 @@ class NormalBasisCoring:
 
 def canonical_coring(ext: Extension) -> NormalBasisCoring:
     """Sweedler's canonical coring: twist 1, Delta(s⊗t) = s⊗1⊗t, eps(s⊗t) = st."""
-    from .amitsur import unit_twist
-
     return NormalBasisCoring(ext, unit_twist(ext))
 
 

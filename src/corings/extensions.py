@@ -50,6 +50,10 @@ from .rings import (
 # Tensor rings above this rank multiply slot by slot; their dense structure
 # tables would exceed 2^18 entries.
 DENSE_TABLE_MAX_RANK = 64
+# The slot tuples of S^⊗m are one (m + 1)-axis np.indices array, and numpy
+# allows 64 axes; only a degree-1 extension has this many slots within the
+# rank cap.
+MAX_TENSOR_LEVEL = 63
 
 
 class Extension:
@@ -127,14 +131,25 @@ class Extension:
     # -- tensor powers ----------------------------------------------------------
 
     def tensor_power(self, m: int) -> "TensorPowerRing":
-        """The m-fold tensor power S^⊗m over R, refused above DEFAULT_RANK_CAP; level 1 is S itself."""
+        """The m-fold tensor power S^⊗m over R; level 1 is S itself.
+
+        Every refusal of a level is made here, with RingTooLarge: a rank above
+        DEFAULT_RANK_CAP, or more than MAX_TENSOR_LEVEL slots.  Neither test
+        forms d**m for m > MAX_TENSOR_LEVEL, nor a list of m factors: there
+        the rank is above the cap exactly when d >= 2.  The message gives the
+        exact rank while Python prints it (up to 4300 digits), else kr·d^m.
+        """
         if m < 1:
             raise ValueError("tensor power level must be at least 1")
 
         def build():
-            rank = self.base.rank * self.degree**m
-            if rank > DEFAULT_RANK_CAP:
-                raise RingTooLarge(f"S^⊗{m} over {self.base.name} has rank {rank}, cap is {DEFAULT_RANK_CAP}")
+            kr, d, cap = self.base.rank, self.degree, DEFAULT_RANK_CAP
+            if kr * d ** min(m, MAX_TENSOR_LEVEL) > cap:
+                exact = kr * d**m if m < 14300 else 10**4300  # d >= 2, so 2^14300 bounds a larger m's rank
+                rank = exact if exact < 10**4300 else f"{d}^{m}" if kr == 1 else f"{kr}·{d}^{m}"
+                raise RingTooLarge(f"S^⊗{m} over {self.base.name} has rank {rank}, cap is {cap}")
+            if m > MAX_TENSOR_LEVEL:
+                raise RingTooLarge(f"S^⊗{m} over {self.base.name} has {m} slots, cap is {MAX_TENSOR_LEVEL}")
             return TensorPowerRing(self, m)
 
         return self._cached(("power", m), build)

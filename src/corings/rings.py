@@ -459,7 +459,8 @@ def _residue_projections(a: FiniteRing, frob: np.ndarray) -> list[np.ndarray]:
     primitive idempotents e come from splitting by 1 - (y - c)^(p-1) over a
     basis y and the values c of y.  The matrix for e holds independent
     columns of x -> (x e)^(p^k), which is zero exactly when x e lies in J,
-    i.e. when x lies in the maximal ideal of e.
+    i.e. when x lies in the maximal ideal of e.  The multiplication matrices
+    of all the e are one stacked mulmat.
     """
     p, r = a.n, a.rank
     eye = np.eye(r, dtype=np.int64)
@@ -474,11 +475,8 @@ def _residue_projections(a: FiniteRing, frob: np.ndarray) -> list[np.ndarray]:
         deltas = (a.one[None, :] - a.pow_rows(shifted, p - 1)) % p
         prods = a.products(idems, deltas).reshape(-1, r)
         idems = prods[prods.any(axis=1)]
-    out = []
-    for e in idems:
-        proj = zmod.matmul_mod(a.mulmat(e).T, frob_k, p)
-        out.append(zmod.column_basis(proj, p))
-    return out
+    mults = a.mulmat(idems).swapaxes(1, 2)  # row j of mults[i] is e_i·e_j
+    return [zmod.column_basis(zmod.matmul_mod(m, frob_k, p), p) for m in mults]
 
 
 class RingElement:

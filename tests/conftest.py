@@ -1,6 +1,9 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
+from corings import zmod
 from corings.extensions import Extension, amitsur_rebase
 from corings.rings import FiniteRing, RingHom, enumerate_units, make_quotient_ring, zmod_ring
 
@@ -50,6 +53,31 @@ def refined_compare_corings():
     c = twisted_coring(f4_ext, [0, 0, 1, 0, 0, 0, 0, 0])
     d = twisted_coring(split_ext, [1, 0, 0, 0, 0, 0, 0, 0])
     return external_product(c, canonical_coring(split_ext)), external_product(canonical_coring(f4_ext), d)
+
+
+# The per-element counit oracle of the tests: classify.counit_solvable decides
+# the same systems for a whole batch.
+def counit_solution(ext: Extension, u) -> Optional[np.ndarray]:
+    """An element v of S with u^1 v u^2 ⊗ u^3 = 1⊗1 = u^1 ⊗ u^2 v u^3, or None.
+
+    This is the existence of a counit for the twisted comultiplication,
+    decided as a linear system over Z/nZ; it is independent of the
+    partial-collapse invertibility route.
+    """
+    u = np.asarray(u, dtype=np.int64) % ext.n
+    t2 = ext.tensor_power(2)
+    p = ext.merge_map(3, first=True).apply_vec(u)
+    q = ext.merge_map(3, first=False).apply_vec(u)
+    e1 = ext.slot_embed(2, 1).matrix
+    e2 = ext.slot_embed(2, 2).matrix
+    sys_mat = np.vstack(
+        [
+            (t2.ring.mulmat(p) @ e1) % ext.n,
+            (t2.ring.mulmat(q) @ e2) % ext.n,
+        ]
+    )
+    rhs = np.concatenate([t2.one_vec(), t2.one_vec()])
+    return zmod.solve_right(sys_mat, rhs, ext.n)
 
 
 def skewed(ext, rng):

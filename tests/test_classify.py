@@ -8,13 +8,13 @@ from corings.classify import (
     brauer_class,
     classify_all,
     compare_via_refinement,
-    counit_solution,
     is_almost_invertible,
     is_cosickle,
     monoid_quotient,
 )
 from corings.coring import canonical_coring, twisted_coring
 from corings.rings import RingTooLarge
+from tests.conftest import counit_solution
 
 
 def test_cosickle_basics(f4_over_f2):

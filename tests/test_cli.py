@@ -2,10 +2,14 @@
 
 import io
 import json
+import time
+from unittest import mock
 
 import pytest
 
+from corings import cli
 from corings.cli import EXIT_CAP, EXIT_INPUT, EXIT_MATH, EXIT_OK, JobSpecError, parse_job, run
+from tests.test_acceptance import ACCEPTANCE_JOBS
 
 F2 = {"modulus": 2, "kind": "quotient", "poly": [0, 1]}
 F4 = {"modulus": 2, "kind": "quotient", "poly": [1, 1, 1]}
@@ -23,6 +27,7 @@ F2X2_EXT = {
     "eta": [[1, 0]],
     "basis": [[1, 0], [0, 1]],
 }
+F2_EXT = {"base": "F2", "top": "F2", "eta": [[1]], "basis": [[1]]}  # degree 1
 
 
 def job(command, extension=F4_EXT, **rings):
@@ -87,6 +92,44 @@ def test_units_report(tmp_path):
     code, out = run_cli(tmp_path, job({"name": "units", "level": 2}), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["result"]["count"] == 9
+
+
+@pytest.mark.parametrize(
+    "extension,level,line",
+    [
+        (F4_EXT, 10, "S^⊗10 over Z/2[x]/(x) has rank 1024, cap is 600"),
+        (F4_EXT, 14000, f"S^⊗14000 over Z/2[x]/(x) has rank {2**14000}, cap is 600"),
+        (F4_EXT, 14300, "S^⊗14300 over Z/2[x]/(x) has rank 2^14300, cap is 600"),
+        (F4_EXT, 10**30, f"S^⊗{10**30} over Z/2[x]/(x) has rank 2^{10**30}, cap is 600"),
+        (F2_EXT, 64, "S^⊗64 over Z/2[x]/(x) has 64 slots, cap is 63"),
+        (F2_EXT, 2**40, f"S^⊗{2**40} over Z/2[x]/(x) has {2**40} slots, cap is 63"),
+        (F2_EXT, 10**30, f"S^⊗{10**30} over Z/2[x]/(x) has {10**30} slots, cap is 63"),
+    ],
+    ids=["d2-10", "d2-14000", "d2-14300", "d2-1e30", "d1-64", "d1-2^40", "d1-1e30"],
+)
+def test_units_level_refusals(tmp_path, capsys, extension, level, line):
+    """Every refused level exits 3 at once with one line from tensor_power: the
+    exact rank while Python prints it (4300 digits), else the power."""
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, job({"name": "units", "level": level}, extension=extension))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP and out == b""
+    assert capsys.readouterr().err == f"error: resource cap: {line}\n"
+
+
+def test_units_at_the_last_level_of_a_degree_one_extension(tmp_path):
+    code, out = run_cli(tmp_path, job({"name": "units", "level": 63}, extension=F2_EXT), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["units"] == [[1]]
+
+
+@pytest.mark.parametrize("name,extension,command", ACCEPTANCE_JOBS, ids=[j[0] for j in ACCEPTANCE_JOBS])
+def test_each_job_parses_its_twist_once(tmp_path, name, extension, command):
+    """parse_job parses the twist (and that of command.other) once; the runners read it from the spec."""
+    with mock.patch.object(cli, "_twist_param", wraps=cli._twist_param) as spy:
+        code, _ = run_cli(tmp_path, job(command, extension=extension))
+    assert code == EXIT_OK
+    assert spy.call_count == (2 if name == "compare" else int("twist" in command))
 
 
 def test_cocycle_check_passes_and_fails(tmp_path):

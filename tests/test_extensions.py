@@ -135,6 +135,17 @@ def test_rank_cap(f4_over_f2):
     assert ext.tensor_power(2) is built
 
 
+def test_rank_refusals_over_a_rank_two_base(f4_over_f2):
+    """Over (F4⊗F4)/F4 (base rank 2) the rank is 2·2^m: exact while Python prints it, else a power."""
+    rebased = amitsur_rebase(f4_over_f2)
+    with pytest.raises(RingTooLarge, match=r"^S\^⊗9 over .* has rank 1024, cap is 600$"):
+        rebased.tensor_power(9)
+    with pytest.raises(RingTooLarge, match=rf"has rank {2 * 2**14000}, cap is 600$"):
+        rebased.tensor_power(14000)
+    with pytest.raises(RingTooLarge, match=r"has rank 2·2\^14300, cap is 600$"):
+        rebased.tensor_power(14300)
+
+
 def test_extension_rejects_non_basis(f2, f4):
     eta = RingHom(f2, f4, np.outer(f4.one, f2.one) % 2)
     from corings.extensions import Extension

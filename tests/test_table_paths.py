@@ -160,11 +160,14 @@ def check_ring(ring, rng):
     pairs = ring.struct.reshape(-1, ring.rank)  # the table as the left operand, as in is_multiplicative
     same(zmod.matmul_mod(pairs, x.T, ring.n), (pairs.astype(np.int64) @ x.T) % ring.n)
     assert zmod.first_nonassociative(ring.struct, ring.n) == ref_first_nonassociative(ring.struct, ring.n) is None
-    for i, j, k in [(ring.rank - 1, ring.rank - 1, 0)] + rng.integers(0, ring.rank, (3, 3)).tolist():
+    spoils = [(ring.rank - 1, ring.rank - 1, 0)] + rng.integers(0, ring.rank, (3, 3)).tolist()
+    for s, (i, j, k) in enumerate(spoils):
         spoiled = ring.struct.copy()
         spoiled[i, j, k] = (spoiled[i, j, k] + 1) % ring.n
         want = ref_first_nonassociative(spoiled, ring.n)
-        assert want is not None and zmod.first_nonassociative(spoiled, ring.n) == want
+        assert zmod.first_nonassociative(spoiled, ring.n) == want
+        # a random spoil may leave the table associative, as (1, 1, 3) of S^⊗2 of Z/2[x]/(x²) does
+        assert want is not None or s > 0
 
 
 # -- tables -----------------------------------------------------------------------
@@ -234,7 +237,7 @@ def test_products_match_the_whole_table_routes(request, entries, monkeypatch):
         rings.append(fresh(refined_extension().tensor_power(3).ring))
     else:
         monkeypatch.setattr(zmod, "BLOCK_ENTRIES", entries)
-    rng = np.random.default_rng(entries)
+    rng = np.random.default_rng(entries or 226)
     for ring in rings:
         check_ring(ring, rng)
 
