@@ -25,7 +25,6 @@ element lists appear in lexicographic coefficient order.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -184,6 +183,8 @@ def parse_job(text: str, digest: str = "") -> JobSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise JobSpecError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except ValueError as exc:  # an integer past Python's digit limit: its message, less the advice
+        raise JobSpecError("$", str(exc).partition(";")[0]) from None
     if not isinstance(doc, dict):
         raise JobSpecError("$", "job file must be a JSON object")
     rings: dict[str, FiniteRing] = {}
@@ -474,7 +475,53 @@ def emit_report(report: dict, fmt: str) -> bytes:
 # -- entry point -----------------------------------------------------------------------
 
 
-def run(argv: list[str] | None = None, stdout=None) -> int:
+def _read_argv(argv: list[str]) -> tuple | None:
+    """(jobfile, cap, jobs, format, out) of a plain command line, read without argparse; else None.
+
+    A plain line is one job file and any of --cap, --jobs, --format and
+    --out as `--opt value` pairs, in any order; as in argparse each
+    occurrence is converted and checked, and the last one wins.  Every other
+    line goes to `_parse_argv`, so that its help, version or usage error is
+    argparse's own: `-h`, `--version`, `--opt=value`, abbreviations, `--`, a
+    token or value starting with "-" (argparse reads some as values), a
+    missing or second job file, a missing value, a failed int() and any
+    other format.
+    """
+    jobfile, cap, jobs, fmt, out = None, None, 1, "text", None
+    tokens = iter(argv)
+    try:
+        for tok in tokens:
+            if not tok.startswith("-"):
+                if jobfile is not None:
+                    return None
+                jobfile = tok
+                continue
+            value = next(tokens)
+            if value.startswith("-"):
+                return None
+            if tok == "--cap":
+                cap = int(value)
+            elif tok == "--jobs":
+                jobs = int(value)
+            elif tok == "--format" and value in ("text", "json"):
+                fmt = value
+            elif tok == "--out":
+                out = value
+            else:
+                return None
+    except (StopIteration, ValueError):
+        return None
+    return None if jobfile is None else (jobfile, cap, jobs, fmt, out)
+
+
+def _parse_argv(argv: list[str]) -> tuple:
+    """(jobfile, cap, jobs, format, out) from argparse, for every line `_read_argv` declines.
+
+    Prints help, the version or a usage error and raises SystemExit where
+    argparse does.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="corings",
         description="exact Amitsur cohomology and Azumaya coring computations",
@@ -488,10 +535,16 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--version", action="version", version=f"corings {__version__}")
     args = parser.parse_args(argv)
+    return args.jobfile, args.cap, args.jobs, args.format, args.out
+
+
+def run(argv: list[str] | None = None, stdout=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    jobfile, cap, jobs, fmt, out = _read_argv(argv) or _parse_argv(argv)
     stdout = stdout if stdout is not None else sys.stdout.buffer
 
     try:
-        with open(args.jobfile, "rb") as fh:
+        with open(jobfile, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -500,11 +553,11 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
 
     try:
         spec = parse_job(raw.decode("utf-8"), digest=digest)
-        if args.cap is not None:
-            if args.cap <= 0:
+        if cap is not None:
+            if cap <= 0:
                 raise JobSpecError("--cap", "cap must be positive")
-            spec.cap = args.cap
-        if args.jobs < 1:
+            spec.cap = cap
+        if jobs < 1:
             raise JobSpecError("--jobs", "worker count must be at least 1")
         report = run_job(spec)
         code = EXIT_OK
@@ -521,9 +574,9 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         print(f"error: mathematical precondition: {exc}", file=sys.stderr)
         return EXIT_MATH
 
-    data = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "wb") as fh:
+    data = emit_report(report, fmt)
+    if out:
+        with open(out, "wb") as fh:
             fh.write(data)
     else:
         stdout.write(data)

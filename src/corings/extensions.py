@@ -298,17 +298,22 @@ class TensorRing(FiniteRing):
         """x·y from the factors: x⊗y over the base (one mul_einsum), then one slot at a time.
 
         Exact int64 arithmetic, reduced mod n after every contraction; each
-        slot contraction has d_i²·base.rank terms.
+        slot contraction has d_i²·base.rank terms.  Before slot k the slots
+        still to come of each operand are folded into one axis and the
+        finished ones, slot-major, into another, so z has 6 axes at any
+        level: (d_k, rest, d_k, rest, done, base).
         """
         n, kr = self.n, self.base.rank
-        dims = tuple(rm.shape[0] for rm in self.rmults)
         x = np.asarray(x, dtype=np.int64).reshape(-1, kr)
         y = np.asarray(y, dtype=np.int64).reshape(-1, kr)
-        z = self.base.mul_einsum("I_,J_->IJ_", x, y).reshape(dims + dims + (kr,))
-        # axes of z: x slots left, y slots left, finished slots, base
-        for k, mt in enumerate(self._slot_tensors):
-            left = len(dims) - k
-            z = zmod._mod(np.tensordot(z, mt, axes=([0, left, z.ndim - 1], [0, 1, 4])), n)
+        z = self.base.mul_einsum("I_,J_->IJ_", x, y)
+        rest, done = len(x), 1
+        for mt in self._slot_tensors:
+            d = len(mt)
+            rest //= d
+            z = z.reshape(d, rest, d, rest, done, kr)
+            z = zmod._mod(np.tensordot(z, mt, axes=([0, 2, 5], [0, 1, 4])), n)  # (rest, rest, done, a, u)
+            done *= d
         return z.reshape(-1)
 
 

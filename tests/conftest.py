@@ -1,9 +1,10 @@
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from corings import zmod
+from corings import cli, zmod
 from corings.extensions import Extension, amitsur_rebase
 from corings.rings import FiniteRing, RingHom, enumerate_units, make_quotient_ring, zmod_ring
 
@@ -78,6 +79,14 @@ def counit_solution(ext: Extension, u) -> Optional[np.ndarray]:
     )
     rhs = np.concatenate([t2.one_vec(), t2.one_vec()])
     return zmod.solve_right(sys_mat, rhs, ext.n)
+
+
+# The command-line oracle of the tests: argparse reads every line, as it did
+# before cli._read_argv took the plain ones.
+def argparse_run(argv, stdout):
+    """cli.run(argv, stdout) with every command line parsed by argparse."""
+    with mock.patch.object(cli, "_read_argv", return_value=None):
+        return cli.run(argv, stdout=stdout)
 
 
 def skewed(ext, rng):

@@ -427,6 +427,55 @@ def test_python_dash_m_entry_point(tmp_path):
     assert json.loads(proc.stdout)["result"]["h2_order"] == 1
 
 
+FOOTPRINT = """
+import contextlib, io, json, sys
+
+watched = ("argparse", "gettext", "locale")
+before = set(sys.modules)
+loaded = lambda: sorted(m for m in watched if m in sys.modules and m not in before)
+import corings.cli
+
+after_import = loaded()
+code = corings.cli.run([sys.argv[1]], stdout=io.BytesIO())
+after_job = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    corings.cli.run(["--help"])
+print(json.dumps([after_import, code, after_job, loaded()]))
+"""
+
+
+def test_jobs_load_no_argparse():
+    """In a fresh interpreter neither `import corings.cli` nor a job loads
+    argparse, gettext or locale; `--help` loads argparse.  Modules that were
+    loaded before the import (by `site`, say) do not count."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    job_file = root / "perfbench" / "jobs" / "h2-f4.json"
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(job_file)], capture_output=True, env=env, check=True)
+    after_import, code, after_job, after_help = json.loads(proc.stdout)
+    assert code == EXIT_OK
+    assert after_import == after_job == []
+    assert "argparse" in after_help
+
+
+def test_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    """A 5001-digit modulus exits 2 with one line, at `$` where Python limits
+    the digits it reads, else at the modulus; never with the advice to raise
+    the limit."""
+    doc = job({"name": "h2"}, G={"modulus": "N", "kind": "quotient", "poly": [0, 1]})
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc).replace('"N"', "1" + "0" * 5000))
+    code = run([str(path)], stdout=io.BytesIO())
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and err.count("\n") == 1
+    assert err.startswith(("error: $: ", "error: rings.G.modulus: ")) and "set_int_max_str_digits" not in err
+
+
 def test_jobs_below_one_is_input_error(tmp_path, capsys):
     code, out = run_cli(tmp_path, job({"name": "h2"}), "--jobs", "0")
     err = capsys.readouterr().err

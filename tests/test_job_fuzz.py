@@ -3,7 +3,8 @@
 The documents start from the acceptance jobs over the desk fixtures and from
 `units` jobs over GR(4,2)/Z4, GF(9)/F3 and the degree-1 F2/F2.  Every run
 must end with an exit code in {0, 1, 2, 3} and without a traceback; a value
-of the wrong JSON type at a validated field must exit 2.  `command.level`
+of the wrong JSON type at a validated field must exit 2, and so must an
+integer at any integer field with more digits than Python reads.  `command.level`
 is drawn from the boundary cases {0, -1, 1, 63, 64, 2^40, 10^30, True, 2.5,
 "3"} and from integers up to 2^70.  Every run has `--cap 4096`, and every
 mutation keeps rings of degree at most 3, so no example reaches a slow path.
@@ -14,8 +15,10 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +37,7 @@ DOCS = [{"rings": RINGS, "extension": ext, "command": cmd} for _, ext, cmd in AC
 DOCS += [{"rings": RINGS, "extension": ext, "command": {"name": "units", "level": 2}} for ext in UNITS_EXTENSIONS]
 
 LEVELS = [0, -1, 1, 63, 64, 2**40, 10**30, True, 2.5, "3"]
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
 scalars = st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-3, 9) | st.text("abF24", max_size=3)
 values = st.recursive(
@@ -120,11 +124,15 @@ def put(doc, path, value):
 
 
 def run_doc(doc):
-    """Exit code and stderr of the CLI on one document; a traceback fails the test."""
+    return run_text(json.dumps(doc))
+
+
+def run_text(text):
+    """Exit code and stderr of the CLI on one job file's text; a traceback fails the test."""
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run([path, "--cap", "4096"], stdout=io.BytesIO())
@@ -143,6 +151,19 @@ def test_type_violations_exit_2(data):
     value = data.draw(values.filter(lambda v: json_type(v) not in allowed))
     code, err = run_doc(put(doc, path, value))
     assert code == EXIT_INPUT, err
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5001, reason="this Python reads a 5001-digit integer")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integers_past_the_digit_limit_exit_2(data):
+    """A 5001-digit integer at any integer field stops json.loads: exit 2 at `$`,
+    one line, without the advice to raise Python's limit."""
+    doc = data.draw(st.sampled_from(DOCS))
+    path = data.draw(st.sampled_from([p for p, allowed in typed_fields(doc) if "int" in allowed]))
+    code, err = run_text(json.dumps(put(doc, path, "N")).replace('"N"', "1" + "0" * 5000))
+    assert code == EXIT_INPUT and err.startswith("error: $: ") and err.count("\n") == 1, err
+    assert "set_int_max_str_digits" not in err
 
 
 WORDS = list(COMMANDS) + ["F2", "F4", "quotient", "product", "top", "left", "right"]

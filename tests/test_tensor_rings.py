@@ -227,6 +227,31 @@ def test_slot_product_matches_table_in_refined_fourth_power():
     assert "struct" not in vars(ring)
 
 
+@pytest.fixture(scope="module")
+def rank_66_over_itself():
+    """R/R for R = F2[x]/(x^66 + x^65 + 1): every S^⊗m is R again, of rank 66, so no dense table."""
+    r = make_quotient_ring(2, [1] + [0] * 64 + [1, 1])
+    return Extension(r, r, RingHom(r, r, np.eye(r.rank, dtype=np.int64)), r.one[None, :])
+
+
+@pytest.mark.parametrize("level", [32, 63])
+def test_slot_product_at_the_deepest_levels(rank_66_over_itself, level):
+    """x·1 = x and xy = yx in S^⊗32 and S^⊗63, and xy is the product in R.
+
+    Read as x⊗y with 2m + 1 axes, a product above 31 slots passed numpy's 64.
+    """
+    ring = rank_66_over_itself.tensor_power(level).ring
+    base = rank_66_over_itself.base
+    assert ring.rank == 66 > DENSE_TABLE_MAX_RANK
+    rng = np.random.default_rng(level)
+    for _ in range(3):
+        x, y = rng.integers(0, 2, (2, ring.rank))
+        assert (ring.mul_vec(x, ring.one) == x).all()
+        assert (ring.mul_vec(x, y) == ring.mul_vec(y, x)).all()
+        assert (ring.mul_vec(x, y) == base.mul_vec(x, y)).all()
+    assert "struct" not in vars(ring)
+
+
 def test_small_tensor_rings_keep_the_table_path(f4_over_f2):
     ring = f4_over_f2.tensor_power(3).ring
     assert ring.rank <= DENSE_TABLE_MAX_RANK
