@@ -285,9 +285,10 @@ class TensorRing(FiniteRing):
         return _build_tensor_ring(self.base, self.rmults)
 
     @cached_property
-    def _slot_tensors(self) -> list[np.ndarray]:
-        # (i, j, a, u, t): b_i b_j has b_a in the slot and turns e_t into e_u
-        return [self.base.mulmat(rm) for rm in self.rmults]
+    def _slot_tensors(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        # (i, j, a, u, t): b_i b_j has b_a in the slot and turns e_t into e_u; the first as (i t, j a u)
+        first, *later = (self.base.mulmat(rm) for rm in self.rmults)
+        return first.transpose(0, 4, 1, 2, 3).reshape(len(first) * self.base.rank, -1), later
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.rank > DENSE_TABLE_MAX_RANK:
@@ -295,25 +296,24 @@ class TensorRing(FiniteRing):
         return super().mul_vec(x, y)
 
     def mul_slots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """x·y from the factors: x⊗y over the base (one mul_einsum), then one slot at a time.
+        """x·y from the factors, slot by slot, never forming x⊗y.
 
-        Exact int64 arithmetic, reduced mod n after every contraction; each
-        slot contraction has d_i²·base.rank terms.  Before slot k the slots
-        still to come of each operand are folded into one axis and the
-        finished ones, slot-major, into another, so z has 6 axes at any
-        level: (d_k, rest, d_k, rest, done, base).
+        Exact int64, reduced mod n after every contraction.  The multiples
+        x·e_sigma by the base basis (one stacked mulmat) meet the first slot
+        tensor over (i_1, t), then y over (j_1, sigma); each later slot k
+        contracts (i_k, j_k, base) of z = (d_k, rest, d_k, rest, done, base)
+        with its slot tensor, so z has 6 axes at any level.
         """
-        n, kr = self.n, self.base.rank
-        x = np.asarray(x, dtype=np.int64).reshape(-1, kr)
-        y = np.asarray(y, dtype=np.int64).reshape(-1, kr)
-        z = self.base.mul_einsum("I_,J_->IJ_", x, y)
-        rest, done = len(x), 1
-        for mt in self._slot_tensors:
-            d = len(mt)
-            rest //= d
-            z = z.reshape(d, rest, d, rest, done, kr)
-            z = zmod._mod(np.tensordot(z, mt, axes=([0, 2, 5], [0, 1, 4])), n)  # (rest, rest, done, a, u)
-            done *= d
+        n, kr, (first, later) = self.n, self.base.rank, self._slot_tensors
+        x, y = (np.asarray(v, dtype=np.int64).reshape(len(first) // kr, -1, kr) for v in (x, y))
+        done, rest = x.shape[:2]
+        xe = self.base.mulmat(x).transpose(1, 3, 0, 2).reshape(rest * kr, -1)  # (rest sigma, i t)
+        w = zmod._mod(xe @ first, n).reshape(rest, kr * done, -1)  # (rest, sigma j, a u)
+        z = zmod._mod(np.matmul(y.transpose(1, 2, 0).reshape(rest, -1), w), n)  # (rest, rest, a u)
+        for mt in later:
+            d, rest = len(mt), rest // len(mt)
+            z = zmod._mod(np.tensordot(z.reshape(d, rest, d, rest, done, kr), mt, axes=([0, 2, 5], [0, 1, 4])), n)
+            done *= d  # z: (rest, rest, done, a, u)
         return z.reshape(-1)
 
 

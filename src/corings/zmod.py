@@ -28,16 +28,16 @@ expose the column convention (`A @ x`) used by the rest of the package.
 Exactness.  Every result is exact; the package refuses a modulus it cannot
 handle exactly rather than answer from wrapped arithmetic.
 
-- Accepted moduli are 2 <= n <= MAX_MODULUS = 2^14.  The int64
-  contractions of ring products are FiniteRing.mulmat (r terms),
-  FiniteRing.mul_einsum and TensorRing.mul_slots, and each term is a
-  product of two reduced residues, below (n-1)^2 < 2^28.  mul_einsum
-  contracts the base table with one operand (r terms), then takes one
-  product with the other; that product is the worst: r·K terms, K the
-  length of the letters summed between the operands, at most d·r <=
-  DEFAULT_RANK_CAP = 600 for the composition of R-matrices
-  "Aij_,Bjk_->ABik_" (K = d).  Any sum of at most 600^2 terms
-  (mul_slots: d^2·r) stays below 600^2 * (2^14 - 1)^2 < 2^47 < 2^63, so
+- Accepted moduli are 2 <= n <= MAX_MODULUS = 2^14.  The int64 contractions
+  of ring products are FiniteRing.mulmat (r terms), FiniteRing.mul_einsum
+  and TensorRing.mul_slots, and each term is a product of two reduced
+  residues, below (n-1)^2 < 2^28.  mul_einsum contracts the base table with
+  one operand (r terms), then takes one product with the other; that product
+  is the worst: r·K terms, K the length of the letters summed between the
+  operands, at most d·r <= DEFAULT_RANK_CAP = 600 for the composition of
+  R-matrices "Aij_,Bjk_->ABik_" (K = d).  Any sum of at most 600^2 terms
+  (mul_slots: kr for x's multiples by the base basis, d·kr per operand,
+  d^2·kr per later slot) stays below 600^2 * (2^14 - 1)^2 < 2^47 < 2^63, so
   none can wrap.  FiniteRing.__init__, make_quotient_ring and
   make_product_ring refuse a larger rank with ValueError before
   allocating its table; tensor powers raise RingTooLarge.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from corings import cli, zmod
-from corings.extensions import Extension, amitsur_rebase
+from corings.extensions import Extension, TensorRing, amitsur_rebase
 from corings.rings import FiniteRing, RingHom, enumerate_units, make_quotient_ring, zmod_ring
 
 
@@ -87,6 +87,31 @@ def argparse_run(argv, stdout):
     """cli.run(argv, stdout) with every command line parsed by argparse."""
     with mock.patch.object(cli, "_read_argv", return_value=None):
         return cli.run(argv, stdout=stdout)
+
+
+# The slot-product oracle of the tests: TensorRing.mul_slots multiplies from
+# the operands, where this route first forms all of x⊗y over the base.
+def outer_slot_product(ring: TensorRing, x, y) -> np.ndarray:
+    """x·y from the factors: x⊗y over the base (one mul_einsum), then one slot at a time.
+
+    Exact int64 arithmetic, reduced mod n after every contraction; each
+    slot contraction has d_i²·base.rank terms.  Before slot k the slots
+    still to come of each operand are folded into one axis and the
+    finished ones, slot-major, into another, so z has 6 axes at any
+    level: (d_k, rest, d_k, rest, done, base).
+    """
+    n, kr = ring.n, ring.base.rank
+    x = np.asarray(x, dtype=np.int64).reshape(-1, kr)
+    y = np.asarray(y, dtype=np.int64).reshape(-1, kr)
+    z = ring.base.mul_einsum("I_,J_->IJ_", x, y)
+    rest, done = len(x), 1
+    for mt in [ring.base.mulmat(rm) for rm in ring.rmults]:
+        d = len(mt)
+        rest //= d
+        z = z.reshape(d, rest, d, rest, done, kr)
+        z = zmod._mod(np.tensordot(z, mt, axes=([0, 2, 5], [0, 1, 4])), n)  # (rest, rest, done, a, u)
+        done *= d
+    return z.reshape(-1)
 
 
 def skewed(ext, rng):

@@ -1,6 +1,7 @@
 """Tensor rings kept as slot factors: the slot-by-slot product against the
-dense structure table it stands in for, the lazy table, and the caches that
-keep compare jobs from building it.
+dense structure table it stands in for and, byte for byte, against the x⊗y
+route it replaced (conftest.outer_slot_product), its memory, the lazy table,
+and the caches that keep compare jobs from building it.
 
 The dense table, the rebased and external extensions are built through
 FiniteRing.mul_einsum and one restricted-scalars routine; the ref_ functions
@@ -9,6 +10,7 @@ The old tensor-ring table is valid only where a rank-1 base has e_0 = 1.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,15 @@ from corings.extensions import (
     external_extension,
 )
 from corings.rings import FiniteRing, RingHom, make_quotient_ring, zmod_ring
-from tests.conftest import DESK, desk_extensions, random_extension, scaled_zmod, simple_extension, skewed
+from tests.conftest import (
+    DESK,
+    desk_extensions,
+    outer_slot_product,
+    random_extension,
+    scaled_zmod,
+    simple_extension,
+    skewed,
+)
 
 
 # -- reference routes -------------------------------------------------------------
@@ -137,6 +147,23 @@ def check_basis_pairs(ring):
     assert (ring.one == ref_pure_tensor(ring.base, ring.ones)).all()
 
 
+def check_outer_route(ring, pairs):
+    """mul_slots against the x⊗y route of conftest, byte for byte, on each pair (x, y)."""
+    for x, y in pairs:
+        new, old = ring.mul_slots(x, y), outer_slot_product(ring, x, y)
+        assert new.dtype == old.dtype and new.shape == old.shape, (ring, x, y)
+        assert new.tobytes() == old.tobytes(), (ring, x, y)
+
+
+def random_pairs(ring, rng, count):
+    """count seeded pairs of sparse to full density, then the pair of all-(n - 1) vectors."""
+    pairs = []
+    for k in range(count):
+        x, y = rng.integers(0, ring.n, (2, ring.rank)) * (rng.random((2, ring.rank)) < (k + 1) / count)
+        pairs.append((x, y))
+    return pairs + [(np.full(ring.rank, ring.n - 1), np.full(ring.rank, ring.n - 1))]
+
+
 def test_slot_product_matches_table_on_basis_pairs(request):
     """Every basis product e_i e_j at levels 2-4, base rank 1 and 2, native and skewed
     bases; the Amitsur rebase of each against the einsum route."""
@@ -156,7 +183,7 @@ def test_slot_product_matches_table_with_distinct_factors(f4_over_f2, f2x2_over_
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([4, 6, 9, 12]).flatmap(
+    st.sampled_from([4, 6, 8, 9, 12]).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.integers(2, 3).flatmap(
@@ -170,7 +197,8 @@ def test_slot_product_matches_table_with_distinct_factors(f4_over_f2, f2x2_over_
     )
 )
 def test_slot_product_matches_table_on_random_extensions(case):
-    """Base Z/n on e_0 = c·1 for a random unit c, native or skewed basis."""
+    """Base Z/n on e_0 = c·1 for a random unit c, native or skewed basis; each
+    product also byte for byte against the x⊗y route."""
     n, poly, rebased, seed, c, skew = case
     ext = random_extension(n, poly, rebased and len(poly) == 3, c)
     rng = np.random.default_rng(seed)
@@ -186,6 +214,7 @@ def test_slot_product_matches_table_on_random_extensions(case):
         for _ in range(4):
             x, y = rng.integers(0, n, (2, ring.rank))
             assert (ring.mul_slots(x, y) == table_product(table, x, y, n)).all()
+            check_outer_route(ring, [(x, y)])
 
 
 def refined_extension():
@@ -227,6 +256,61 @@ def test_slot_product_matches_table_in_refined_fourth_power():
     assert "struct" not in vars(ring)
 
 
+def test_slot_product_matches_outer_route_in_refined_powers():
+    """S^⊗2..4 of the refined compare extension: every basis pair of S^⊗2 and
+    S^⊗3, and of S^⊗4 (rank 256) every pair with a first factor e_17t, the
+    slot tuples (a, b, a, b), plus seeded random pairs at each level.
+
+    All 65536 basis pairs of S^⊗4 would take about a minute through the
+    x⊗y route.
+    """
+    ext = refined_extension()[2]
+    rng = np.random.default_rng(24)
+    for m in (2, 3, 4):
+        ring = ext.tensor_power(m).ring
+        eye = np.eye(ring.rank, dtype=np.int64)
+        firsts = range(0, ring.rank, 17) if m == 4 else range(ring.rank)
+        check_outer_route(ring, [(eye[i], eye[j]) for i in firsts for j in range(ring.rank)])
+        check_outer_route(ring, random_pairs(ring, rng, 8))
+    assert ring.rank == 256 and "struct" not in vars(ring)
+
+
+def test_slot_product_matches_outer_route_over_rebased_f4(f4_over_f2):
+    """(F4⊗F4)/F4: a rank-2 base with a table that is not the identity's, at
+    levels 2-4 (ranks 8, 16, 32, below DENSE_TABLE_MAX_RANK, so mul_slots is
+    called directly)."""
+    ext = amitsur_rebase(f4_over_f2)
+    assert ext.base.rank == 2 and ext.base.struct.astype(int).sum() > 2
+    rng = np.random.default_rng(17)
+    for ring in (ext.tensor_power(m).ring for m in (2, 3, 4)):
+        check_outer_route(ring, random_pairs(ring, rng, 16))
+
+
+def test_slot_product_matches_outer_route_in_gf8_fourth_power(f2):
+    """S^⊗4 of GF(8)/F2, rank 81, where mul_vec goes slot by slot."""
+    ring = simple_extension(f2, make_quotient_ring(2, [1, 1, 0, 1])).tensor_power(4).ring
+    assert ring.rank == 81 > DENSE_TABLE_MAX_RANK
+    eye = np.eye(ring.rank, dtype=np.int64)
+    check_outer_route(ring, [(eye[i], eye[j]) for i in range(0, ring.rank, 10) for j in range(ring.rank)])
+    check_outer_route(ring, random_pairs(ring, np.random.default_rng(8), 24))
+
+
+def test_slot_product_memory_in_refined_fourth_power():
+    """One product in the rank-256 S^⊗4 of the refined extension peaks below
+    three int64 arrays of r²/d entries (d = 4: 384 KB) traced; the x⊗y route
+    peaks at about 1.16 MB."""
+    ring = refined_extension()[2].tensor_power(4).ring
+    x, y = np.random.default_rng(2).integers(0, 2, (2, ring.rank))
+    ring.mul_slots(x, y)  # the slot tensors are built once per ring
+    tracemalloc.start()
+    try:
+        ring.mul_slots(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * ring.rank**2 // 4, peak
+
+
 @pytest.fixture(scope="module")
 def rank_66_over_itself():
     """R/R for R = F2[x]/(x^66 + x^65 + 1): every S^⊗m is R again, of rank 66, so no dense table."""
@@ -236,7 +320,8 @@ def rank_66_over_itself():
 
 @pytest.mark.parametrize("level", [32, 63])
 def test_slot_product_at_the_deepest_levels(rank_66_over_itself, level):
-    """x·1 = x and xy = yx in S^⊗32 and S^⊗63, and xy is the product in R.
+    """x·1 = x and xy = yx in S^⊗32 and S^⊗63, xy is the product in R, and
+    both are byte for byte those of the x⊗y route.
 
     Read as x⊗y with 2m + 1 axes, a product above 31 slots passed numpy's 64.
     """
@@ -249,6 +334,7 @@ def test_slot_product_at_the_deepest_levels(rank_66_over_itself, level):
         assert (ring.mul_vec(x, ring.one) == x).all()
         assert (ring.mul_vec(x, y) == ring.mul_vec(y, x)).all()
         assert (ring.mul_vec(x, y) == base.mul_vec(x, y)).all()
+        check_outer_route(ring, [(x, y), (x, ring.one)])
     assert "struct" not in vars(ring)
 
 
