@@ -14,14 +14,17 @@ once (inverses by powers, v^{-1} = v^(L-1)), and every class is named
 by the lex-least member of its coset u·B^2, found for whole batches of rows
 by `sorted_cosets`: one `zmod.outer_products` of a block of rows against
 B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the cosets of Z^2 and of the
-cosickle monoids never all exist at once.  Next to H^2 live the classical
+cosickle monoids never all exist at once.  compute_h2 proves every row of
+Z^2 a unit cocycle in one batch, so a TwistElement on a row of Z^2 takes
+its inverse and delta_2 from there (its is_cosickle cross-check still
+runs), and checks |Z^2| = |B^2| (README, "Mathematics").  Next to H^2 live the classical
 identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
 identities, normalization of cocycles, interleaving of cocycles over S⊗S,
 and the base-change coboundary witness over (S⊗S)/(R⊗S).  The lex-first
 unit w of S^⊗2 with u·w_2 = v·w_1·w_3 (`_witness_search`) is found from one
 linear map and one quadratic form fixed by u and v.  A TwistElement decides
 each fact about its twist once and keeps it; B^2, the cosickle form and
-its zero set are kept in the memo of their extension.
+its zero set, and the Z^2 inverses are kept in the memo of their extension.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ class TwistElement:
 
     @cached_property
     def inverse(self) -> Optional[RingElement]:
-        return try_invert(self.u)
+        """u^{-1}: kept by compute_h2 for a row of Z^2, else `try_invert`."""
+        inv = (_kept_z2(self.ext) or {}).get(self.u.coeffs.tobytes())
+        return try_invert(self.u) if inv is None else self.u.ring.element(inv)
 
     def inverted(self) -> "TwistElement":
         """The twist u^{-1} of a unit u, its own inverse already known to be u."""
@@ -99,11 +104,22 @@ class TwistElement:
 
     @cached_property
     def is_two_cocycle(self) -> bool:
-        """A unit with delta_2(u) = 1, from the cached inverse; must agree with is_cosickle."""
-        if not self.is_unit:
+        """A unit with delta_2(u) = 1; must agree with is_cosickle.
+
+        A row of the Z^2 that compute_h2 kept takes delta_2 = 1 from its
+        batch; any other unit builds delta_2 from the cached inverse, and a
+        unit cocycle outside a kept Z^2 means the sweep missed it.
+        """
+        kept = _kept_z2(self.ext)
+        if kept is not None and self.u.coeffs.tobytes() in kept:
+            verdict = True
+        elif not self.is_unit:
             return False
-        d2 = _face_product(self.ext, 3, self.u.coeffs, self.inverse.coeffs)
-        verdict = bool((d2 == self.ext.tensor_power(4).ring.one).all())
+        else:
+            d2 = _face_product(self.ext, 3, self.u.coeffs, self.inverse.coeffs)
+            verdict = bool((d2 == self.ext.tensor_power(4).ring.one).all())
+            if verdict and kept is not None:
+                raise InternalCheckError("a unit 2-cocycle outside the kept Z^2: the sweep missed a cocycle")
         if verdict != self.is_cosickle:  # pragma: no cover - defensive
             raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
         return verdict
@@ -403,19 +419,42 @@ def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> Cohomol
 
     Z^2 = cosickles ∧ units, rows in lex order, from the two masks of S^⊗3
     kept on the extension and its ring (`cosickle_zeros`,
-    `FiniteRing.unit_mask`).
+    `FiniteRing.unit_mask`).  One batch proves every row a unit cocycle:
+    u·u^(L-1) = 1 (L the unit exponent of S^⊗3, or |Z^2| by Lagrange) and
+    delta_2(u) = 1; the inverses are kept in the memo by row bytes, where
+    TwistElement reads them.  H^2(S/R, U) = 1 over a finite R
+    (Chase–Rosenberg), so |Z^2| = |B^2| is checked too.  A failed check
+    raises InternalCheckError and keeps nothing.
     """
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
     t3 = ext.tensor_power(3).ring
     z2 = Grid.of(t3, cap).rows(cosickle_zeros(ext, cap) & t3.unit_mask(cap))
+
+    def prove():
+        inv = t3.pow_rows(z2, (t3.unit_exponent or len(z2)) - 1)
+        if not (t3.mul_rows(z2, inv) == t3.one).all():
+            raise InternalCheckError(f"u·u^(L-1) != 1 for a row of Z^2 in {t3.name}")
+        if not (_face_product(ext, 3, z2, inv) == ext.tensor_power(4).ring.one).all():
+            raise InternalCheckError(f"delta_2(u) != 1 for a row of Z^2 in {t3.name}")
+        inv.flags.writeable = False
+        return {u.tobytes(): v for u, v in zip(z2, inv)}
+
+    ext._cached("z2_inverses", prove)
     # B^2 ⊆ Z^2 (delta∘delta = 1): the rows of Z^2 are distinct, so B^2 adds none
     if len(zmod.unique_rows(np.vstack([z2, b2]))) != len(z2):  # pragma: no cover
         raise InternalCheckError("B^2 is not contained in Z^2")
+    if len(z2) != len(b2):
+        raise InternalCheckError(f"|Z^2| = {len(z2)} != |B^2| = {len(b2)}, but H^2(S/R, U) = 1 over a finite base")
     minima = [cosets[:, 0] for cosets in sorted_cosets(ext, z2, b2)]
     reps = zmod.unique_rows(np.concatenate(minima))
     if len(z2) % len(b2) != 0 or len(reps) * len(b2) != len(z2):  # pragma: no cover
         raise InternalCheckError("coset partition of Z^2 by B^2 is inconsistent")
     return CohomologyGroup(ext, z2, b2, reps)
+
+
+def _kept_z2(ext: Extension) -> Optional[dict]:
+    """The inverses of the rows of Z^2 that compute_h2 proved, by row bytes, or None before it ran."""
+    return ext._cache.get("z2_inverses")
 
 
 def cohomologous(
