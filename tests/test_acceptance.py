@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import contextlib
 import io
 import json
 import time
@@ -260,3 +261,45 @@ def test_golden_reports(tmp_path, name, extension, command):
         assert run([str(path), "--format", fmt], stdout=buf) == 0
         golden = (GOLDEN / f"{name}.{suffix}").read_bytes()
         assert buf.getvalue() == golden, f"{name} ({fmt}) differs from its golden report"
+
+
+# h2 beyond F4/F2, each job with its own rings: three reports (GF(25)/F5 has
+# 96 rows of Z^2) and the resource-cap refusal of GF(8)/F2, whose S^⊗3 has
+# 8^9 elements.  Kept apart from ACCEPTANCE_JOBS, which the CLI and fuzz
+# tests reuse over F2 and F4 only.
+def _field(p, poly):
+    return {"modulus": p, "kind": "quotient", "poly": poly}
+
+
+def _simple(degree):
+    return {"eta": [[1] + [0] * (degree - 1)], "basis": np.eye(degree, dtype=int).tolist()}
+
+
+H2_JOBS = [
+    ("h2-gf9", {"F3": _field(3, [0, 1]), "F9": _field(3, [1, 0, 1])}, {"base": "F3", "top": "F9", **_simple(2)}),
+    ("h2-gr42", {"Z4": _field(4, [0, 1]), "GR42": _field(4, [1, 1, 1])}, {"base": "Z4", "top": "GR42", **_simple(2)}),
+    ("h2-gf25", {"F5": _field(5, [0, 1]), "F25": _field(5, [2, 0, 1])}, {"base": "F5", "top": "F25", **_simple(2)}),
+    ("h2-gf8", {"F2": F2, "F8": _field(2, [1, 1, 0, 1])}, {"base": "F2", "top": "F8", **_simple(3)}),
+]
+
+
+@pytest.mark.parametrize("name,rings,extension", H2_JOBS, ids=[j[0] for j in H2_JOBS])
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_golden_h2_reports(tmp_path, name, rings, extension, jobs):
+    """Each h2 job reproduces its committed text and JSON reports byte for
+    byte, or, where S^⊗3 exceeds the cap, its exit code 3 and stderr line."""
+    from corings.cli import EXIT_CAP, EXIT_OK, run
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"rings": rings, "extension": extension, "command": {"name": "h2"}}))
+    refused = (GOLDEN / f"{name}.stderr").exists()
+    for fmt, suffix in (("text", "txt"), ("json", "json")):
+        buf, err = io.BytesIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([str(path), "--format", fmt, "--jobs", jobs], stdout=buf)
+        if refused:
+            assert (code, buf.getvalue()) == (EXIT_CAP, b"")
+            assert err.getvalue() == (GOLDEN / f"{name}.stderr").read_text()
+        else:
+            assert (code, err.getvalue()) == (EXIT_OK, "")
+            assert buf.getvalue() == (GOLDEN / f"{name}.{suffix}").read_bytes(), f"{name} ({fmt}) differs from its golden report"
