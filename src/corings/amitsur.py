@@ -9,15 +9,16 @@ where eta_i inserts 1 in slot i.  A 2-cocycle is a unit u of S^⊗3 with
 u_1 u_2^{-1} u_3 u_4^{-1} = 1; a 2-coboundary is delta_1(v) = v_1 v_2^{-1} v_3
 for a unit v of S^⊗2.  H^2 = Z^2/B^2 is computed here by exhaustive
 enumeration at desk scale: Z^2 is one grid sweep of S^⊗3 (`rings.Grid`,
-the cosickle form on the units), B^2 is delta_1 of all units of S^⊗2 at
-once (inverses by powers, v^{-1} = v^(L-1)), and every class is named
-by the lex-least member of its coset u·B^2, found for whole batches of rows
-by `sorted_cosets`: one `zmod.outer_products` of a block of rows against
-B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the cosets of Z^2 and of the
-cosickle monoids never all exist at once.  compute_h2 proves every row of
-Z^2 a unit cocycle in one batch, so a TwistElement on a row of Z^2 takes
-its inverse and delta_2 from there (its is_cosickle cross-check still
-runs), and checks |Z^2| = |B^2| (README, "Mathematics").  Next to H^2 live the classical
+the cosickle form on the units) and B^2 is delta_1 of all units of S^⊗2 at
+once (inverses by powers, v^{-1} = v^(L-1)).  H^2(S/R, U) = 1 over a finite
+base (README, "Mathematics"), so compute_h2 forms no coset: it checks
+Z^2 = B^2 row for row and names the one class by z2[0].  Only then does it
+prove every row of Z^2 a unit cocycle in one batch, so a TwistElement on a
+row of Z^2 takes its inverse and delta_2 from there (its is_cosickle
+cross-check still runs).  `sorted_cosets` serves the B^2-orbits of the
+cosickle monoid (`classify.monoid_quotient`): one `zmod.outer_products` of
+a block of rows against B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the
+orbits never all exist at once.  Next to H^2 live the classical
 identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
 identities, normalization of cocycles, interleaving of cocycles over S⊗S,
 and the base-change coboundary witness over (S⊗S)/(R⊗S).  The lex-first
@@ -226,12 +227,13 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
 def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
     """The cosets row·B^2 of a batch of rows of S^⊗3, each sorted lexicographically.
 
-    Yields arrays of shape (rows in block, |B^2|, rank), blocks in row order;
-    member [i, 0] of a block is the lex-least element of its coset, and
-    repeated members stay (a non-unit row may have a smaller orbit).  Each
-    block is one `FiniteRing.products` (`zmod.outer_products`) against B^2,
-    of at most zmod.BLOCK_ENTRIES entries, so no transient grows with the
-    number of rows.
+    These are the B^2-orbits of `classify.monoid_quotient`; compute_h2
+    forms none, as Z^2 = B^2 there.  Yields arrays of shape (rows in block,
+    |B^2|, rank), blocks in row order; member [i, 0] of a block is the
+    lex-least element of its coset, and repeated members stay (a non-unit
+    row may have a smaller orbit).  Each block is one `FiniteRing.products`
+    (`zmod.outer_products`) against B^2, of at most zmod.BLOCK_ENTRIES
+    entries, so no transient grows with the number of rows.
     """
     t3 = ext.tensor_power(3).ring
     step = zmod.block_rows(len(b2) * t3.rank)
@@ -354,12 +356,12 @@ def base_change_witness(tw: TwistElement) -> BaseChangeWitness:
 
 @dataclass
 class CohomologyGroup:
-    """Z^2, B^2 and coset representatives for the units functor, level 2."""
+    """Z^2, B^2 and class representatives for the units functor, level 2."""
 
     ext: Extension
     z2: np.ndarray  # cocycle coefficient rows, lex order
     b2: np.ndarray  # coboundary coefficient rows, lex order
-    representatives: np.ndarray  # lex-least element of each coset, lex order
+    representatives: np.ndarray  # lex-least element of each class: z2[:1], as Z^2 = B^2
 
     @property
     def order(self) -> int:
@@ -419,12 +421,13 @@ def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> Cohomol
 
     Z^2 = cosickles ∧ units, rows in lex order, from the two masks of S^⊗3
     kept on the extension and its ring (`cosickle_zeros`,
-    `FiniteRing.unit_mask`).  One batch proves every row a unit cocycle:
-    u·u^(L-1) = 1 (L the unit exponent of S^⊗3, or |Z^2| by Lagrange) and
-    delta_2(u) = 1; the inverses are kept in the memo by row bytes, where
-    TwistElement reads them.  H^2(S/R, U) = 1 over a finite R
-    (Chase–Rosenberg), so |Z^2| = |B^2| is checked too.  A failed check
-    raises InternalCheckError and keeps nothing.
+    `FiniteRing.unit_mask`).  H^2(S/R, U) = 1 over a finite R
+    (Chase–Rosenberg), and Z^2 and B^2 are both distinct rows in lex order,
+    so Z^2 = B^2 is checked row for row and z2[0] names the one class.
+    Then one batch proves every row a unit cocycle: u·u^(L-1) = 1 (L the
+    unit exponent of S^⊗3, or |Z^2| by Lagrange) and delta_2(u) = 1; the
+    inverses are kept in the memo by row bytes, where TwistElement reads
+    them.  A failed check raises InternalCheckError and keeps nothing.
     """
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
     t3 = ext.tensor_power(3).ring
@@ -439,17 +442,12 @@ def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> Cohomol
         inv.flags.writeable = False
         return {u.tobytes(): v for u, v in zip(z2, inv)}
 
-    ext._cached("z2_inverses", prove)
-    # B^2 ⊆ Z^2 (delta∘delta = 1): the rows of Z^2 are distinct, so B^2 adds none
-    if len(zmod.unique_rows(np.vstack([z2, b2]))) != len(z2):  # pragma: no cover
-        raise InternalCheckError("B^2 is not contained in Z^2")
     if len(z2) != len(b2):
         raise InternalCheckError(f"|Z^2| = {len(z2)} != |B^2| = {len(b2)}, but H^2(S/R, U) = 1 over a finite base")
-    minima = [cosets[:, 0] for cosets in sorted_cosets(ext, z2, b2)]
-    reps = zmod.unique_rows(np.concatenate(minima))
-    if len(z2) % len(b2) != 0 or len(reps) * len(b2) != len(z2):  # pragma: no cover
-        raise InternalCheckError("coset partition of Z^2 by B^2 is inconsistent")
-    return CohomologyGroup(ext, z2, b2, reps)
+    if not (z2 == b2).all():
+        raise InternalCheckError("B^2 is not contained in Z^2")
+    ext._cached("z2_inverses", prove)
+    return CohomologyGroup(ext, z2, b2, z2[:1])
 
 
 def _kept_z2(ext: Extension) -> Optional[dict]:

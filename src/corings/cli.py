@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, zmod
-from .algebras import (
-    TwistedAlgebra,
-    algebra_from_extension,
-    enveloping_matrix,
-    gamma_map,
-    is_azumaya_algebra,
-)
+from .algebras import TwistedAlgebra, algebra_from_extension, gamma_map, is_azumaya_algebra
 from .amitsur import NotACocycleError, NotAUnitError, TwistElement, compute_h2, normalize
 from .classify import classify_all, compare_via_refinement
 from .coring import coring_axiom_report, twisted_coring
@@ -349,12 +343,11 @@ def _run_azumaya_check(spec: JobSpec) -> dict:
     else:
         alg = TwistedAlgebra(ext, TwistElement(ext, spec.twist), "right").algebra()
         subject = "twisted-endomorphism-algebra"
-    env = enveloping_matrix(alg)
     ok = is_azumaya_algebra(alg)
     out = {
         "subject": subject,
         "dimension": alg.dim,
-        "enveloping_matrix_size": int(env.shape[0]),
+        "enveloping_matrix_size": alg.dim**2 * alg.base.rank,  # the Z/n-rank of A ⊗ A^op
         "azumaya": ok,
     }
     if not ok:

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from corings import cli, zmod
 from corings.extensions import Extension, TensorRing, amitsur_rebase
@@ -39,6 +41,31 @@ def random_extension(n, poly, rebased, c=1):
     eta = RingHom(base, top, np.outer(top.one, [c]) % n)
     ext = Extension(base, top, eta, np.eye(top.rank, dtype=np.int64))
     return amitsur_rebase(ext) if rebased else ext
+
+
+# (n, poly, rebased, c, seed) over n in {4, 6, 8, 9, 12}: degree 1 (plain,
+# rebased, on a scaled base), and degree 2 where S^⊗3 is small enough to
+# sweep (n <= 6); seed is free for the test's own draws.
+RANDOM_EXTENSION_CASES = st.sampled_from([4, 6, 8, 9, 12]).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, 2 if n <= 6 else 1).flatmap(
+            lambda d: st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(lambda c: c + [1])
+        ),
+        st.booleans(),
+        st.sampled_from([c for c in range(1, n) if np.gcd(c, n) == 1]),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+def random_case_extension(case):
+    """The extension of a RANDOM_EXTENSION_CASES draw; a draw that random_extension refuses is rejected."""
+    n, poly, rebased, c, _ = case
+    try:
+        return random_extension(n, poly, rebased and len(poly) == 2, c)
+    except ValueError:
+        assume(False)
 
 
 def refined_compare_corings():

@@ -302,4 +302,5 @@ def test_golden_h2_reports(tmp_path, name, rings, extension, jobs):
             assert err.getvalue() == (GOLDEN / f"{name}.stderr").read_text()
         else:
             assert (code, err.getvalue()) == (EXIT_OK, "")
-            assert buf.getvalue() == (GOLDEN / f"{name}.{suffix}").read_bytes(), f"{name} ({fmt}) differs from its golden report"
+            golden = (GOLDEN / f"{name}.{suffix}").read_bytes()
+            assert buf.getvalue() == golden, f"{name} ({fmt}) differs from its golden report"

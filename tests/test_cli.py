@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from corings import cli
+from corings import algebras, cli
 from corings.cli import EXIT_CAP, EXIT_INPUT, EXIT_MATH, EXIT_OK, JobSpecError, parse_job, run
 from tests.test_acceptance import ACCEPTANCE_JOBS
 
@@ -193,12 +193,19 @@ def test_dual_algebra_table(tmp_path):
 
 
 def test_azumaya_check_and_control(tmp_path):
-    doc = job({"name": "azumaya-check", "twist": [1, 0, 0, 0, 0, 0, 0, 0]})
-    code, out = run_cli(tmp_path, doc, "--format", "json")
-    assert code == EXIT_OK and json.loads(out)["result"]["azumaya"] is True
-    doc = job({"name": "azumaya-check", "algebra": "top"})
-    code, out = run_cli(tmp_path, doc, "--format", "json")
-    assert code == EXIT_MATH and json.loads(out)["result"]["azumaya"] is False
+    """Each check builds the enveloping matrix once, and reports its side dim^2 · base rank."""
+    for command, want_code, want_size in (
+        ({"name": "azumaya-check", "twist": [1, 0, 0, 0, 0, 0, 0, 0]}, EXIT_OK, 16),
+        ({"name": "azumaya-check", "algebra": "top"}, EXIT_MATH, 4),
+    ):
+        env = mock.Mock(wraps=algebras.enveloping_matrix)
+        # counted through the library and through any name the CLI might import
+        with mock.patch.object(algebras, "enveloping_matrix", env), \
+                mock.patch.object(cli, "enveloping_matrix", env, create=True):
+            code, out = run_cli(tmp_path, job(command), "--format", "json")
+        res = json.loads(out)["result"]
+        assert (code, res["azumaya"], res["enveloping_matrix_size"]) == (want_code, want_code == EXIT_OK, want_size)
+        assert env.call_count == 1
 
 
 def test_compare_command(tmp_path):

@@ -13,15 +13,14 @@ Brauer-class path once Z^2 is kept.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from corings import amitsur
 from corings.amitsur import TwistElement, _kept_z2, cohomologous, compute_h2, cosickle_zeros
 from corings.classify import BrauerClass
 from corings.extensions import Extension
 from corings.rings import DEFAULT_CAP, Grid, InternalCheckError, make_quotient_ring, try_invert, zmod_ring
-from tests.conftest import DESK, desk_extensions, random_extension, simple_extension
+from tests.conftest import DESK, RANDOM_EXTENSION_CASES, desk_extensions, random_case_extension, simple_extension
 
 
 def fresh(ext):
@@ -104,29 +103,10 @@ def test_kept_z2_matches_per_element_route_on_gf25():
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from([4, 6, 8, 9, 12]).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.integers(1, 2 if n <= 6 else 1).flatmap(
-                lambda d: st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(lambda c: c + [1])
-            ),
-            st.booleans(),
-            st.sampled_from([c for c in range(1, n) if np.gcd(c, n) == 1]),
-            st.integers(0, 2**32 - 1),
-        )
-    )
-)
+@given(RANDOM_EXTENSION_CASES)
 def test_kept_z2_matches_per_element_route_on_random_extensions(case):
-    """Over n in {4, 6, 8, 9, 12}: degree 1 (plain, rebased, on a scaled base),
-    and degree 2 where S^⊗3 is small enough to sweep (n <= 6)."""
-    n, poly, rebased, c, seed = case
-    try:
-        ext = random_extension(n, poly, rebased and len(poly) == 2, c)
-    except ValueError:
-        assume(False)
     with pytest.MonkeyPatch.context() as mp:
-        check_kept_against_fresh(ext, mp, seed, cap=2**21)
+        check_kept_against_fresh(random_case_extension(case), mp, case[-1], cap=2**21)
 
 
 # -- trips ------------------------------------------------------------------------------
@@ -180,12 +160,27 @@ def test_dropped_kept_row_is_a_missed_cocycle(monkeypatch):
 
 
 def test_order_other_than_one_raises(monkeypatch):
-    """B^2 = {1} passes containment and the coset partition, but not |Z^2| = |B^2|."""
+    """B^2 = {1} lies in Z^2, but |Z^2| = |B^2| fails, before any inverse is kept."""
     ext = gf9()
     one = ext.tensor_power(3).one_vec()[None, :]
     monkeypatch.setattr(amitsur, "b2_rows", lambda ext_, cap, jobs: one)
     with pytest.raises(InternalCheckError, match=r"\|Z\^2\| = 16 != \|B\^2\| = 1"):
         compute_h2(ext)
+    assert _kept_z2(ext) is None
+
+
+def test_b2_outside_z2_raises(monkeypatch):
+    """A B^2 of the size of Z^2 with one row swapped for a unit outside Z^2."""
+    ext = gf9()
+    t3 = ext.tensor_power(3).ring
+    grid = Grid.of(t3, DEFAULT_CAP)
+    units, cosickles = t3.unit_mask(DEFAULT_CAP), cosickle_zeros(ext)
+    b2 = grid.rows(cosickles & units)
+    b2[len(b2) // 2] = grid.rows_at(np.flatnonzero(units & ~cosickles)[:1])[0]
+    monkeypatch.setattr(amitsur, "b2_rows", lambda ext_, cap, jobs: b2)
+    with pytest.raises(InternalCheckError, match="B\\^2 is not contained in Z\\^2"):
+        compute_h2(ext)
+    assert _kept_z2(ext) is None
 
 
 # -- guards ------------------------------------------------------------------------------
@@ -211,3 +206,16 @@ def test_brauer_classes_of_kept_rows_run_no_single_element_inverse_or_delta2(req
     for u, v in zip(z2, np.roll(z2, 1, axis=0)):
         assert cohomologous(TwistElement(ext, u), TwistElement(ext, v)) is not None
     assert (inverts, faces) == ([], [])
+
+
+def test_h2_forms_no_coset(request, monkeypatch):
+    """Z^2 = B^2 is one row-for-row check: compute_h2 answers with sorted_cosets
+    broken, and names the one class by z2[0]."""
+
+    def broken(*args):
+        raise AssertionError("compute_h2 formed a coset")
+
+    monkeypatch.setattr(amitsur, "sorted_cosets", broken)
+    for ext in desk_extensions(request):
+        g = compute_h2(ext)
+        assert g.order == 1 and g.representatives.tobytes() == g.z2[:1].tobytes()
