@@ -14,18 +14,21 @@ once (inverses by powers, v^{-1} = v^(L-1)).  H^2(S/R, U) = 1 over a finite
 base (README, "Mathematics"), so compute_h2 forms no coset: it checks
 Z^2 = B^2 row for row and names the one class by z2[0].  Only then does it
 prove every row of Z^2 a unit cocycle in one batch, so a TwistElement on a
-row of Z^2 takes its inverse and delta_2 from there (its is_cosickle
-cross-check still runs).  `sorted_cosets` serves the B^2-orbits of the
-cosickle monoid (`classify.monoid_quotient`): one `zmod.outer_products` of
-a block of rows against B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the
-orbits never all exist at once.  Next to H^2 live the classical
+row of Z^2 takes its inverse and delta_2 from there.  Its is_cosickle reads
+one more batch, u_1 u_3 = u_2 u_4 over all of Z^2, built on the first read
+of a kept row and checked against delta_2 = 1 (`_kept_cosickle`).
+`sorted_cosets` serves the B^2-orbits of the cosickle monoid
+(`classify.monoid_quotient`): one `zmod.outer_products` of a block of rows
+against B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the orbits never all
+exist at once.  Next to H^2 live the classical
 identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
 identities, normalization of cocycles, interleaving of cocycles over S⊗S,
 and the base-change coboundary witness over (S⊗S)/(R⊗S).  The lex-first
 unit w of S^⊗2 with u·w_2 = v·w_1·w_3 (`_witness_search`) is found from one
 linear map and one quadratic form fixed by u and v.  A TwistElement decides
 each fact about its twist once and keeps it; B^2, the cosickle form and
-its zero set, and the Z^2 inverses are kept in the memo of their extension.
+its zero set, the Z^2 inverses and the Z^2 cosickle verdict are kept in
+the memo of their extension.
 """
 
 from __future__ import annotations
@@ -92,9 +95,21 @@ class TwistElement:
         """u_1, ..., u_4 in S^⊗4."""
         return [self.ext.face_map(3, i).apply_vec(self.u.coeffs) for i in range(1, 5)]
 
+    @property
+    def is_kept(self) -> bool:
+        """Whether u is a row of the Z^2 that compute_h2 proved and kept."""
+        kept = _kept_z2(self.ext)
+        return kept is not None and self.u.coeffs.tobytes() in kept
+
     @cached_property
     def is_cosickle(self) -> bool:
-        """Whether u_1 u_3 = u_2 u_4 in S^⊗4 (no invertibility assumed)."""
+        """Whether u_1 u_3 = u_2 u_4 in S^⊗4 (no invertibility assumed).
+
+        A kept row of Z^2 reads the verdict of one batch over all of Z^2
+        (`_kept_cosickle`); any other u multiplies its own four faces.
+        """
+        if self.is_kept:
+            return _kept_cosickle(self.ext)
         t4 = self.ext.tensor_power(4).ring
         u1, u2, u3, u4 = self.faces()
         return bool((t4.mul_vec(u1, u3) == t4.mul_vec(u2, u4)).all())
@@ -111,15 +126,14 @@ class TwistElement:
         batch; any other unit builds delta_2 from the cached inverse, and a
         unit cocycle outside a kept Z^2 means the sweep missed it.
         """
-        kept = _kept_z2(self.ext)
-        if kept is not None and self.u.coeffs.tobytes() in kept:
+        if self.is_kept:
             verdict = True
         elif not self.is_unit:
             return False
         else:
             d2 = _face_product(self.ext, 3, self.u.coeffs, self.inverse.coeffs)
             verdict = bool((d2 == self.ext.tensor_power(4).ring.one).all())
-            if verdict and kept is not None:
+            if verdict and _kept_z2(self.ext) is not None:
                 raise InternalCheckError("a unit 2-cocycle outside the kept Z^2: the sweep missed a cocycle")
         if verdict != self.is_cosickle:  # pragma: no cover - defensive
             raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
@@ -367,12 +381,6 @@ class CohomologyGroup:
     def order(self) -> int:
         return len(self.z2) // len(self.b2)
 
-    def class_of(self, u: np.ndarray) -> tuple:
-        """Lex-least element of the coset u·B^2."""
-        u = np.asarray(u, dtype=np.int64)[None, :] % self.ext.n
-        coset = self.ext.tensor_power(3).ring.products(u, self.b2)[0]
-        return tuple(map(int, zmod.unique_rows(coset)[0]))
-
 
 def cosickle_form(ext: Extension) -> np.ndarray:
     """Q of shape (r3, r3, r4) with u_1 u_3 - u_2 u_4 = sum_ab u_a u_b Q[a, b].
@@ -453,6 +461,28 @@ def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> Cohomol
 def _kept_z2(ext: Extension) -> Optional[dict]:
     """The inverses of the rows of Z^2 that compute_h2 proved, by row bytes, or None before it ran."""
     return ext._cache.get("z2_inverses")
+
+
+def _kept_cosickle(ext: Extension) -> bool:
+    """u_1 u_3 = u_2 u_4 on every kept row of Z^2, decided in one batch and kept in the memo.
+
+    The four face images of all of Z^2, then t4.mul_rows on both sides.
+    compute_h2 proved delta_2(u) = 1 on each row, so a row where the
+    identity fails raises InternalCheckError and keeps nothing.  Built on
+    the first read of a kept row, never inside compute_h2, so a run that
+    reads no twist does none of it.
+    """
+
+    def build():
+        kept = _kept_z2(ext)
+        z2 = np.frombuffer(b"".join(kept), dtype=np.int64).reshape(len(kept), -1)
+        t4 = ext.tensor_power(4).ring
+        f1, f2, f3, f4 = (zmod.matmul_mod(z2, ext.face_map(3, i).matrix.T, ext.n) for i in range(1, 5))
+        if not (t4.mul_rows(f1, f3) == t4.mul_rows(f2, f4)).all():
+            raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
+        return True
+
+    return ext._cached("z2_cosickle", build)
 
 
 def cohomologous(

@@ -241,6 +241,8 @@ class BrauerClass:
 
     The representative is the lexicographically least normalized (norm 1)
     cocycle in the coset; products multiply twists and inverses invert them.
+    Once compute_h2 has kept Z^2 (= B^2), every class of a kept row is the
+    identity class, so products, inverses and is_identity are lookups.
     """
 
     def __init__(self, ext: Extension, rep: tuple, cap: int = DEFAULT_CAP):
@@ -250,10 +252,20 @@ class BrauerClass:
 
     @classmethod
     def of_twist(cls, tw: TwistElement, cap: int = DEFAULT_CAP) -> "BrauerClass":
+        """The class of the cocycle u: the lex-least norm-1 member of u·B^2.
+
+        A row of the Z^2 that compute_h2 kept lies in B^2, so u·B^2 = B^2
+        and its class is the identity class (`_identity_rep`), read from the
+        memo.  Any other cocycle multiplies by all of B^2.  B^2 is read on
+        every call, so the cap refuses a kept row exactly as a fresh one.
+        """
         if not is_two_cocycle(tw):
             raise ValueError("Brauer classes are classes of unit 2-cocycles")
         ext = tw.ext
-        coset = ext.tensor_power(3).ring.products(tw.u.coeffs[None, :], b2_rows(ext, cap=cap))[0]
+        b2 = b2_rows(ext, cap=cap)
+        if tw.is_kept:
+            return cls(ext, _identity_rep(ext, b2), cap=cap)
+        coset = ext.tensor_power(3).ring.products(tw.u.coeffs[None, :], b2)[0]
         norms = (coset @ ext.collapse_map(3).matrix.T) % ext.n
         normalized = coset[(norms == ext.top.one).all(axis=1)]
         if not len(normalized):  # pragma: no cover - every coset has norm-1 members
@@ -284,6 +296,19 @@ class BrauerClass:
 
     def __repr__(self):
         return f"BrauerClass({list(self.rep)} over {self.ext.name})"
+
+
+def _identity_rep(ext: Extension, b2: np.ndarray) -> tuple:
+    """The representative of the identity class: the first row of B^2 (lex
+    order) whose norm is 1, found once and kept in the memo of ext."""
+
+    def build():
+        normalized = ((b2 @ ext.collapse_map(3).matrix.T) % ext.n == ext.top.one).all(axis=1)
+        if not normalized.any():
+            raise InternalCheckError("B^2 contains no normalized cocycle")
+        return tuple(map(int, b2[np.argmax(normalized)]))
+
+    return ext._cached("identity_class", build)
 
 
 def brauer_class(c: NormalBasisCoring, cap: int = DEFAULT_CAP) -> BrauerClass:

@@ -240,12 +240,35 @@ class FiniteRing:
     def _frobenius(self) -> dict[int, np.ndarray]:
         """For each prime p | n, the Frobenius matrix of A/pA over F_p.
 
-        Row j is e_j^p (pow_vec, so from the small-integer table; no float64
-        table is built), and x^p = x @ frob in A/pA.  residue_fields and
-        unit_exponent both read it.
+        Row j is e_j^p (`_basis_powers`, from the small-integer table; no
+        float64 table is built), and x^p = x @ frob in A/pA.
+        residue_fields and unit_exponent both read it.
         """
-        basis = np.eye(self.rank, dtype=np.int64)
-        return {p: np.array([self.pow_vec(e, p) for e in basis]) % p for p in zmod.prime_factors(self.n)}
+        return {p: self._basis_powers(p) % p for p in zmod.prime_factors(self.n)}
+
+    def _basis_powers(self, e: int) -> np.ndarray:
+        """The matrix whose row j is e_j^e, e >= 1, mod n.
+
+        Left-to-right square-and-multiply on a block of basis elements at
+        once, blocks of at most zmod.BLOCK_ENTRIES matrix entries.  The
+        multiplication matrices of e_j are read from the table, so the first
+        squaring and every multiplication by e_j cost no contraction; each
+        later squaring is one stacked mulmat.
+        """
+        r, n = self.rank, self.n
+        out = np.empty((r, r), dtype=np.int64)
+        step = zmod.block_rows(r * r)
+        for s in range(0, r, step):
+            by_basis = self.struct[s : s + step].swapaxes(1, 2).astype(np.int64)  # [j] = mulmat(e_j)
+            power, mat = np.eye(r, dtype=np.int64)[s : s + step], by_basis
+            for i, bit in enumerate(bin(e)[3:]):
+                if i:
+                    mat = self.mulmat(power)
+                power = (mat @ power[:, :, None])[:, :, 0] % n
+                if bit == "1":
+                    power = (by_basis @ power[:, :, None])[:, :, 0] % n
+            out[s : s + step] = power
+        return out
 
     @cached_property
     def unit_exponent(self) -> Optional[int]:

@@ -108,6 +108,26 @@ def counit_solution(ext: Extension, u) -> Optional[np.ndarray]:
     return zmod.solve_right(sys_mat, rhs, ext.n)
 
 
+# The coset oracles of the tests: a class computed from all of u·B^2, where
+# BrauerClass.of_twist reads the identity class of a kept Z^2 from the memo.
+def class_of(g, u) -> tuple:
+    """Lex-least element of the coset u·B^2 of a CohomologyGroup g."""
+    u = np.asarray(u, dtype=np.int64)[None, :] % g.ext.n
+    coset = g.ext.tensor_power(3).ring.products(u, g.b2)[0]
+    return tuple(map(int, zmod.unique_rows(coset)[0]))
+
+
+def coset_class(ext: Extension, u, b2: np.ndarray) -> tuple:
+    """The Brauer representative of a cocycle u: the lex-least norm-1 member
+    of u·B^2, from its products with all of B^2, their norms and unique_rows."""
+    u = np.asarray(u, dtype=np.int64)[None, :] % ext.n
+    coset = ext.tensor_power(3).ring.products(u, b2)[0]
+    norms = (coset @ ext.collapse_map(3).matrix.T) % ext.n
+    normalized = coset[(norms == ext.top.one).all(axis=1)]
+    assert len(normalized), "coset has no normalized member"
+    return tuple(map(int, zmod.unique_rows(normalized)[0]))
+
+
 # The command-line oracle of the tests: argparse reads every line, as it did
 # before cli._read_argv took the plain ones.
 def argparse_run(argv, stdout):

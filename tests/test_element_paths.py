@@ -353,20 +353,25 @@ def count_calls(monkeypatch, cls, name):
 
 @pytest.mark.parametrize("name", ["f4_over_f2", "gr42_over_z4"])
 def test_coring_axiom_report_decides_each_verdict_once(request, name, monkeypatch):
-    """One face computation (u_1 u_3 = u_2 u_4) and one Howell form, the
-    bijectivity of tilde-Delta; u^{-1} and |u|^{-1} are powers, each decided once."""
+    """One Howell form, the bijectivity of tilde-Delta; u^{-1} and |u|^{-1}
+    are powers, each decided once.  u_1 u_3 = u_2 u_4 takes no face
+    computation on a row of the Z^2 that compute_h2 kept (the batch decides
+    it) and exactly one on the same row of a fresh extension."""
     from corings.coring import coring_axiom_report, twisted_coring
 
-    ext = request.getfixturevalue(name)
-    z2 = compute_h2(ext).z2
-    coring_axiom_report(twisted_coring(ext, z2[0]))  # builds the maps and residue fields once
-    c = twisted_coring(ext, z2[-1])
-    faces = count_calls(monkeypatch, TwistElement, "faces")
-    # is_invertible runs the rows-only Howell form, so count the elimination behind both
-    with mock.patch.object(zmod, "_howell_eliminate", wraps=zmod._howell_eliminate) as howell:
-        report = coring_axiom_report(c)
-    assert len(faces) == 1 and howell.call_count == 1
-    assert report["azumaya"] and report["two_cocycle"] and report["counit_laws"]
+    kept_ext = request.getfixturevalue(name)
+    z2 = compute_h2(kept_ext).z2
+    plain_ext = Extension(kept_ext.base, kept_ext.top, kept_ext.eta, kept_ext.basis)
+    for ext, want in ((kept_ext, 0), (plain_ext, 1)):
+        coring_axiom_report(twisted_coring(ext, z2[0]))  # builds the maps and residue fields once
+        c = twisted_coring(ext, z2[-1])
+        faces = count_calls(monkeypatch, TwistElement, "faces")
+        # is_invertible runs the rows-only Howell form, so count the elimination behind both
+        with mock.patch.object(zmod, "_howell_eliminate", wraps=zmod._howell_eliminate) as howell:
+            report = coring_axiom_report(c)
+        monkeypatch.undo()
+        assert len(faces) == want and howell.call_count == 1
+        assert report["azumaya"] and report["two_cocycle"] and report["counit_laws"]
 
 
 @pytest.mark.parametrize("name", ["f4_over_f2", "gr42_over_z4"])

@@ -15,7 +15,9 @@ multiple of the exponent of the unit group found by brute force.  The moduli
 one that ignores the nilpotent part of A/pA.  Rings whose L is longer than
 POWER_BITS (a residue degree lcm F in the thousands, or a large p) are
 inverted by one solve after a bounded walk, and a rank-64 inverse caches no
-float64 table.
+float64 table.  The Frobenius matrix, built by square-and-multiply on blocks
+of basis elements, is compared with the route it replaced, one `pow_vec`
+per basis element (`rowwise_frobenius`).
 """
 
 import tracemalloc
@@ -67,6 +69,22 @@ def howell_invert(x):
     return None if sol is None else ring.element(sol)
 
 
+def rowwise_frobenius(ring):
+    """For each prime p | n, the matrix with row j = e_j^p mod p, one pow_vec per basis element."""
+    basis = np.eye(ring.rank, dtype=np.int64)
+    return {p: np.array([ring.pow_vec(e, p) for e in basis]) % p for p in zmod.prime_factors(ring.n)}
+
+
+def check_frobenius(ring):
+    """The Frobenius against rowwise_frobenius; building it builds no float64 table."""
+    had_float = "_float_struct" in vars(ring)
+    got, want = ring._frobenius, rowwise_frobenius(ring)
+    assert list(got) == list(want)
+    for p in want:
+        assert got[p].dtype == want[p].dtype and got[p].tobytes() == want[p].tobytes()
+    assert ("_float_struct" in vars(ring)) == had_float
+
+
 def check_inverses(ring, rows):
     """try_invert on each row, under a guard on Howell, against howell_invert."""
     elements = [ring.element(row) for row in rows]
@@ -116,6 +134,7 @@ def test_try_invert_matches_howell_on_desk_tensor_powers(request, name):
         rows = all_elements_array(ring)
         if name == "gr42_over_z4" and m == 3:
             rows = np.vstack([rows[::16], compute_h2(ext).z2])
+        check_frobenius(Extension(ext.base, ext.top, ext.eta, ext.basis).tensor_power(m).ring)
         check_inverses(ring, rows)
         check_exponent(ring)
 
@@ -160,9 +179,19 @@ def small_rings(draw):
     return ring
 
 
+def test_frobenius_of_large_rank_matches_rowwise():
+    """Several blocks of basis elements (zmod.BLOCK_ENTRIES matrix entries
+    hold 32 rows at rank 64 and 36 at rank 60), and squarings by a stacked
+    mulmat (p = 5 and 7)."""
+    rng = np.random.default_rng(11)
+    for n, degree in ((2, 64), (5, 60), (7, 20), (12, 40)):
+        check_frobenius(make_quotient_ring(n, list(rng.integers(0, n, degree)) + [1]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_rings())
 def test_try_invert_matches_howell_on_random_rings(ring):
+    check_frobenius(ring)
     check_inverses(ring, all_elements_array(ring))
     check_exponent(ring)
     assert ring.unit_exponent % brute_force_exponent(ring) == 0
