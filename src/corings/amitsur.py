@@ -12,23 +12,20 @@ enumeration at desk scale: Z^2 is one grid sweep of S^⊗3 (`rings.Grid`,
 the cosickle form on the units) and B^2 is delta_1 of all units of S^⊗2 at
 once (inverses by powers, v^{-1} = v^(L-1)).  H^2(S/R, U) = 1 over a finite
 base (README, "Mathematics"), so compute_h2 forms no coset: it checks
-Z^2 = B^2 row for row and names the one class by z2[0].  Only then does it
-prove every row of Z^2 a unit cocycle in one batch, so a TwistElement on a
-row of Z^2 takes its inverse and delta_2 from there.  Its is_cosickle reads
-one more batch, u_1 u_3 = u_2 u_4 over all of Z^2, built on the first read
-of a kept row and checked against delta_2 = 1 (`_kept_cosickle`).
+Z^2 = B^2 row for row, names the one class by z2[0], and only then proves
+every row of Z^2 a unit cocycle in one batch.  A TwistElement on a row of
+Z^2 reads its inverse and verdicts from that proof, and
+`classify.BrauerClass` names every class by B^2 membership.
 `sorted_cosets` serves the B^2-orbits of the cosickle monoid
-(`classify.monoid_quotient`): one `zmod.outer_products` of a block of rows
-against B^2, blocks bounded by zmod.BLOCK_ENTRIES, so the orbits never all
-exist at once.  Next to H^2 live the classical
-identities: the norm |u| = u^1 u^2 u^3, its two partial-collapse
-identities, normalization of cocycles, interleaving of cocycles over S⊗S,
-and the base-change coboundary witness over (S⊗S)/(R⊗S).  The lex-first
-unit w of S^⊗2 with u·w_2 = v·w_1·w_3 (`_witness_search`) is found from one
-linear map and one quadratic form fixed by u and v.  A TwistElement decides
-each fact about its twist once and keeps it; B^2, the cosickle form and
-its zero set, the Z^2 inverses and the Z^2 cosickle verdict are kept in
-the memo of their extension.
+(`classify.monoid_quotient`) in blocks bounded by zmod.BLOCK_ENTRIES.
+Next to H^2 live the classical identities: the norm |u| = u^1 u^2 u^3, its
+two partial-collapse identities, normalization of cocycles, interleaving
+of cocycles over S⊗S, and the base-change coboundary witness over
+(S⊗S)/(R⊗S).  The lex-first unit w of S^⊗2 with u·w_2 = v·w_1·w_3
+(`_witness_search`) is found from one linear map and one quadratic form
+fixed by u and v.  A TwistElement decides each fact about its twist once
+and keeps it; B^2, the cosickle form and its zero set, and the Z^2
+inverses are kept in the memo of their extension.
 """
 
 from __future__ import annotations
@@ -98,18 +95,17 @@ class TwistElement:
     @property
     def is_kept(self) -> bool:
         """Whether u is a row of the Z^2 that compute_h2 proved and kept."""
-        kept = _kept_z2(self.ext)
-        return kept is not None and self.u.coeffs.tobytes() in kept
+        return self.u.coeffs.tobytes() in (_kept_z2(self.ext) or {})
 
     @cached_property
     def is_cosickle(self) -> bool:
         """Whether u_1 u_3 = u_2 u_4 in S^⊗4 (no invertibility assumed).
 
-        A kept row of Z^2 reads the verdict of one batch over all of Z^2
-        (`_kept_cosickle`); any other u multiplies its own four faces.
+        A kept row of Z^2 returns the verdict that compute_h2 proved on it;
+        any other u multiplies its own four faces.
         """
         if self.is_kept:
-            return _kept_cosickle(self.ext)
+            return True
         t4 = self.ext.tensor_power(4).ring
         u1, u2, u3, u4 = self.faces()
         return bool((t4.mul_vec(u1, u3) == t4.mul_vec(u2, u4)).all())
@@ -123,7 +119,7 @@ class TwistElement:
         """A unit with delta_2(u) = 1; must agree with is_cosickle.
 
         A row of the Z^2 that compute_h2 kept takes delta_2 = 1 from its
-        batch; any other unit builds delta_2 from the cached inverse, and a
+        proof; any other unit builds delta_2 from the cached inverse, and a
         unit cocycle outside a kept Z^2 means the sweep missed it.
         """
         if self.is_kept:
@@ -200,22 +196,22 @@ def _face_product(ext: Extension, level: int, v, v_inv) -> np.ndarray:
     builds its dense rank^3 table.
     """
     ring = ext.tensor_power(level + 1).ring
-    faces = (
-        zmod.matmul_mod(v if i % 2 else v_inv, ext.face_map(level, i).matrix.T, ext.n)
-        for i in range(1, level + 2)
-    )
+    faces = (_face_rows(ext, level, v if i % 2 else v_inv, i) for i in range(1, level + 2))
     return reduce(ring.mul_rows if np.ndim(v) == 2 else ring.mul_vec, faces)
+
+
+def _face_rows(ext: Extension, level: int, rows, i: int) -> np.ndarray:
+    """eta_i of one element or a batch of rows of S^⊗level, in S^⊗(level+1)."""
+    return zmod.matmul_mod(rows, ext.face_map(level, i).matrix.T, ext.n)
 
 
 def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
     """B^2 = {delta_1(v) : v a unit of S^⊗2} as lex-sorted rows, cached on ext.
 
-    The units are inverted in one batch, v^{-1} = v^(L-1) with L the unit
-    exponent of S^⊗2 (`FiniteRing.unit_exponent`; |U| by Lagrange when that
-    is None).  Their count is checked against |U| = n^r · prod(1 - 1/q_i)
-    over the residue fields F_(q_i) that the enumeration built, and the
-    inverses by one batched product v·v^(L-1) = 1; a mismatch of either
-    raises InternalCheckError.
+    The units are inverted in one checked batch (`_inverted_rows`).  Their
+    count is checked against |U| = n^r · prod(1 - 1/q_i) over the residue
+    fields F_(q_i) that the enumeration built; a mismatch raises
+    InternalCheckError.
     The cap is checked on every call, so a cached B^2 is refused exactly
     when a fresh one would be.
     """
@@ -230,12 +226,19 @@ def b2_rows(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray
             expected = expected // q * (q - 1)
         if len(units2) != expected:
             raise InternalCheckError(f"{len(units2)} units enumerated in {t2.name}, {expected} by residue fields")
-        inverses = t2.pow_rows(units2, (t2.unit_exponent or len(units2)) - 1)
-        if not (t2.mul_rows(units2, inverses) == t2.one).all():
-            raise InternalCheckError(f"v·v^(L-1) != 1 for a unit v of {t2.name}")
+        inverses = _inverted_rows(t2, units2, f"v·v^(L-1) != 1 for a unit v of {t2.name}")
         return zmod.unique_rows(_face_product(ext, 2, units2, inverses))
 
     return ext._cached("b2", build)
+
+
+def _inverted_rows(ring, group: np.ndarray, failure: str) -> np.ndarray:
+    """v^(L-1) for every row v of a finite group of units, checked v·v^(L-1) = 1, else
+    InternalCheckError(failure); L is `FiniteRing.unit_exponent`, or |group| by Lagrange."""
+    inverses = ring.pow_rows(group, (ring.unit_exponent or len(group)) - 1)
+    if not (ring.mul_rows(group, inverses) == ring.one).all():
+        raise InternalCheckError(failure)
+    return inverses
 
 
 def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
@@ -432,21 +435,24 @@ def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> Cohomol
     `FiniteRing.unit_mask`).  H^2(S/R, U) = 1 over a finite R
     (Chase–Rosenberg), and Z^2 and B^2 are both distinct rows in lex order,
     so Z^2 = B^2 is checked row for row and z2[0] names the one class.
-    Then one batch proves every row a unit cocycle: u·u^(L-1) = 1 (L the
-    unit exponent of S^⊗3, or |Z^2| by Lagrange) and delta_2(u) = 1; the
-    inverses are kept in the memo by row bytes, where TwistElement reads
-    them.  A failed check raises InternalCheckError and keeps nothing.
+    Then one batch, from the faces eta_1..eta_4 of Z^2 and eta_2, eta_4 of
+    the inverses (`_inverted_rows`), proves u·u^{-1} = 1, delta_2(u) = 1
+    and u_1 u_3 = u_2 u_4 on every row: the one proof of these facts, kept
+    as the inverses by row bytes, where TwistElement reads them.  A failed
+    check raises InternalCheckError and keeps nothing.
     """
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
     t3 = ext.tensor_power(3).ring
     z2 = Grid.of(t3, cap).rows(cosickle_zeros(ext, cap) & t3.unit_mask(cap))
 
     def prove():
-        inv = t3.pow_rows(z2, (t3.unit_exponent or len(z2)) - 1)
-        if not (t3.mul_rows(z2, inv) == t3.one).all():
-            raise InternalCheckError(f"u·u^(L-1) != 1 for a row of Z^2 in {t3.name}")
-        if not (_face_product(ext, 3, z2, inv) == ext.tensor_power(4).ring.one).all():
+        inv = _inverted_rows(t3, z2, f"u·u^(L-1) != 1 for a row of Z^2 in {t3.name}")
+        t4 = ext.tensor_power(4).ring
+        u13 = t4.mul_rows(_face_rows(ext, 3, z2, 1), _face_rows(ext, 3, z2, 3))
+        if not (t4.mul_rows(u13, t4.mul_rows(_face_rows(ext, 3, inv, 2), _face_rows(ext, 3, inv, 4))) == t4.one).all():
             raise InternalCheckError(f"delta_2(u) != 1 for a row of Z^2 in {t3.name}")
+        if not (u13 == t4.mul_rows(_face_rows(ext, 3, z2, 2), _face_rows(ext, 3, z2, 4))).all():
+            raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
         inv.flags.writeable = False
         return {u.tobytes(): v for u, v in zip(z2, inv)}
 
@@ -461,28 +467,6 @@ def compute_h2(ext: Extension, cap: int = DEFAULT_CAP, jobs: int = 1) -> Cohomol
 def _kept_z2(ext: Extension) -> Optional[dict]:
     """The inverses of the rows of Z^2 that compute_h2 proved, by row bytes, or None before it ran."""
     return ext._cache.get("z2_inverses")
-
-
-def _kept_cosickle(ext: Extension) -> bool:
-    """u_1 u_3 = u_2 u_4 on every kept row of Z^2, decided in one batch and kept in the memo.
-
-    The four face images of all of Z^2, then t4.mul_rows on both sides.
-    compute_h2 proved delta_2(u) = 1 on each row, so a row where the
-    identity fails raises InternalCheckError and keeps nothing.  Built on
-    the first read of a kept row, never inside compute_h2, so a run that
-    reads no twist does none of it.
-    """
-
-    def build():
-        kept = _kept_z2(ext)
-        z2 = np.frombuffer(b"".join(kept), dtype=np.int64).reshape(len(kept), -1)
-        t4 = ext.tensor_power(4).ring
-        f1, f2, f3, f4 = (zmod.matmul_mod(z2, ext.face_map(3, i).matrix.T, ext.n) for i in range(1, 5))
-        if not (t4.mul_rows(f1, f3) == t4.mul_rows(f2, f4)).all():
-            raise InternalCheckError("delta_2(u) = 1 disagrees with u_1 u_3 = u_2 u_4 on a unit")
-        return True
-
-    return ext._cached("z2_cosickle", build)
 
 
 def cohomologous(

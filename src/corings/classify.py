@@ -240,9 +240,10 @@ class BrauerClass:
     """A cocycle class under coboundary equivalence, canonically represented.
 
     The representative is the lexicographically least normalized (norm 1)
-    cocycle in the coset; products multiply twists and inverses invert them.
-    Once compute_h2 has kept Z^2 (= B^2), every class of a kept row is the
-    identity class, so products, inverses and is_identity are lookups.
+    cocycle in the coset u·B^2.  H^2(S/R, U) = 1 over a finite base
+    (README, "Mathematics"), so every unit cocycle lies in B^2 and its
+    coset is B^2 itself: there is one class, the identity class, and
+    products, inverses and is_identity name it by B^2 membership.
     """
 
     def __init__(self, ext: Extension, rep: tuple, cap: int = DEFAULT_CAP):
@@ -254,23 +255,18 @@ class BrauerClass:
     def of_twist(cls, tw: TwistElement, cap: int = DEFAULT_CAP) -> "BrauerClass":
         """The class of the cocycle u: the lex-least norm-1 member of u·B^2.
 
-        A row of the Z^2 that compute_h2 kept lies in B^2, so u·B^2 = B^2
-        and its class is the identity class (`_identity_rep`), read from the
-        memo.  Any other cocycle multiplies by all of B^2.  B^2 is read on
-        every call, so the cap refuses a kept row exactly as a fresh one.
+        One route for every unit cocycle: read B^2 (so the cap refuses on
+        every call), check u ∈ B^2 (a kept row of Z^2 = B^2 needs no
+        comparison), and return the identity class (`_identity_rep`), as
+        u·B^2 = B^2.  A cocycle outside B^2 raises InternalCheckError.
         """
         if not is_two_cocycle(tw):
             raise ValueError("Brauer classes are classes of unit 2-cocycles")
         ext = tw.ext
         b2 = b2_rows(ext, cap=cap)
-        if tw.is_kept:
-            return cls(ext, _identity_rep(ext, b2), cap=cap)
-        coset = ext.tensor_power(3).ring.products(tw.u.coeffs[None, :], b2)[0]
-        norms = (coset @ ext.collapse_map(3).matrix.T) % ext.n
-        normalized = coset[(norms == ext.top.one).all(axis=1)]
-        if not len(normalized):  # pragma: no cover - every coset has norm-1 members
-            raise InternalCheckError("coset contains no normalized cocycle")
-        return cls(ext, tuple(map(int, zmod.unique_rows(normalized)[0])), cap=cap)
+        if not (tw.is_kept or (b2 == tw.u.coeffs).all(axis=1).any()):
+            raise InternalCheckError("a unit 2-cocycle outside B^2, but H^2(S/R, U) = 1 over a finite base")
+        return cls(ext, _identity_rep(ext, b2), cap=cap)
 
     def twist(self) -> TwistElement:
         return TwistElement(self.ext, np.array(self.rep, dtype=np.int64))

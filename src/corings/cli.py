@@ -20,7 +20,8 @@ element in top-ring coordinates; "basis" lists the declared R-basis of S.
 
 Reports are byte-identical for identical inputs regardless of --jobs; all
 element lists appear in lexicographic coefficient order.  Exit codes:
-0 success, 1 mathematical check failed, 2 input error, 3 resource cap hit.
+0 success, 1 mathematical check failed, 2 input error (an unreadable job
+file and an unwritable --out among them), 3 resource cap hit.
 """
 
 from __future__ import annotations
@@ -171,8 +172,20 @@ def _twist_param(params: dict, ext: Extension, path: str) -> np.ndarray:
     return vec
 
 
-def parse_job(text: str, digest: str = "") -> JobSpec:
-    """Parse and validate a job file; raises JobSpecError with a field path."""
+def parse_job(text: str | bytes, digest: str = "") -> JobSpec:
+    """Parse and validate a job file, text or UTF-8 bytes; raises JobSpecError with a field path.
+
+    Invalid UTF-8 and JSON nested past the recursion limit fail at `$`, in our own words.
+    """
+    try:
+        return _parse_doc(text.decode("utf-8") if isinstance(text, bytes) else text, digest)
+    except UnicodeDecodeError as exc:
+        raise JobSpecError("$", f"job file is not valid UTF-8 (byte {exc.start}: {exc.reason})") from None
+    except RecursionError:
+        raise JobSpecError("$", "JSON nested too deeply") from None
+
+
+def _parse_doc(text: str, digest: str) -> JobSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -545,7 +558,7 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
     digest = hashlib.sha256(raw).hexdigest()
 
     try:
-        spec = parse_job(raw.decode("utf-8"), digest=digest)
+        spec = parse_job(raw, digest=digest)
         if cap is not None:
             if cap <= 0:
                 raise JobSpecError("--cap", "cap must be positive")
@@ -568,11 +581,15 @@ def run(argv: list[str] | None = None, stdout=None) -> int:
         return EXIT_MATH
 
     data = emit_report(report, fmt)
-    if out:
+    if not out:
+        stdout.write(data)
+        return code
+    try:
         with open(out, "wb") as fh:
             fh.write(data)
-    else:
-        stdout.write(data)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

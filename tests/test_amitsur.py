@@ -19,7 +19,7 @@ from corings.amitsur import (
     unit_twist,
 )
 from corings.rings import enumerate_units, try_invert
-from tests.conftest import class_of
+from tests.conftest import class_of, desk_extensions
 
 
 def embed3(ext, x, y, z):
@@ -209,6 +209,20 @@ def test_cohomologous_never_absent_over_f4(f4_over_f2):
     for x in rows:
         for y in rows:
             assert cohomologous(TwistElement(ext, x), TwistElement(ext, y)) is not None
+
+
+def test_cohomologous_witness_on_every_pair_of_z2_rows(request):
+    """u = v·delta_1(w) for the witness w of every ordered pair (u, v) of rows
+    of Z^2, over the desk fixtures and (F4⊗F4)/F4: every cocycle is
+    cohomologous to every other, which is what lets `BrauerClass.of_twist`
+    name each class by B^2 membership."""
+    for ext in desk_extensions(request):
+        t3 = ext.tensor_power(3).ring
+        twists = [TwistElement(ext, row) for row in compute_h2(ext).z2]
+        for u in twists:
+            for v in twists:
+                w = cohomologous(u, v)
+                assert w is not None and (t3.mul_vec(v.u.coeffs, delta1(ext, w)) == u.u.coeffs).all()
 
 
 def test_tensor_cocycles(f4_over_f2):

@@ -1,13 +1,13 @@
-"""Brauer classes of a kept Z^2 read from the memo, against the coset route.
+"""Brauer classes by B^2 membership, against the coset route.
 
-Once compute_h2 has proved Z^2 = B^2 and kept Z^2, `BrauerClass.of_twist`
-gives each kept row the identity class (the first norm-1 row of B^2), and
-`TwistElement.is_cosickle` reads one batched verdict over all of Z^2.  The
-oracle is `conftest.coset_class`: the products of u with all of B^2, their
-norms and `unique_rows`.  Every row of Z^2, products of pairs of rows,
-every inverse and `is_identity` are compared with it.  The trip tests
-corrupt the batch or B^2 and expect InternalCheckError with nothing kept;
-the guards count the coset products and face computations left on the path.
+`BrauerClass.of_twist` gives every unit cocycle the identity class (the
+first norm-1 row of B^2) once it has read B^2 and found u in it; a row of
+the Z^2 that compute_h2 kept needs no comparison.  The oracle is
+`conftest.coset_class`: the products of u with all of B^2, their norms and
+`unique_rows`.  Every row of Z^2, products of pairs of rows, every inverse
+and `is_identity` are compared with it.  The trip tests corrupt B^2 and
+expect InternalCheckError; the guards count the coset products and face
+computations left on the path.
 """
 
 import numpy as np
@@ -73,8 +73,9 @@ def test_lookup_matches_cosets_on_random_extensions(case):
     check_lookup_against_cosets(random_case_extension(case), cap=2**21)
 
 
-def test_rows_outside_a_kept_z2_keep_the_coset_route(monkeypatch):
-    """A twist of an extension where compute_h2 has not run multiplies by B^2."""
+def test_rows_outside_a_kept_z2_take_the_same_route(monkeypatch):
+    """A twist of an extension where compute_h2 has not run is looked up in
+    B^2 too: the same class as a kept row, and no coset product either way."""
     kept, plain = gf9(), gf9()
     z2 = compute_h2(kept).z2
     for ext in (kept, plain):
@@ -82,37 +83,23 @@ def test_rows_outside_a_kept_z2_keep_the_coset_route(monkeypatch):
     calls = count_calls(monkeypatch, FiniteRing, "products")
     for row in z2:
         assert BrauerClass.of_twist(TwistElement(plain, row)).rep == BrauerClass.of_twist(TwistElement(kept, row)).rep
-    assert len(calls) == len(z2)
-    assert "identity_class" not in plain._cache and "z2_cosickle" not in plain._cache
+    assert calls == []
+    assert "identity_class" in plain._cache and "z2_inverses" not in plain._cache
 
 
 # -- trips ------------------------------------------------------------------------------
 
 
-def test_batched_cosickle_verdict_off_on_one_row_raises(monkeypatch):
+def test_cocycle_outside_b2_raises(monkeypatch):
+    """A B^2 with one row dropped: that row, a unit cocycle of an extension
+    where compute_h2 has not run, is refused rather than named."""
     ext = gf9()
-    z2 = compute_h2(ext).z2
-    t4 = ext.tensor_power(4).ring
-    honest, calls = t4.mul_rows, []
-
-    def off_one(x, y):
-        """u_1 u_3 off by one on the middle row: the first side of each check."""
-        out = honest(x, y)
-        calls.append(len(x))
-        if len(calls) % 2:
-            out = out.copy()
-            out[len(out) // 2, 0] = (out[len(out) // 2, 0] + 1) % ext.n
-        return out
-
-    monkeypatch.setattr(t4, "mul_rows", off_one)
-    with pytest.raises(InternalCheckError, match="disagrees with u_1 u_3 = u_2 u_4"):
-        TwistElement(ext, z2[0]).is_cosickle
-    with pytest.raises(InternalCheckError, match="disagrees with u_1 u_3 = u_2 u_4"):
-        BrauerClass.of_twist(TwistElement(ext, z2[-1]))
-    assert calls == [len(z2)] * 4
-    assert "z2_cosickle" not in ext._cache and "identity_class" not in ext._cache
-    monkeypatch.undo()
-    assert TwistElement(ext, z2[0]).is_cosickle and ext._cache["z2_cosickle"] is True
+    b2 = compute_h2(gf9()).b2
+    row = b2[len(b2) // 2]
+    monkeypatch.setattr(classify, "b2_rows", lambda ext_, cap: np.delete(b2, len(b2) // 2, axis=0))
+    BrauerClass.of_twist(TwistElement(ext, b2[0]))
+    with pytest.raises(InternalCheckError, match="unit 2-cocycle outside B\\^2"):
+        BrauerClass.of_twist(TwistElement(ext, row))
 
 
 def test_b2_without_a_norm_one_row_raises(monkeypatch):

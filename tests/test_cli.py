@@ -483,6 +483,40 @@ def test_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
     assert err.startswith(("error: $: ", "error: rings.G.modulus: ")) and "set_int_max_str_digits" not in err
 
 
+def test_job_file_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code = run([str(path)], stdout=io.BytesIO())
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: $: job file is not valid UTF-8 (byte 0: invalid start byte)\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"rings": {"A": ' + "[" * 100000 + "]" * 100000 + "}}",
+        json.dumps(job({"name": "h2"}, A={"modulus": 2, "kind": "quotient", "poly": "P"})).replace(
+            '"P"', "[" * 5000 + "]" * 5000
+        ),
+    ],
+    ids=["rings-100000-deep", "poly-5000-deep"],
+)
+def test_json_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys, doc):
+    """One fixed line at `$`: Python's own wording differs between versions."""
+    path = tmp_path / "job.json"
+    path.write_text(doc)
+    code = run([str(path)], stdout=io.BytesIO())
+    assert code == EXIT_INPUT and capsys.readouterr().err == "error: $: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("target", [".", "missing/report.txt"], ids=["directory", "missing-parent"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, target):
+    code, out = run_cli(tmp_path, job({"name": "h2"}), "--out", str(tmp_path / target))
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_jobs_below_one_is_input_error(tmp_path, capsys):
     code, out = run_cli(tmp_path, job({"name": "h2"}), "--jobs", "0")
     err = capsys.readouterr().err

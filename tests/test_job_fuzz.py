@@ -4,7 +4,8 @@ The documents start from the acceptance jobs over the desk fixtures and from
 `units` jobs over GR(4,2)/Z4, GF(9)/F3 and the degree-1 F2/F2.  Every run
 must end with an exit code in {0, 1, 2, 3} and without a traceback; a value
 of the wrong JSON type at a validated field must exit 2, and so must an
-integer at any integer field with more digits than Python reads.  `command.level`
+integer at any integer field with more digits than Python reads and a byte
+that leaves the file invalid UTF-8.  `command.level`
 is drawn from the boundary cases {0, -1, 1, 63, 64, 2^40, 10^30, True, 2.5,
 "3"} and from integers up to 2^70.  Every run has `--cap 4096`, and every
 mutation keeps rings of degree at most 3, so no example reaches a slow path.
@@ -128,10 +129,10 @@ def run_doc(doc):
 
 
 def run_text(text):
-    """Exit code and stderr of the CLI on one job file's text; a traceback fails the test."""
+    """Exit code and stderr of the CLI on one job file's text or bytes; a traceback fails the test."""
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -164,6 +165,18 @@ def test_integers_past_the_digit_limit_exit_2(data):
     code, err = run_text(json.dumps(put(doc, path, "N")).replace('"N"', "1" + "0" * 5000))
     assert code == EXIT_INPUT and err.startswith("error: $: ") and err.count("\n") == 1, err
     assert "set_int_max_str_digits" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_invalid_utf8_bytes_exit_2(data):
+    """One byte from 0x80..0xff put anywhere into a job file, which json.dumps
+    writes in ASCII, leaves it invalid UTF-8: exit 2 at `$`, one line."""
+    raw = json.dumps(data.draw(st.sampled_from(DOCS))).encode()
+    at = data.draw(st.integers(0, len(raw)))
+    byte = bytes([data.draw(st.integers(0x80, 0xFF))])
+    code, err = run_text(raw[:at] + byte + raw[at:])
+    assert code == EXIT_INPUT and err.startswith("error: $: job file is not valid UTF-8") and err.count("\n") == 1, err
 
 
 WORDS = list(COMMANDS) + ["F2", "F4", "quotient", "product", "top", "left", "right"]

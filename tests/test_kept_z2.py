@@ -1,9 +1,10 @@
 """The Z^2 facts that compute_h2 proves in one batch, against the per-element route.
 
 `compute_h2` inverts every row of Z^2 at once (a power u^(L-1)), checks
-u·u^(L-1) = 1 and delta_2(u) = 1 on every row, and keeps the inverses in
-the extension's memo.  A `TwistElement` on a kept row reads its inverse and
-delta_2 = 1 from there; any other twist runs `try_invert` and its own
+u·u^(L-1) = 1, delta_2(u) = 1 and u_1 u_3 = u_2 u_4 on every row from one
+set of face images, and keeps the inverses in the extension's memo.  A
+`TwistElement` on a kept row reads its inverse, delta_2 = 1 and its
+cosickle verdict from there; any other twist runs `try_invert` and its own
 delta_2, which stay as the oracle.  Each extension is built twice: once with
 compute_h2 run, and once fresh, with no shared memo, on the per-element
 route.  The trip tests corrupt the batch or the kept facts and expect
@@ -132,21 +133,41 @@ def test_corrupt_batch_inverse_raises(monkeypatch):
     assert _kept_z2(ext) is None
 
 
-def test_batch_delta2_off_one_raises(monkeypatch):
-    ext = gf9()
-    honest = amitsur._face_product
+def off_one_on_call(monkeypatch, ring, k):
+    """Make call k of ring.mul_rows return its middle row off by one; returns the call sizes."""
+    honest, calls = ring.mul_rows, []
 
-    def off_one(ext_, level, v, v_inv):
-        out = honest(ext_, level, v, v_inv)
-        if level == 3 and np.ndim(v) == 2:
+    def off_one(x, y):
+        out = honest(x, y)
+        calls.append(len(x))
+        if len(calls) == k:
             out = out.copy()
-            out[-1] = 0
+            out[len(out) // 2, 0] = (out[len(out) // 2, 0] + 1) % ring.n
         return out
 
-    monkeypatch.setattr(amitsur, "_face_product", off_one)
-    with pytest.raises(InternalCheckError, match="delta_2"):
+    monkeypatch.setattr(ring, "mul_rows", off_one)
+    return calls
+
+
+def test_batch_delta2_off_one_raises(monkeypatch):
+    """The product of the faces eta_2, eta_4 of the inverses, off on one row."""
+    ext = gf9()
+    calls = off_one_on_call(monkeypatch, ext.tensor_power(4).ring, 2)
+    with pytest.raises(InternalCheckError, match="delta_2\\(u\\) != 1"):
         compute_h2(ext)
-    assert _kept_z2(ext) is None
+    assert _kept_z2(ext) is None and calls == [16] * 3
+
+
+def test_batch_cosickle_off_on_one_row_raises(monkeypatch):
+    """u_2 u_4 off on one row, where delta_2(u) = 1 holds: the two verdicts disagree."""
+    ext = gf9()
+    calls = off_one_on_call(monkeypatch, ext.tensor_power(4).ring, 4)
+    with pytest.raises(InternalCheckError, match="disagrees with u_1 u_3 = u_2 u_4"):
+        compute_h2(ext)
+    assert _kept_z2(ext) is None and calls == [16] * 4
+    monkeypatch.undo()
+    z2 = compute_h2(ext).z2
+    assert _kept_z2(ext) is not None and all(TwistElement(ext, row).is_cosickle for row in z2)
 
 
 def test_dropped_kept_row_is_a_missed_cocycle(monkeypatch):
