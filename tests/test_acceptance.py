@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -304,3 +305,39 @@ def test_golden_h2_reports(tmp_path, name, rings, extension, jobs):
             assert (code, err.getvalue()) == (EXIT_OK, "")
             golden = (GOLDEN / f"{name}.{suffix}").read_bytes()
             assert buf.getvalue() == golden, f"{name} ({fmt}) differs from its golden report"
+
+
+# classify over GF(9)/F3 and GR(4,2)/Z4: one row per element of S^⊗3 (3^8 and
+# 4^8), so the reports run to 0.2-17 MB and only their SHA-256 digests are
+# committed, per format.  Tier-1 runs the GF(9)/F3 job; CI runs both through
+# the installed script.
+CLASSIFY_JOBS = [
+    ("classify-gf9", {"F3": _field(3, [0, 1]), "F9": _field(3, [1, 0, 1])}, {"base": "F3", "top": "F9", **_simple(2)}),
+    ("classify-gr42", {"Z4": _field(4, [0, 1]), "GR42": _field(4, [1, 1, 1])}, {"base": "Z4", "top": "GR42", **_simple(2)}),
+]
+
+CLASSIFY_DIGESTS = {
+    "classify-gf9": {
+        "text": "a24649a60e0a4cfe97df6786bada8b589304c008402f136acc792f67078a4594",
+        "json": "3f47f2829a23640691d52136760be4a9cb4bf849f1794d8138db762bb054abff",
+    },
+    "classify-gr42": {
+        "text": "f4fba2fd21cecb915993bd56c56462d63ba6095f7dffee497d7bb754f89a15ec",
+        "json": "263c123be70debf0fa438c4e074b6483f007e538346d0c034ff3d58c9fe3a0b2",
+    },
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_classify_report_digests(tmp_path, jobs):
+    """The classify job over GF(9)/F3 reproduces the SHA-256 of its committed
+    text and JSON reports."""
+    from corings.cli import EXIT_OK, run
+
+    name, rings, extension = CLASSIFY_JOBS[0]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"rings": rings, "extension": extension, "command": {"name": "classify"}}))
+    for fmt in ("text", "json"):
+        buf = io.BytesIO()
+        assert run([str(path), "--format", fmt, "--jobs", jobs], stdout=buf) == EXIT_OK
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == CLASSIFY_DIGESTS[name][fmt], f"{name} ({fmt})"
