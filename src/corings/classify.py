@@ -24,7 +24,8 @@ import numpy as np
 
 from . import zmod
 from .amitsur import (
-    COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_zeros, is_two_cocycle, sorted_cosets, unit_twist
+    COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_form, cosickle_zeros, is_two_cocycle,
+    sorted_cosets, unit_twist,
 )
 from .coring import (
     NormalBasisCoring, canonical_coring, coassoc_difference, external_product, is_azumaya, term_coproducts
@@ -85,9 +86,79 @@ def _coassoc_difference_tensor(ext: Extension) -> np.ndarray:
     return coassoc_difference(ext, deltas, deltas)
 
 
+def _symmetric_row(form: np.ndarray, i: int, n: int) -> np.ndarray:
+    """The coefficients of x_i x_j, j >= i, in the quadratic map
+    x -> sum_ab x_a x_b form[a, b], mod n: form[i, i], then form[i, j] + form[j, i]."""
+    row = form[i, i:] + form[i:, i]
+    row[0] = form[i, i]
+    return row % n
+
+
+def _coassoc_spans_cosickle(ext: Extension, coassoc: np.ndarray) -> bool:
+    """Whether the coassociativity tensor G and the cosickle form F span the same
+    quadratic maps, by two exact identities on their symmetric coefficients.
+
+    G has one output per S^⊗4 coordinate and basis element β_c of S⊗S.
+    Since Δ_u(s⊗t) = (s⊗1⊗t)·Δ_u(1⊗1), G at β_c is ι(β_c)·(G at 1⊗1),
+    where ι = η₂∘η₂ sends s⊗t to s⊗1⊗1⊗t, and G at 1⊗1 is −F:
+        G at β_c = −ι(β_c)·F,    G at 1⊗1 = −F.
+    The first puts every output of G in the span of F's, the second F's in
+    the span of G's, so the two forms have one zero set on all of S^⊗3.
+    (The second follows from the first as ι(1⊗1) = 1; it is checked as the
+    direct witness of span F ⊆ span G.)  The products by the ι(β_c) are one
+    matrix, from one stacked `mulmat` of S^⊗4.  The coefficients are
+    compared one i of x_i x_j at a time: no second array the size of G is
+    formed, and each GEMM stays small (a (136 × 32)·(32 × 256) float64
+    GEMM, all pairs of (F4⊗F4)/F4 at once, stalls for 16 ms in some
+    processes under OpenBLAS's two threads).
+    """
+    n, form = ext.n, cosickle_form(ext)
+    t2, t4 = ext.tensor_power(2).ring, ext.tensor_power(4).ring
+    k4, k2 = t4.rank, t2.rank
+    iota = (ext.face_map(3, 2).matrix @ ext.face_map(2, 2).matrix) % n  # column c is ι(β_c)
+    # [j, (k, c)]: coordinate k of ι(β_c)·e_j, so F's outputs times it are G's at every β_c
+    by_iota = t4.mulmat(iota.T).transpose(2, 1, 0).reshape(k4, k4 * k2)
+    for i in range(len(form)):
+        f, g = _symmetric_row(form, i, n), _symmetric_row(coassoc, i, n)
+        at_one = g.reshape(len(g), k4, k2) @ t2.one  # k2 terms below n^2 each
+        if ((g + zmod.matmul_mod(f, by_iota, n)) % n).any() or ((at_one + f) % n).any():
+            return False
+    return True
+
+
+def _almost_invertible(ext: Extension, grid: Grid, cosickle: np.ndarray) -> np.ndarray:
+    """Mask of the cosickles whose partial collapses u^1 u^2 ⊗ u^3 and
+    u^1 ⊗ u^2 u^3 are both units of S^⊗2, over the flat grid.
+
+    Only the cosickle rows are built (`Grid.rows_at`), one block at a time;
+    each partial collapse is one `zmod.matmul_mod` by its merge matrix, and
+    `zmod.batch_is_unit` tests it against the residue fields of S^⊗2.
+    """
+    residue = ext.tensor_power(2).ring.residue_fields
+    merges = [ext.merge_map(3, first=first).matrix.T for first in (True, False)]
+    idx = np.flatnonzero(cosickle)
+    out = np.zeros(grid.size, dtype=bool)
+    step = zmod.block_rows(grid.rank)
+    for s in range(0, len(idx), step):
+        block = idx[s : s + step]
+        rows = grid.rows_at(block)
+        both = np.ones(len(block), dtype=bool)
+        for merge in merges:
+            both &= zmod.batch_is_unit(zmod.matmul_mod(rows, merge, ext.n), residue)
+        out[block[both]] = True
+    return out
+
+
 @dataclass
 class CosickleClassification:
-    """Census of S^⊗3 with the tag chain and its cross-checking oracles."""
+    """Census of S^⊗3 with the tag chain and its cross-checking oracles.
+
+    The chain unit cocycle ⇒ almost invertible ⇒ cosickle ⇔ coassociative
+    is checked on construction.  When classify_all has proved the two form
+    identities, is_coassociative is the kept cosickle mask itself (so its
+    equality is by proof); after the fallback sweep of the coassociativity
+    tensor it is that sweep's own mask, and the chain check compares.
+    """
 
     ext: Extension
     grid: Grid = field(repr=False)
@@ -105,7 +176,7 @@ class CosickleClassification:
             and (~self.is_almost_invertible | self.is_cosickle).all()
             and (self.is_cosickle == self.is_coassociative).all()
         )
-        if not chain:  # pragma: no cover - the implication chain is definitional
+        if not chain:
             raise InternalCheckError("tag implication chain violated in census")
         # counital twisted corings are exactly the almost invertible cosickles
         if self.counit_solvable is not None and (self.admits_counit != self.is_almost_invertible).any():
@@ -146,33 +217,33 @@ def classify_all(
 ) -> CosickleClassification:
     """Sweep all of S^⊗3 and tag every element.
 
-    The sweep is one `rings.Grid` over S^⊗3: the unit mask and both partial-
-    collapse masks are residue-field tests on half images, the cosickle and
-    coassociativity tags are zero sets of quadratic forms.  The unit mask
-    and the cosickle tag are the ones kept on S^⊗3 and on the extension
-    (`FiniteRing.unit_mask`, `amitsur.cosickle_zeros`), which compute_h2
-    reads too.  The coassociativity tag is swept here by the direct
-    two-triple-coproduct test (via its bilinear tensor), independently of
-    the cosickle identity; the two must agree.  The counit-solvability
-    oracle (`counit_solvable`: per block of the grid one GEMM, then one
-    batched elimination per prime power of n) is on by default for sweeps
-    of at most 4096 elements, and its verdict must equal almost
-    invertibility.  The census builds its rows only when `elements` is
-    read.  `jobs` changes nothing.
+    The census reads the two masks of S^⊗3 that compute_h2 reads too: the
+    unit mask kept on its ring (`FiniteRing.unit_mask`) and the cosickle
+    zero set kept on the extension (`amitsur.cosickle_zeros`), each one
+    `rings.Grid` sweep.  Nothing else is swept over the grid:
+    - coassociative: the direct two-triple-coproduct tensor G is built as
+      the independent second route, and two exact identities against the
+      cosickle form F (`_coassoc_spans_cosickle`) prove that G and F have
+      one zero set, which makes the cosickle mask the coassociative one.
+      Should an identity fail, G is swept (`Grid.zero_mask`) and the chain
+      check of the census decides;
+    - almost invertible: both partial collapses of the cosickle rows alone
+      are tested against the residue fields of S^⊗2 (`_almost_invertible`).
+    The counit-solvability oracle (`counit_solvable`: per block of the grid
+    one GEMM, then one batched elimination per prime power of n) is on by
+    default for sweeps of at most 4096 elements, and its verdict must equal
+    almost invertibility.  The census builds its rows only when `elements`
+    is read.  `jobs` changes nothing.
     """
-    t2 = ext.tensor_power(2)
     t3 = ext.tensor_power(3)
     grid = Grid.of(t3.ring, cap)
     if counit_oracle is None:
         counit_oracle = grid.size <= 4096
     unit_mask = t3.ring.unit_mask(cap)
     cosickle = cosickle_zeros(ext, cap)
-    coassoc = grid.zero_mask(_coassoc_difference_tensor(ext))
-    # almost invertible: both partial collapses are units of S^⊗2
-    residue2 = t2.ring.residue_fields
-    both_units = grid.unit_mask(residue2, via=ext.merge_map(3, first=True).matrix.T)
-    both_units &= grid.unit_mask(residue2, via=ext.merge_map(3, first=False).matrix.T)
-    almost = cosickle & both_units
+    coassoc_form = _coassoc_difference_tensor(ext)
+    coassoc = cosickle if _coassoc_spans_cosickle(ext, coassoc_form) else grid.zero_mask(coassoc_form)
+    almost = _almost_invertible(ext, grid, cosickle)
     cocycle = unit_mask & cosickle
     solvable = counit_solvable(ext, grid.rows()) if counit_oracle else None
     return CosickleClassification(

@@ -480,10 +480,14 @@ def _residue_projections(a: FiniteRing, frob: np.ndarray) -> list[np.ndarray]:
     With p^k >= rank, frob^k kills exactly the radical J.  The Berlekamp
     subalgebra ker(frob - I) is F_p^t, one factor per residue field; its
     primitive idempotents e come from splitting by 1 - (y - c)^(p-1) over a
-    basis y and the values c of y.  The matrix for e holds independent
-    columns of x -> (x e)^(p^k), which is zero exactly when x e lies in J,
-    i.e. when x lies in the maximal ideal of e.  The multiplication matrices
-    of all the e are one stacked mulmat.
+    basis y and the values c of y.  When p <= t + 1 every c in F_p is
+    tried instead of finding the values (`_values`, two Howell forms per
+    y): for a c that is no value, y - c is a unit of F_p^t, so
+    1 - (y - c)^(p-1) = 0 drops out with the zero products, and the
+    idempotents come out the same and in the same order.  The matrix for e
+    holds independent columns of x -> (x e)^(p^k), which is zero exactly
+    when x e lies in J, i.e. when x lies in the maximal ideal of e.  The
+    multiplication matrices of all the e are one stacked mulmat.
     """
     p, r = a.n, a.rank
     eye = np.eye(r, dtype=np.int64)
@@ -493,8 +497,10 @@ def _residue_projections(a: FiniteRing, frob: np.ndarray) -> list[np.ndarray]:
         q *= p
     idems = a.one[None, :]
     berlekamp = zmod.howell((frob - eye) % p, p).k
+    t = len(berlekamp)
     for y in berlekamp:
-        shifted = (y[None, :] - np.outer(_values(a, y, len(berlekamp)), a.one)) % p
+        values = np.arange(p, dtype=np.int64) if p <= t + 1 else _values(a, y, t)
+        shifted = (y[None, :] - np.outer(values, a.one)) % p
         deltas = (a.one[None, :] - a.pow_rows(shifted, p - 1)) % p
         prods = a.products(idems, deltas).reshape(-1, r)
         idems = prods[prods.any(axis=1)]
@@ -764,19 +770,18 @@ class Grid:
         h, l = np.divmod(idx, self.shape[1])
         return np.hstack([self.high[h], self.low[l]])
 
-    def unit_mask(self, residue: zmod.ResidueFields, via: Optional[np.ndarray] = None) -> np.ndarray:
-        """Elements x whose image x·via has a nonzero image in every residue field.
+    def unit_mask(self, residue: zmod.ResidueFields) -> np.ndarray:
+        """Elements x with a nonzero image in every residue field: the unit mask
+        of the ring of `residue`.
 
-        With via = None this is the unit mask of the ring of `residue`.  The
-        image in a field over F_p is zero exactly when the low image is the
-        negated high image mod p, so each field costs one integer equality
-        test per element between base-p codes of the two half images; a code
-        stays below the field size, at most the ring size.
+        The image in a field over F_p is zero exactly when the low image is
+        the negated high image mod p, so each field costs one integer
+        equality test per element between base-p codes of the two half
+        images; a code stays below the field size, at most the ring size.
         """
         n, a = self.n, self.a
-        proj = residue.proj if via is None else zmod.matmul_mod(via, residue.proj, n)
-        high = zmod.matmul_mod(self.high, proj[:a], n)
-        low = zmod.matmul_mod(self.low, proj[a:], n)
+        high = zmod.matmul_mod(self.high, residue.proj[:a], n)
+        low = zmod.matmul_mod(self.low, residue.proj[a:], n)
         mask = np.ones(self.shape, dtype=bool)
         for p, start, stop in residue.fields:
             place = p ** np.arange(stop - start, dtype=np.int64)
