@@ -16,8 +16,6 @@ Z^2 = B^2 row for row, names the one class by z2[0], and only then proves
 every row of Z^2 a unit cocycle in one batch.  A TwistElement on a row of
 Z^2 reads its inverse and verdicts from that proof, and
 `classify.BrauerClass` names every class by B^2 membership.
-`sorted_cosets` serves the B^2-orbits of the cosickle monoid
-(`classify.monoid_quotient`) in blocks bounded by zmod.BLOCK_ENTRIES.
 Next to H^2 live the classical identities: the norm |u| = u^1 u^2 u^3, its
 two partial-collapse identities, normalization of cocycles, interleaving
 of cocycles over S⊗S, and the base-change coboundary witness over
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -239,25 +237,6 @@ def _inverted_rows(ring, group: np.ndarray, failure: str) -> np.ndarray:
     if not (ring.mul_rows(group, inverses) == ring.one).all():
         raise InternalCheckError(failure)
     return inverses
-
-
-def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
-    """The cosets row·B^2 of a batch of rows of S^⊗3, each sorted lexicographically.
-
-    These are the B^2-orbits of `classify.monoid_quotient`; compute_h2
-    forms none, as Z^2 = B^2 there.  Yields arrays of shape (rows in block,
-    |B^2|, rank), blocks in row order; member [i, 0] of a block is the
-    lex-least element of its coset, and repeated members stay (a non-unit
-    row may have a smaller orbit).  Each block is one `FiniteRing.products`
-    (`zmod.outer_products`) against B^2, of at most zmod.BLOCK_ENTRIES
-    entries, so no transient grows with the number of rows.
-    """
-    t3 = ext.tensor_power(3).ring
-    step = zmod.block_rows(len(b2) * t3.rank)
-    for start in range(0, len(rows), step):
-        prods = t3.products(rows[start : start + step], b2)
-        order = np.lexsort(np.moveaxis(prods, 2, 0)[::-1], axis=-1)
-        yield np.take_along_axis(prods, order[:, :, None], axis=1)
 
 
 def delta1(ext: Extension, v) -> np.ndarray:
@@ -489,8 +468,8 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     """First (lex) unit w of S^⊗2 with u · w_2 = v · w_1 · w_3, or None.
 
     The equation is the inversion-free form of u = v · delta_1(w); equal
-    inputs short-circuit to the identity witness.  The sides are the linear
-    map A = eta_2 · mu_u (r2 × r3) and the quadratic form
+    inputs short-circuit to the identity witness; either way the witness is
+    a fresh row the caller owns.  The sides are the linear map A = eta_2 · mu_u (r2 × r3) and the quadratic form
     F[a, b] = eta_1(e_a) · eta_3(e_b) · v (r2 × r2 × r3), built once; the
     units of one grid unit mask are tried in lex-ordered blocks, one
     `matmul_mod` and one `bilinear_mod` each, up to the first hit.
@@ -500,7 +479,7 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
     u_vec = np.asarray(u_vec, dtype=np.int64) % ext.n
     v_vec = np.asarray(v_vec, dtype=np.int64) % ext.n
     if (u_vec == v_vec).all():
-        return ext.tensor_power(2).one_vec()
+        return ext.tensor_power(2).one_vec().copy()
     grid = Grid.of(t2, cap)
     units = np.flatnonzero(t2.unit_mask(cap))
     h1, h2, h3 = (ext.face_map(2, i).matrix.T for i in (1, 2, 3))
@@ -512,5 +491,5 @@ def _witness_search(ext: Extension, u_vec, v_vec, cap: int = DEFAULT_CAP) -> Opt
         w = grid.rows_at(units[start : start + step])
         hits = (zmod.matmul_mod(w, lin, ext.n) == zmod.bilinear_mod(w, w, form, ext.n)).all(axis=1)
         if hits.any():
-            return w[int(np.argmax(hits))]
+            return w[int(np.argmax(hits))].copy()
     return None

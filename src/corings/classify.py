@@ -8,10 +8,11 @@ u^1 ⊗ u^2 u^3 are units of S^⊗2.  Sweeping all of S^⊗3 yields the chain
 
 which under twisting matches Azumaya corings ⊂ counital corings ⊂
 coassociative comultiplications with normal basis.  Dividing the two
-cosickle monoids by the coboundary group B^2 gives the monoids whose
-invertible parts recover H^2.  Brauer classes of Azumaya normal-basis
-corings are cocycle classes; corings over different extensions of the same
-base are compared after refining both to S⊗T.
+cosickle monoids by the coboundary group B^2 (orbits on lex keys,
+`Grid.keys`) gives the monoids whose invertible parts recover H^2.
+Brauer classes of Azumaya normal-basis corings are cocycle classes;
+corings over different extensions of the same base are compared after
+refining both to S⊗T.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import zmod
 from .amitsur import (
     COSICKLE_CONDITION, TwistElement, _witness_search, b2_rows, cosickle_form, cosickle_zeros, is_two_cocycle,
-    sorted_cosets, unit_twist,
+    unit_twist,
 )
 from .coring import (
     NormalBasisCoring, canonical_coring, coassoc_difference, external_product, is_azumaya, term_coproducts
@@ -226,14 +227,16 @@ def classify_all(
       cosickle form F (`_coassoc_spans_cosickle`) prove that G and F have
       one zero set, which makes the cosickle mask the coassociative one.
       Should an identity fail, G is swept (`Grid.zero_mask`) and the chain
-      check of the census decides;
+      check of the census decides.  The mask is kept, read-only, in the
+      memo of ext: G is built and proved once per extension;
     - almost invertible: both partial collapses of the cosickle rows alone
       are tested against the residue fields of S^⊗2 (`_almost_invertible`).
     The counit-solvability oracle (`counit_solvable`: per block of the grid
     one GEMM, then one batched elimination per prime power of n) is on by
     default for sweeps of at most 4096 elements, and its verdict must equal
-    almost invertibility.  The census builds its rows only when `elements`
-    is read.  `jobs` changes nothing.
+    almost invertibility.  The cap, the chain check and the oracle run on
+    every call.  Rows are built only when `elements` is read.  `jobs`
+    changes nothing.
     """
     t3 = ext.tensor_power(3)
     grid = Grid.of(t3.ring, cap)
@@ -241,8 +244,16 @@ def classify_all(
         counit_oracle = grid.size <= 4096
     unit_mask = t3.ring.unit_mask(cap)
     cosickle = cosickle_zeros(ext, cap)
-    coassoc_form = _coassoc_difference_tensor(ext)
-    coassoc = cosickle if _coassoc_spans_cosickle(ext, coassoc_form) else grid.zero_mask(coassoc_form)
+
+    def coassoc_zeros():
+        form = _coassoc_difference_tensor(ext)
+        if _coassoc_spans_cosickle(ext, form):
+            return cosickle
+        mask = grid.zero_mask(form)
+        mask.flags.writeable = False
+        return mask
+
+    coassoc = ext._cached("coassoc_zeros", coassoc_zeros)
     almost = _almost_invertible(ext, grid, cosickle)
     cocycle = unit_mask & cosickle
     solvable = counit_solvable(ext, grid.rows()) if counit_oracle else None
@@ -282,26 +293,29 @@ def monoid_quotient(
     which = "full" takes all cosickles, "almost" the almost invertible ones.
     Orbit representatives are the lexicographically least members.  An
     orbit is invertible exactly when its members are units, since B^2 is a
-    group of units.
+    group of units.  Orbits are taken on lex keys (`Grid.keys`): per block
+    of monoid rows, the keys of one `FiniteRing.products` against B^2,
+    sorted along each row, so column 0 is the orbit's least member.  The
+    1-d `np.unique` with return_index imports no numpy.ma.
     """
     if which not in ("full", "almost"):
         raise ValueError("which must be 'full' or 'almost'")
     census = classify_all(ext, cap=cap, jobs=jobs, counit_oracle=False)
-    mask = census.is_cosickle if which == "full" else census.is_almost_invertible
+    grid, t3 = census.grid, ext.tensor_power(3).ring
+    monoid = np.flatnonzero(census.is_cosickle if which == "full" else census.is_almost_invertible)
     b2 = b2_rows(ext, cap=cap, jobs=jobs)
-    minima, sizes = [], []
-    for orbits in sorted_cosets(ext, census.grid.rows(mask), b2):
-        minima.append(orbits[:, 0])
-        sizes.append(1 + (orbits[:, 1:] != orbits[:, :-1]).any(axis=2).sum(axis=1))
-    reps, first = zmod.unique_rows(np.concatenate(minima), return_index=True)
-    return MonoidQuotient(
-        ext,
-        which,
-        b2,
-        reps,
-        [int(k) for k in np.concatenate(sizes)[first]],
-        census.is_unit[mask][first],
-    )
+    minima = np.empty(len(monoid), dtype=np.int64)
+    sizes = np.empty(len(monoid), dtype=np.int64)
+    step = zmod.block_rows(len(b2) * grid.rank)
+    for start in range(0, len(monoid), step):
+        keys = grid.keys(t3.products(grid.rows_at(monoid[start : start + step]), b2))
+        # not np.sort: its SIMD kernels would fault in about 0.25 MB of code pages more
+        keys = np.take_along_axis(keys, np.argsort(keys, axis=1, kind="stable"), axis=1)
+        minima[start : start + step] = keys[:, 0]
+        sizes[start : start + step] = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1)
+    reps, first = np.unique(minima, return_index=True)
+    sizes = [int(k) for k in sizes[first]]
+    return MonoidQuotient(ext, which, b2, grid.rows_at(reps), sizes, census.is_unit[reps])
 
 
 # -- Brauer classes ------------------------------------------------------------------

@@ -770,6 +770,12 @@ class Grid:
         h, l = np.divmod(idx, self.shape[1])
         return np.hstack([self.high[h], self.low[l]])
 
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Flat (lex) indices of coefficient rows along the last axis, the inverse
+        of rows_at: sum_i x_i n^(r-1-i), exact in int64 as Grid.of refuses
+        more than 2^62 elements."""
+        return rows @ self.n ** np.arange(self.rank - 1, -1, -1, dtype=np.int64)
+
     def unit_mask(self, residue: zmod.ResidueFields) -> np.ndarray:
         """Elements x with a nonzero image in every residue field: the unit mask
         of the ring of `residue`.

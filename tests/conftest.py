@@ -1,4 +1,4 @@
-from typing import Optional
+from typing import Iterator, Optional
 from unittest import mock
 
 import numpy as np
@@ -126,6 +126,39 @@ def coset_class(ext: Extension, u, b2: np.ndarray) -> tuple:
     normalized = coset[(norms == ext.top.one).all(axis=1)]
     assert len(normalized), "coset has no normalized member"
     return tuple(map(int, zmod.unique_rows(normalized)[0]))
+
+
+# The orbit oracle of the tests: classify.monoid_quotient sorts the lex keys
+# of each coset (Grid.keys); this route, its predecessor in the library,
+# lexsorts the product rows themselves and merges the minima by unique_rows.
+def sorted_cosets(ext: Extension, rows: np.ndarray, b2: np.ndarray) -> Iterator[np.ndarray]:
+    """The cosets row·B^2 of a batch of rows of S^⊗3, each sorted lexicographically.
+
+    These are the B^2-orbits of `classify.monoid_quotient`; compute_h2
+    forms none, as Z^2 = B^2 there.  Yields arrays of shape (rows in block,
+    |B^2|, rank), blocks in row order; member [i, 0] of a block is the
+    lex-least element of its coset, and repeated members stay (a non-unit
+    row may have a smaller orbit).  Each block is one `FiniteRing.products`
+    (`zmod.outer_products`) against B^2, of at most zmod.BLOCK_ENTRIES
+    entries, so no transient grows with the number of rows.
+    """
+    t3 = ext.tensor_power(3).ring
+    step = zmod.block_rows(len(b2) * t3.rank)
+    for start in range(0, len(rows), step):
+        prods = t3.products(rows[start : start + step], b2)
+        order = np.lexsort(np.moveaxis(prods, 2, 0)[::-1], axis=-1)
+        yield np.take_along_axis(prods, order[:, :, None], axis=1)
+
+
+def coset_quotient(ext: Extension, census, mask: np.ndarray, b2: np.ndarray):
+    """Representatives, orbit sizes and invertible flags of the B^2-orbits of
+    the rows of a census mask, by sorted_cosets."""
+    minima, sizes = [], []
+    for orbits in sorted_cosets(ext, census.grid.rows(mask), b2):
+        minima.append(orbits[:, 0])
+        sizes.append(1 + (orbits[:, 1:] != orbits[:, :-1]).any(axis=2).sum(axis=1))
+    reps, first = zmod.unique_rows(np.concatenate(minima), return_index=True)
+    return reps, [int(k) for k in np.concatenate(sizes)[first]], census.is_unit[mask][first]
 
 
 # The command-line oracle of the tests: argparse reads every line, as it did

@@ -79,7 +79,10 @@ def test_identity_route_on_random_extensions(case):
 
 
 def patched_tensor(monkeypatch, change):
-    """Make classify_all read change(G) for its coassociativity tensor G."""
+    """Make classify_all read change(G) for its coassociativity tensor G.
+
+    classify_all keeps the coassociative mask in the memo of its extension,
+    so each patch needs a fresh extension: CENSUS_CASES builds one per call."""
     real = classify._coassoc_difference_tensor
     monkeypatch.setattr(classify, "_coassoc_difference_tensor", lambda ext: change(real(ext).copy(), ext.n))
 

@@ -33,7 +33,6 @@ from corings.amitsur import (
     cosickle_zeros,
     delta2,
     is_two_cocycle,
-    sorted_cosets,
 )
 from corings.classify import BrauerClass, classify_all, monoid_quotient
 from corings.extensions import Extension, amitsur_rebase, external_extension
@@ -46,7 +45,7 @@ from corings.rings import (
     try_invert,
     zmod_ring,
 )
-from tests.conftest import DESK, desk_extensions, random_extension, simple_extension, skewed
+from tests.conftest import DESK, desk_extensions, random_extension, simple_extension, skewed, sorted_cosets
 
 MODULI = [2, 3, 4, 6, 8, 9, 12, zmod.MAX_MODULUS]
 

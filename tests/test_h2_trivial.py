@@ -4,7 +4,7 @@ Chase–Rosenberg's seven-term sequence gives Z^2 = B^2 over a finite base and,
 in degree 0, |B^2| = |U(S⊗S)|·|U(R)|/|U(S)| (README, "Mathematics").  Each
 |U| is counted here by `enumerate_units`, apart from `b2_rows`.  Where the
 census of S^⊗3 fits the cap, the B^2-orbits of the cosickle monoid
-(`monoid_quotient`, through `sorted_cosets`) hold exactly one invertible
+(`monoid_quotient`, on lex keys) hold exactly one invertible
 orbit, whose lex-least member is the z2[0] that compute_h2 names without
 forming a coset.
 """

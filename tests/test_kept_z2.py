@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 from corings import amitsur
 from corings.amitsur import TwistElement, _kept_z2, cohomologous, compute_h2, cosickle_zeros
-from corings.classify import BrauerClass
+from corings.classify import BrauerClass, monoid_quotient
 from corings.extensions import Extension
 from corings.rings import DEFAULT_CAP, Grid, InternalCheckError, make_quotient_ring, try_invert, zmod_ring
 from tests.conftest import DESK, RANDOM_EXTENSION_CASES, desk_extensions, random_case_extension, simple_extension
@@ -230,13 +230,17 @@ def test_brauer_classes_of_kept_rows_run_no_single_element_inverse_or_delta2(req
 
 
 def test_h2_forms_no_coset(request, monkeypatch):
-    """Z^2 = B^2 is one row-for-row check: compute_h2 answers with sorted_cosets
-    broken, and names the one class by z2[0]."""
+    """Z^2 = B^2 is one row-for-row check: compute_h2 answers with the coset
+    route (`Grid.keys`, by which monoid_quotient orders each coset) broken,
+    and names the one class by z2[0]."""
 
     def broken(*args):
-        raise AssertionError("compute_h2 formed a coset")
+        raise AssertionError("formed a coset")
 
-    monkeypatch.setattr(amitsur, "sorted_cosets", broken)
-    for ext in desk_extensions(request):
+    monkeypatch.setattr(Grid, "keys", broken)
+    exts = desk_extensions(request)
+    for ext in exts:
         g = compute_h2(ext)
         assert g.order == 1 and g.representatives.tobytes() == g.z2[:1].tobytes()
+    with pytest.raises(AssertionError, match="formed a coset"):
+        monoid_quotient(exts[0])

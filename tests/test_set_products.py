@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from corings import zmod
 from corings.algebras import algebra_from_extension, ambient_algebra, right_dual_algebra
-from corings.amitsur import b2_rows, compute_h2, cosickle_form, sorted_cosets
+from corings.amitsur import b2_rows, compute_h2, cosickle_form
 from corings.classify import _coassoc_difference_tensor, classify_all, monoid_quotient
 from corings.coring import twisted_coring
 from corings.extensions import amitsur_rebase
 from corings.rings import FiniteRing, Grid, _column_basis, _values, make_quotient_ring, zmod_ring
-from tests.conftest import DESK, desk_extensions, random_extension, simple_extension
+from tests.conftest import DESK, desk_extensions, random_extension, simple_extension, sorted_cosets
 from tests.test_kernels import MODULI, finite_ring
 
 
