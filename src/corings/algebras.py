@@ -28,10 +28,10 @@ algebra of dimension m over R of rank kr has rank N = m·kr over Z/nZ and the
 table T[(i,a),(j,b),(k,t)] = ((e_a e_b)·struct[i,j,k])_t (FiniteAlgebra.table,
 one extensions.restrict_scalars, cached on the algebra).  Products of batches
 are then one zmod.outer_products each; the unit and associativity laws,
-closure of A(u), the multiplicativity of gamma and of the untwisting map, and
-the enveloping matrix are each one batched identity or contraction on T, not
-a loop over basis pairs.  Structure tensors themselves are built per support
-term of the twist, stacked, with FiniteRing.mul_einsum.
+closure of A(u) and the enveloping matrix are each one batched identity or
+contraction on T, and gamma and the untwisting map pass the ring maps' test
+(rings._is_multiplicative) on T; none loops over basis pairs.  Structure
+tensors are built per support term of the twist, stacked, with mul_einsum.
 
 Exactness: T, the structure tensors and the enveloping map are int64 sums
 of products of at most three reduced residues, each reduced mod n before the
@@ -52,7 +52,7 @@ from . import zmod
 from .amitsur import TwistElement, delta1, is_two_cocycle, NotACocycleError
 from .coring import NormalBasisCoring, is_azumaya
 from .extensions import Extension, restrict_scalars
-from .rings import FiniteRing, InternalCheckError
+from .rings import FiniteRing, InternalCheckError, _is_multiplicative
 
 
 class WitnessError(ValueError):
@@ -395,19 +395,14 @@ def gamma_map(c_or_tw) -> GammaVerification:
     alg = DescentAlgebra(ext, tw)
     g = gamma_matrix(ext, tw.u.coeffs)
     ginv = gamma_inverse_matrix(ext, tw.inverse.coeffs)
-    injective = zmod.kernel_right(g, n).size == 0
-    image_ok = zmod.same_row_span(g.T, alg.solution_basis, n)
-    twisted = TwistedAlgebra(ext, tw, "right")
-    # gamma(e_A e_B) against gamma(e_A) gamma(e_B) for every basis pair at once
-    table = twisted.algebra().table
-    images = g.T
-    size = len(images)
-    mult = (
-        zmod.matmul_mod(table.reshape(size * size, size), images, n)
-        == alg.ambient.products(images, images).reshape(size * size, -1)
-    ).all()
-    unital = ((g @ twisted.unit_endo().reshape(-1)) % n == alg.unit_vec()).all()
     basis = alg.solution_basis
+    # one Howell form of gamma^T: its kernel is ker(gamma); its rows are A(u)'s iff the image is A(u)
+    image = zmod.howell(g.T, n)
+    injective = image.k.size == 0
+    image_ok = image.h.shape == basis.shape and (image.h == basis).all()
+    twisted = TwistedAlgebra(ext, tw, "right").algebra()
+    mult = _is_multiplicative(twisted.table, g.T, alg.ambient.products, n)
+    unital = ((g @ twisted.one.reshape(-1)) % n == alg.unit_vec()).all()
     inv_ok = ((ginv @ g) % n == np.eye(d * d * kr, dtype=np.int64)).all() and (
         zmod.matmul_mod(g, zmod.matmul_mod(ginv, basis.T, n), n) == basis.T
     ).all()
@@ -470,14 +465,15 @@ def untwist_iso(tw: TwistElement, witness: np.ndarray) -> np.ndarray:
     mul = ext.base.mul_einsum
     # e_rho eps_ij -> e_rho e (mu_{b_k2} ∘ eps_ij ∘ mu_{b_k1}), summed over terms e (b_k1 ⊗ b_k2)
     val = mul("TpRi_,Tjc_->TRc_ijp", mul("T_p,TRi_->TpRi_", ext.base.mulmat(scalars), m2), m1)
-    size = d * d * kr
-    mat = (val.sum(axis=0) % n).reshape(size, size)
-    twisted = TwistedAlgebra(ext, tw, "right")
-    images = mat.T.reshape(size, d, d, kr)
-    lhs = zmod.matmul_mod(twisted.algebra().table.reshape(size * size, size), mat.T, n)
-    if (lhs != mul("Aij_,Bjk_->ABik_", images, images).reshape(size * size, size)).any():
+    mat = (val.sum(axis=0) % n).reshape(d * d * kr, -1)
+    twisted = TwistedAlgebra(ext, tw, "right").algebra()
+
+    def compose(x, y):  # every product of two batches of R-matrices, on flat rows
+        return mul("Aij_,Bjk_->ABik_", x.reshape(-1, d, d, kr), y.reshape(-1, d, d, kr))
+
+    if not _is_multiplicative(twisted.table, mat.T, compose, n):
         raise InternalCheckError("untwisting map is not multiplicative")
-    if ((mat @ twisted.unit_endo().reshape(-1)) % n != identity_endo(ext).reshape(-1)).any():
+    if ((mat @ twisted.one.reshape(-1)) % n != identity_endo(ext).reshape(-1)).any():
         raise InternalCheckError("untwisting map is not unital")
     if not zmod.is_invertible(mat, n):
         raise InternalCheckError("untwisting map is not bijective")

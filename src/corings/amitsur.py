@@ -451,10 +451,10 @@ def _kept_z2(ext: Extension) -> Optional[dict]:
 def cohomologous(
     tw_u: TwistElement, tw_v: TwistElement, cap: int = DEFAULT_CAP, jobs: int = 1
 ) -> Optional[np.ndarray]:
-    """A unit w of S^⊗2 with u = v · delta_1(w), or None; lex-least when found.
+    """A unit w of S^⊗2 with u = v · delta_1(w), or None; 1⊗1 when u = v.
 
-    The search is exhaustive over units of S^⊗2, processed in lexicographic
-    chunks so the first hit is the canonical witness.  The defining equation
+    Otherwise the search is exhaustive over the units of S^⊗2, in lexicographic
+    blocks, so the witness it returns is the lex-least.  The defining equation
     is checked in the inversion-free form u · w_2 = v · w_1 · w_3.
     """
     if tw_u.ext != tw_v.ext:

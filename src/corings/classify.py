@@ -416,9 +416,9 @@ def compare_via_refinement(
 ) -> RefinementComparison:
     """Brauer-compare Azumaya corings over S/R and T/R on the refinement S⊗T.
 
-    Both corings are refined by external product with the canonical coring
-    of the other side's algebra (the twists interleave with 1), and the
-    refined twists are tested for cohomologousness over (S⊗T)/R.
+    Both are refined by external product with the other side's canonical
+    coring (twists interleave with 1), and the twists are tested for
+    cohomologousness over (S⊗T)/R: witness 1⊗1 if equal, else the lex-least.
     """
     if not (is_azumaya(c) and is_azumaya(d)):
         raise ValueError("refinement comparison is for Azumaya corings")

@@ -257,9 +257,8 @@ def iso_test(
     c: NormalBasisCoring, d: NormalBasisCoring, cap: int = DEFAULT_CAP
 ) -> Optional[np.ndarray]:
     """A unit w of S^⊗2 with u v^{-1} = delta_1(w), when the corings are
-    isomorphic via multiplication by w; None otherwise.
-
-    A returned witness is verified to intertwine the two comultiplications:
+    isomorphic via multiplication by w (1⊗1 if u = v, else lex-least);
+    None otherwise; verified to intertwine the comultiplications:
     Delta_u ∘ mu_w = mu_{w_1 w_3} ∘ Delta_v.
     """
     if c.ext != d.ext:

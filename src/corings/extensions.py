@@ -268,8 +268,9 @@ class TensorRing(FiniteRing):
     (i_1, ..., i_m, rho) with the base index rho fastest.  The dense rank^3
     structure table is built from the factors on first use and cached, in
     the base's small dtype (`_build_tensor_ring`), the only rank^3 array the
-    ring builds; below DENSE_TABLE_MAX_RANK every product reads it, above it
-    `mul_vec` multiplies slot by slot with `mul_slots` and never builds it.
+    ring builds; below DENSE_TABLE_MAX_RANK every product reads it.  Above it
+    the ring is `_slotwise`: `mul_vec` goes slot by slot (`mul_slots`) and
+    RingHom.validate skips multiplicativity, so neither builds the table.
     """
 
     def __init__(self, base: FiniteRing, rmults: list[np.ndarray], ones: list[np.ndarray], name: str):
@@ -279,6 +280,7 @@ class TensorRing(FiniteRing):
         self.ones = [np.asarray(o, dtype=np.int64) % n for o in ones]
         one = _pure_tensor(base, self.ones)
         self._set_header(n, one.size, one, name)
+        self._slotwise = self.rank > DENSE_TABLE_MAX_RANK  # read by mul_vec and RingHom.validate
 
     @cached_property
     def struct(self) -> np.ndarray:
@@ -291,7 +293,7 @@ class TensorRing(FiniteRing):
         return first.transpose(0, 4, 1, 2, 3).reshape(len(first) * self.base.rank, -1), later
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.rank > DENSE_TABLE_MAX_RANK:
+        if self._slotwise:
             return self.mul_slots(x, y)
         return super().mul_vec(x, y)
 

@@ -456,13 +456,6 @@ def column_basis(a, n: int) -> np.ndarray:
     return _howell_rows(np.asarray(a).T, n).T
 
 
-def same_row_span(a, b, n: int) -> bool:
-    """Whether two matrices have the same row span (canonical forms equal)."""
-    ha = howell(a, n).h
-    hb = howell(b, n).h
-    return ha.shape == hb.shape and bool((ha == hb).all())
-
-
 def unique_rows(a, return_index: bool = False):
     """The distinct rows of a 2-d array in lex order, as np.unique(a, axis=0).
 

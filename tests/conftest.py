@@ -161,6 +161,16 @@ def coset_quotient(ext: Extension, census, mask: np.ndarray, b2: np.ndarray):
     return reps, [int(k) for k in np.concatenate(sizes)[first]], census.is_unit[mask][first]
 
 
+# The span oracle of the tests: algebras.gamma_map compares the Howell rows
+# of gamma^T with A(u)'s canonical basis; this route, its predecessor in the
+# library (zmod.same_row_span), brings both matrices to Howell form.
+def same_row_span(a, b, n: int) -> bool:
+    """Whether two matrices have the same row span (canonical forms equal)."""
+    ha = zmod.howell(a, n).h
+    hb = zmod.howell(b, n).h
+    return ha.shape == hb.shape and bool((ha == hb).all())
+
+
 # The command-line oracle of the tests: argparse reads every line, as it did
 # before cli._read_argv took the plain ones.
 def argparse_run(argv, stdout):

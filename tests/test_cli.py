@@ -330,6 +330,26 @@ def test_ring_above_rank_cap_is_input_error(tmp_path, capsys):
     assert "error: rings.R.poly:" in err and "rank cap" in err and "Traceback" not in err
 
 
+def test_non_multiplicative_eta_above_rank_100_is_input_error(tmp_path, capsys):
+    """η of F2[x]/(x^101 + x + 1) over itself with the images of e1 and e2
+    swapped is unital and bijective but not multiplicative.  η is checked at
+    every size, so the job exits 2 at extension.eta within 5 s; under the
+    former rule (no multiplicativity above source × target rank 10^4) it ran
+    and exited 0."""
+    one = [1] + [0] * 100
+    eta = [one[-i:] + one[:-i] for i in range(101)]  # eta[i] = e_i
+    eta[1], eta[2] = eta[2], eta[1]
+    ring = {"modulus": 2, "kind": "quotient", "poly": [1, 1] + [0] * 99 + [1]}
+    extension = {"base": "R", "top": "R", "eta": eta, "basis": [one]}
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, job({"name": "cocycle-check", "twist": one}, extension, R=ring))
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == b""
+    assert err.splitlines() == ["error: extension.eta: map is not multiplicative"]
+    assert elapsed < 5
+
+
 def _twist_job(twist):
     return job({"name": "cocycle-check", "twist": twist})
 

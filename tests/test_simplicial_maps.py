@@ -255,9 +255,9 @@ def test_interleave_refuses_other_levels(f4_over_f2):
 def test_every_built_map_goes_through_validate(monkeypatch):
     """Face, merge and collapse maps and the eta of a tensor extension are
     built with the default check, so RingHom.validate sees each of them: the
-    unit law always, multiplicativity up to source rank × target rank 10^4.
-    The external (F4⊗F4)/F2 has S^⊗4 of rank 256, past every former
-    per-builder threshold."""
+    unit law always, and multiplicativity unless an endpoint multiplies slot
+    by slot (a tensor ring above DENSE_TABLE_MAX_RANK).  The external
+    (F4⊗F4)/F2 has S^⊗4 of rank 256, past every former per-builder threshold."""
     validated = []
     honest = RingHom.validate
 

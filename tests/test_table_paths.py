@@ -14,13 +14,16 @@ patched down so that rank-8 and rank-16 tables take the multi-block paths.
 import io
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from corings import cli, zmod
+from corings import algebras, cli, zmod
+from corings.algebras import TwistedAlgebra, ambient_algebra, gamma_map, gamma_matrix, untwist_iso
+from corings.amitsur import TwistElement, cohomologous, compute_h2, unit_twist
 from corings.extensions import TensorRing, _build_tensor_ring, amitsur_rebase, external_extension, restrict_scalars
-from corings.rings import FiniteRing, RingHom, make_product_ring, make_quotient_ring, zmod_ring
+from corings.rings import FiniteRing, InternalCheckError, RingHom, make_product_ring, make_quotient_ring, zmod_ring
 from tests.conftest import DESK, random_extension, simple_extension
 
 
@@ -294,6 +297,90 @@ def test_is_multiplicative_matches_the_one_block_route(request, entries, monkeyp
         monkeypatch.setattr(zmod, "BLOCK_ENTRIES", entries)
     for hom, want in cases:
         assert hom.is_multiplicative() == want
+
+
+# -- the one homomorphism test ------------------------------------------------------
+#
+# rings._is_multiplicative is the only multiplicativity test: RingHom, gamma_map
+# and untwist_iso call it.  Each map below is checked through its library call
+# with its matrix swapped in, against ref_is_multiplicative on the same matrix
+# between the algebras' Z/nZ tables read as rings.
+
+
+def as_ring(alg):
+    """A FiniteAlgebra as an unchecked FiniteRing on its Z/nZ table."""
+    return FiniteRing(alg.n, alg.table, alg.one.reshape(-1), check=False)
+
+
+def spoil(mat, n):
+    """The matrix with one entry changed."""
+    bad = mat.copy()
+    bad[-1, -1] = (bad[-1, -1] + 1) % n
+    return bad
+
+
+def gamma_verdict(tw, mat):
+    """gamma_map's multiplicativity flag with mat in place of gamma."""
+    with mock.patch.object(algebras, "gamma_matrix", return_value=mat):
+        return gamma_map(tw).multiplicative
+
+
+def untwist_verdict(tw, witness, mat):
+    """Whether untwist_iso passes its multiplicativity check with mat in place of its own matrix."""
+    honest = algebras._is_multiplicative
+
+    def swapped(table, images, products, n):
+        return honest(table, mat.T, products, n)
+
+    with mock.patch.object(algebras, "_is_multiplicative", swapped):
+        try:
+            untwist_iso(tw, witness)
+        except InternalCheckError as exc:
+            assert "not multiplicative" in str(exc)
+            return False
+    return True
+
+
+def test_gamma_untwisting_and_face_maps_match_the_reference(gf9_over_f3):
+    ext, n = gf9_over_f3, gf9_over_f3.n
+    tw = TwistElement(ext, compute_h2(ext).z2[-1])
+    witness = cohomologous(tw, unit_twist(ext))
+    twisted = as_ring(TwistedAlgebra(ext, tw, "right").algebra())
+    ends = as_ring(TwistedAlgebra(ext, unit_twist(ext), "right").algebra())  # End_R(S), composition
+    s2, s3 = ext.tensor_power(2).ring, ext.tensor_power(3).ring
+    maps = [
+        (twisted, as_ring(ambient_algebra(ext)), gamma_matrix(ext, tw.u.coeffs), lambda m: gamma_verdict(tw, m)),
+        (twisted, ends, untwist_iso(tw, witness), lambda m: untwist_verdict(tw, witness, m)),
+        (s2, s3, ext.face_map(2, 2).matrix, lambda m: RingHom(s2, s3, m, check=False).is_multiplicative()),
+    ]
+    for source, target, mat, verdict in maps:
+        for m, want in ((mat, True), (spoil(mat, n), False)):
+            assert ref_is_multiplicative(RingHom(source, target, m, check=False)) == want
+            assert verdict(m) == want
+
+
+def test_gamma_map_brings_four_matrices_to_howell_form(gf9_over_f3, monkeypatch):
+    """Three for A(u) (kernel, its rows, closure) and one for gamma^T, which
+    gives both injectivity and the image."""
+    tw = TwistElement(gf9_over_f3, compute_h2(gf9_over_f3).z2[-1])
+    gamma_map(tw)  # the twist's inverse and the extension's memo, kept
+    calls = []
+    honest = zmod.howell
+    monkeypatch.setattr(zmod, "howell", lambda a, n: calls.append(n) or honest(a, n))
+    assert gamma_map(tw).ok and len(calls) == 4
+
+
+def test_validating_faces_into_the_rank_256_power_builds_no_table():
+    """S^⊗4 of the refined extension multiplies slot by slot, so RingHom.validate
+    checks only the unit law of the faces S^⊗3 -> S^⊗4 built into it."""
+    ext = refined_extension()
+    t4 = ext.tensor_power(4).ring
+    validated = []
+    honest = RingHom.validate
+    with mock.patch.object(RingHom, "validate", lambda hom: validated.append(hom) or honest(hom)):
+        faces = [ext.face_map(3, i) for i in range(1, 5)]
+    assert t4.rank == 256 and t4._slotwise and all(any(f is v for v in validated) for f in faces)
+    assert "struct" not in vars(t4)
 
 
 @pytest.mark.parametrize("bufsize", [None, 7])

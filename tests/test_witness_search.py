@@ -4,7 +4,10 @@
 search, as one linear map and one quadratic form on S^⊗2, and tests blocks
 of units against both.  The oracle below is the search as it was: chunks of
 512 grid elements, three face maps and one rank-r3 `mul_rows` per chunk.
-Both must return the same witness byte for byte, or both None.
+Both must return the same witness byte for byte, or both None.  The last
+test pins what cohomologous, iso_test and compare_via_refinement promise:
+1⊗1 for equal inputs, and otherwise the lex-first witness of a search that
+tries every unit of S^⊗2 one at a time.
 """
 
 from unittest import mock
@@ -13,9 +16,10 @@ import numpy as np
 import pytest
 
 from corings import zmod
-from corings.amitsur import _witness_search, compute_h2, delta1
-from corings.coring import canonical_coring, external_product, twisted_coring
-from corings.rings import FiniteRing, Grid, make_quotient_ring, zmod_ring
+from corings.amitsur import _witness_search, cohomologous, compute_h2, delta1
+from corings.classify import compare_via_refinement
+from corings.coring import canonical_coring, external_product, iso_test, twisted_coring
+from corings.rings import FiniteRing, Grid, enumerate_units, make_quotient_ring, zmod_ring
 from tests.conftest import DESK, desk_extensions, random_extension, simple_extension
 
 
@@ -130,3 +134,37 @@ def test_search_makes_no_paired_products(request):
         got = [_witness_search(ext, z2[0], v) for v in z2[1:]]
     assert mul_rows.call_count == 0
     assert all((g is None and w is None) or (g == w).all() for g, w in zip(got, want))
+
+
+# -- the witness contract of cohomologous, iso_test and compare_via_refinement ---------
+
+
+def lex_first_witness(ext, u, v):
+    """Every unit w of S^⊗2, one at a time in lex order: the first with u = v·delta_1(w)."""
+    t3 = ext.tensor_power(3).ring
+    for w in enumerate_units(ext.tensor_power(2).ring, as_array=True):
+        if (t3.mul_vec(v, delta1(ext, w)) == u).all():
+            return w
+    return None
+
+
+@pytest.mark.parametrize("name, lex_first", [("f4_over_f2", [0, 0, 1, 1]), ("gf9_over_f3", [0, 0, 0, 2])])
+def test_equal_inputs_get_one_and_other_pairs_the_lex_first_witness(request, name, lex_first):
+    """Equal inputs get the identity witness 1⊗1, which is not the lex-first
+    unit w with delta_1(w) = 1 that an exhaustive search finds; unequal
+    inputs get the lex-first witness."""
+    ext = request.getfixturevalue(name)
+    one = ext.tensor_power(2).one_vec()
+    z2 = compute_h2(ext).z2
+    for u in z2:
+        c = twisted_coring(ext, u)
+        assert lex_first_witness(ext, u, u).tolist() == lex_first != one.tolist()
+        assert (cohomologous(c.twist, c.twist) == one).all() and (iso_test(c, c) == one).all()
+        for v in z2[:2]:
+            if (u != v).any():
+                d = twisted_coring(ext, v)
+                want = lex_first_witness(ext, u, v)
+                assert (cohomologous(c.twist, d.twist) == want).all() and (iso_test(c, d) == want).all()
+    canonical = canonical_coring(ext)
+    refined = compare_via_refinement(canonical, canonical)
+    assert refined.equivalent and (refined.witness == refined.refined_ext.tensor_power(2).one_vec()).all()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corings import zmod
+from tests.conftest import same_row_span
 
 
 def brute_left_kernel(a, n):
@@ -77,7 +78,7 @@ def test_howell_is_canonical(case):
     hf = zmod.howell(a, n)
     # shuffle rows, add a random combination: same span
     b = np.vstack([a[::-1], (a.sum(axis=0)) % n])
-    assert zmod.same_row_span(a, b, n)
+    assert same_row_span(a, b, n)
     hf2 = zmod.howell(b, n)
     assert hf.h.shape == hf2.h.shape and (hf.h == hf2.h).all()
 
